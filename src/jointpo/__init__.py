@@ -17,10 +17,12 @@ __version__ = "0.1.0"
 from .data import (
     COMPOSITE_STATES,
     ColumnSchema,
+    FrequencyStack,
     MultiTrialDataset,
     Summaries,
     TrialCellCounts,
     TrialSummary,
+    frequency_stack,
     parse_dataset,
     parse_unit_rows,
     serialize_dataset,
@@ -40,6 +42,8 @@ from .errors import (
     ValidationError,
 )
 from .inference import (
+    BatchEstimator,
+    BatchFit,
     BootstrapConfig,
     OveridTestResult,
     VarianceEstimate,
@@ -78,12 +82,16 @@ from .transition import (
     DesignSystem,
     JointTable,
     RankDiagnostics,
+    TransitionFit,
     TransitionMatrix,
     binary_transition_params,
     build_system,
     check_rank,
     derived_estimands,
+    estimand_vectors,
+    fit_transitions,
     joint_from_transitions,
+    joint_tables,
     project_to_simplex,
     solve_transitions,
 )

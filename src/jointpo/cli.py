@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import ColumnSchema, parse_dataset, summarize
+from .data import ColumnSchema, frequency_stack, parse_dataset, summarize
 from .errors import (
     IdentificationError,
     InferenceError,
@@ -35,6 +35,8 @@ from .errors import (
     ValidationError,
 )
 from .inference import (
+    BatchEstimator,
+    BatchFit,
     BootstrapConfig,
     bootstrap,
     overid_test,
@@ -42,10 +44,16 @@ from .inference import (
 )
 from .principal import (
     STRATA,
+    clip_score_tables,
+    fourway_tables,
+    method1_arrays,
+    method1_effects,
     method1_estimate,
     method4_estimate,
     monotone_variant_estimate,
     principal_scores,
+    psace_tables,
+    score_tables,
 )
 from .report import (
     canonical_json,
@@ -57,11 +65,17 @@ from .report import (
 )
 from .simulate import DgpSpec, run_study
 from .transition import (
+    TransitionFit,
     binary_transition_params,
     build_system,
     check_rank,
     derived_estimands,
+    estimand_vectors,
+    fit_transitions,
     joint_from_transitions,
+    joint_tables,
+    monotone_mask,
+    project_rows,
     solve_transitions,
 )
 
@@ -190,15 +204,6 @@ def _treated_marginal(summary, space):
     return summary.treated_composite
 
 
-def _estimand_vector(est) -> list[float]:
-    return [
-        est.treatment_harm_rate,
-        est.treatment_benefit_rate,
-        np.nan if est.persuasion_rate is None else est.persuasion_rate,
-        np.nan if est.prob_necessary_causation is None else est.prob_necessary_causation,
-    ]
-
-
 def _transition_dict(trans) -> dict:
     return {
         "state_labels": list(trans.state_labels),
@@ -209,6 +214,194 @@ def _transition_dict(trans) -> dict:
         "out_of_range": trans.out_of_range,
         "forced": trans.forced,
     }
+
+
+# Bootstrap statistics of the commands. Each pairs the per-dataset statistic
+# (the point estimate, through the same calls as the command's own) with
+# its batch form on a stack of resampled count tensors; tests hold the two
+# to agreement on every resample.
+
+
+def _batch_fit(dataset, width: int, fit_live):
+    """Batch form of a statistic that :func:`summarize` would reject on
+    members with an empty arm: those are undefined, and ``fit_live`` maps
+    the frequencies of the others to ``(values, ok, forced)``."""
+
+    def fit(tensor: np.ndarray) -> BatchFit:
+        freqs = frequency_stack(dataset, tensor)
+        live = ~freqs.empty
+        values = np.full((len(tensor), width), np.nan)
+        ok = np.zeros(len(tensor), dtype=bool)
+        forced = np.zeros(len(tensor), dtype=bool)
+        if live.any():
+            values[live], ok[live], forced[live] = fit_live(freqs.select(live))
+        return BatchFit(values, ok, forced)
+
+    return fit
+
+
+def _stack_transitions(freqs, m: int, space: str, mask, project: bool = False):
+    arms = freqs.space(space)[:, :m]
+    fit = fit_transitions(arms[:, :, 0], arms[:, :, 1], mask, force=True)
+    return TransitionFit(project_rows(fit.probs, mask), fit.forced) if project else fit
+
+
+def estimate_estimator(
+    dataset, space: str, mask, *, mono_s=False, mono_y=False, project=False
+) -> BatchEstimator:
+    """Transition parameters, then per-trial THR, TBR, persuasion rate and
+    PN when the space has two states."""
+    m = dataset.m
+    two_state = mask.shape[0] == 2
+
+    def point(ds):
+        s = summarize(ds)
+        sys_b = build_system(s, space, mono_s=mono_s, mono_y=mono_y)
+        t = solve_transitions(sys_b, project_simplex=project, force=True)
+        values = list(t.parameter_values())
+        if two_state:
+            for summary in s.trials:
+                joint = joint_from_transitions(
+                    t, _control_marginal(summary, space), summary.trial_id
+                )
+                values.extend(estimand_vectors(joint.table))
+        return np.array(values)
+
+    def fit_live(freqs):
+        fit = _stack_transitions(freqs, m, space, mask, project)
+        values = [fit.probs[:, mask]]
+        if two_state:
+            joints = joint_tables(fit.probs[:, None], freqs.space(space)[:, :m, 0])
+            values.append(estimand_vectors(joints).reshape(len(joints), -1))
+        ok = ~np.isnan(fit.probs).any(axis=(1, 2))
+        return np.concatenate(values, axis=1), ok, fit.forced
+
+    width = int(mask.sum()) + (4 * m if two_state else 0)
+    return BatchEstimator(point, _batch_fit(dataset, width, fit_live))
+
+
+def overid_estimator(dataset, space: str, theta: np.ndarray) -> BatchEstimator:
+    """Both transition parameters, then each trial's deviation from the
+    point fit ``theta``: these estimate the raw per-trial noise scale that
+    the chi-square reference normalizes by."""
+    m = dataset.m
+    mask = np.ones((2, 2), dtype=bool)
+
+    def point(ds):
+        s = summarize(ds)
+        sys_b = build_system(s, space)
+        t = solve_transitions(sys_b, force=True)
+        th = binary_transition_params(t)
+        return np.concatenate([th, transition_residuals(s, theta, space=space)])
+
+    def fit_live(freqs):
+        fit = _stack_transitions(freqs, m, space, mask)
+        arms = freqs.space(space)[:, :m]
+        residuals = arms[:, :, 1, 1] - arms[:, :, 0] @ theta
+        return np.concatenate([fit.probs[:, :, 1], residuals], axis=1), True, fit.forced
+
+    return BatchEstimator(point, _batch_fit(dataset, 2 + m, fit_live))
+
+
+def target_estimator(dataset, space: str, k: int, *, project=False) -> BatchEstimator:
+    """Transition parameters, the target trial's joint table and, with two
+    states, its THR, TBR, persuasion rate and PN."""
+    m = dataset.m
+    mask = np.ones((k, k), dtype=bool)
+
+    def point(ds):
+        s = summarize(ds)
+        sys_b = build_system(s, space)
+        t = solve_transitions(sys_b, project_simplex=project, force=True)
+        j = joint_from_transitions(
+            t, _control_marginal(s.target, space), s.target.trial_id
+        )
+        values = list(t.parameter_values()) + list(j.table.reshape(-1))
+        if k == 2:
+            values.extend(estimand_vectors(j.table))
+        return np.array(values)
+
+    def fit_live(freqs):
+        fit = _stack_transitions(freqs, m, space, mask, project)
+        joint = joint_tables(fit.probs, freqs.space(space)[:, m, 0])
+        n = len(joint)
+        values = [fit.probs.reshape(n, -1), joint.reshape(n, -1)]
+        if k == 2:
+            values.append(estimand_vectors(joint))
+        return np.concatenate(values, axis=1), True, fit.forced
+
+    width = 2 * k * k + (4 if k == 2 else 0)
+    return BatchEstimator(point, _batch_fit(dataset, width, fit_live))
+
+
+#: (mono_s, mono_y) of the composite psace methods.
+_PSACE_ORDERINGS = {2: (True, True), 3: (False, True), 4: (False, False)}
+
+
+def psace_estimator(
+    dataset, method: int, *, clip_scores=False, project=False
+) -> BatchEstimator:
+    """The per-trial stratum effect table of a psace method, flattened."""
+    m = dataset.m
+
+    def point(ds):
+        s = summarize(ds)
+        if method == 1:
+            _, t = method1_estimate(s, clip_scores=clip_scores)
+        elif method == 2:
+            _, t = monotone_variant_estimate(s, "method2", force=True, project=project)
+        elif method == 3:
+            _, t = monotone_variant_estimate(s, "method3", force=True, project=project)
+        else:
+            _, t = method4_estimate(s, "none", force=True, project=project)
+        return t.estimates.reshape(-1)
+
+    def fit_live(freqs):
+        n = len(freqs.empty)
+        if method == 1:
+            rates = freqs.surrogate[:, :m, :, 1]
+            scores = score_tables(rates[:, :, 0], rates[:, :, 1])
+            if clip_scores:
+                scores = clip_score_tables(scores)
+            treated, control, status = method1_arrays(
+                scores, freqs.outcome[:, :m], freqs.composite[:, :m], freqs.sizes[:, :m]
+            )
+            effects = method1_effects(treated, control, m)
+            return effects.reshape(n, -1), status == 0, False
+        mono_s, mono_y = _PSACE_ORDERINGS[method]
+        mask = monotone_mask("composite", mono_s, mono_y)
+        fit = _stack_transitions(freqs, m, "composite", mask, project)
+        fourway = fourway_tables(fit.probs, freqs.composite[:, :m, 0])
+        effects, _, _ = psace_tables(fourway, mono_s)
+        # Method 3 reports what the masked system identifies; the others
+        # need every column.
+        ok = method == 3 or ~np.isnan(fit.probs).any(axis=(1, 2))
+        return effects.reshape(n, -1), ok, fit.forced
+
+    return BatchEstimator(point, _batch_fit(dataset, 4 * m, fit_live))
+
+
+def joint_cell_estimator(dataset, space: str) -> BatchEstimator:
+    """Each trial's joint harm cell P(state0=1, state1=0)."""
+    m = dataset.m
+    mask = np.ones((2, 2), dtype=bool)
+
+    def point(ds):
+        s = summarize(ds)
+        sy = build_system(s, space)
+        t = solve_transitions(sy, force=True)
+        return np.array(
+            [
+                joint_from_transitions(t, _control_marginal(ts, space), ts.trial_id).table[1, 0]
+                for ts in s.trials
+            ]
+        )
+
+    def fit_live(freqs):
+        fit = _stack_transitions(freqs, m, space, mask)
+        return fit.probs[:, None, 1, 0] * freqs.space(space)[:, :m, 0, 1], True, fit.forced
+
+    return BatchEstimator(point, _batch_fit(dataset, m, fit_live))
 
 
 def cmd_estimate(args) -> dict:
@@ -244,8 +437,7 @@ def cmd_estimate(args) -> dict:
             for label in ("THR", "TBR", "persuasion", "PN"):
                 names.append(f"{label}[{summary.trial_id}]")
         for entry in per_trial:
-            est = derived_estimands(np.asarray(entry["joint"]))
-            point.extend(_estimand_vector(est))
+            point.extend(estimand_vectors(entry["joint"]))
 
     variance = None
     if args.boot > 0:
@@ -257,19 +449,14 @@ def cmd_estimate(args) -> dict:
             ci_method=args.ci_method,
         )
 
-        def estimator(ds):
-            s = summarize(ds)
-            sys_b = build_system(s, args.space, mono_s=args.mono_s, mono_y=args.mono_y)
-            t = solve_transitions(sys_b, project_simplex=args.project, force=True)
-            values = list(t.parameter_values())
-            if two_state:
-                for summary in s.trials:
-                    joint = joint_from_transitions(
-                        t, _control_marginal(summary, args.space), summary.trial_id
-                    )
-                    values.extend(_estimand_vector(derived_estimands(joint)))
-            return np.array(values)
-
+        estimator = estimate_estimator(
+            dataset,
+            args.space,
+            system.support_mask,
+            mono_s=args.mono_s,
+            mono_y=args.mono_y,
+            project=args.project,
+        )
         variance = bootstrap(
             dataset, estimator, config, names=names, workers=args.workers
         )
@@ -316,15 +503,7 @@ def cmd_test(args) -> dict:
     _require_seed(args)
     config = BootstrapConfig(replicates=args.boot, seed=args.seed, ci_level=args.ci)
 
-    def estimator(ds):
-        # Deviations are taken against the point fit: they estimate the raw
-        # per-trial noise scale that the chi-square reference normalizes by.
-        s = summarize(ds)
-        sys_b = build_system(s, args.space)
-        t = solve_transitions(sys_b, force=True)
-        th = binary_transition_params(t)
-        return np.concatenate([th, transition_residuals(s, theta, space=args.space)])
-
+    estimator = overid_estimator(dataset, args.space, theta)
     names = ["theta[0]", "theta[1]"] + [f"residual[{tid}]" for tid in summaries.trial_ids]
     variance = bootstrap(dataset, estimator, config, names=names, workers=args.workers)
     sigma = variance.se[2:]
@@ -412,22 +591,9 @@ def cmd_psace(args) -> dict:
             ci_method=args.ci_method,
         )
 
-        def estimator(ds):
-            s = summarize(ds)
-            if method == 1:
-                _, t = method1_estimate(s, clip_scores=args.clip_scores)
-            elif method == 2:
-                _, t = monotone_variant_estimate(
-                    s, "method2", force=True, project=args.project
-                )
-            elif method == 3:
-                _, t = monotone_variant_estimate(
-                    s, "method3", force=True, project=args.project
-                )
-            else:
-                _, t = method4_estimate(s, "none", force=True, project=args.project)
-            return t.estimates.reshape(-1)
-
+        estimator = psace_estimator(
+            dataset, method, clip_scores=args.clip_scores, project=args.project
+        )
         variance = bootstrap(
             dataset, estimator, config, names=names, workers=args.workers
         )
@@ -520,7 +686,7 @@ def cmd_target(args) -> dict:
     point = list(trans.parameter_values()) + list(joint.table.reshape(-1))
     if two_state:
         names += ["target_THR", "target_TBR", "target_persuasion", "target_PN"]
-        point += _estimand_vector(est)
+        point += list(estimand_vectors(joint.table))
 
     variance = None
     if args.boot > 0:
@@ -532,18 +698,7 @@ def cmd_target(args) -> dict:
             ci_method=args.ci_method,
         )
 
-        def estimator(ds):
-            s = summarize(ds)
-            sys_b = build_system(s, args.space)
-            t = solve_transitions(sys_b, project_simplex=args.project, force=True)
-            j = joint_from_transitions(
-                t, _control_marginal(s.target, args.space), s.target.trial_id
-            )
-            values = list(t.parameter_values()) + list(j.table.reshape(-1))
-            if two_state:
-                values.extend(_estimand_vector(derived_estimands(j)))
-            return np.array(values)
-
+        estimator = target_estimator(dataset, args.space, trans.k, project=args.project)
         variance = bootstrap(
             dataset, estimator, config, names=names, workers=args.workers
         )
@@ -724,20 +879,9 @@ def _write_psace_plot_data(
                 replicates=args.boot, seed=args.seed, ci_level=args.ci
             )
 
-            def estimator(ds, space=space):
-                s = summarize(ds)
-                sy = build_system(s, space)
-                t = solve_transitions(sy, force=True)
-                return np.array(
-                    [
-                        joint_from_transitions(
-                            t, _control_marginal(ts, space), ts.trial_id
-                        ).table[1, 0]
-                        for ts in s.trials
-                    ]
-                )
-
-            var = bootstrap(dataset, estimator, config, workers=args.workers)
+            var = bootstrap(
+                dataset, joint_cell_estimator(dataset, space), config, workers=args.workers
+            )
             lo_cells, hi_cells = var.ci_lower, var.ci_upper
         for i, s in enumerate(summaries.trials):
             cell_rows.append(
@@ -771,7 +915,12 @@ def _add_common(parser, *, needs_input=True):
     parser.add_argument(
         "--ci-method", choices=("normal", "percentile"), default="normal"
     )
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="threads for simulate; accepted elsewhere, never changes results",
+    )
     parser.add_argument("--output", default=None, help="report path (default stdout)")
     parser.add_argument(
         "--timing", action="store_true", help="include wall time in the report"

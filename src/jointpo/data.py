@@ -389,53 +389,54 @@ def serialize_dataset(
     return out.getvalue()
 
 
-def _freq(counts: np.ndarray, total: int) -> np.ndarray:
-    # Exact per-cell ratio; bit-stable under a common scaling of all counts.
-    return counts / float(total)
+@dataclass(frozen=True)
+class FrequencyStack:
+    """Per-arm state frequencies of a stack of count tensors.
+
+    Every array is indexed ``(member, trial, arm, ...)`` with trials in
+    :meth:`MultiTrialDataset.counts_tensor` order (the target trial, when
+    present, last). ``sizes`` holds the integer arm totals; the frequency
+    arrays are the exact ratios :func:`summarize` computes, NaN for an empty
+    arm. ``surrogate`` and ``composite`` are None without a surrogate.
+    ``empty`` flags the members on which :func:`summarize` raises: an
+    experimental trial with an empty arm, or a target with no control units.
+    """
+
+    sizes: np.ndarray
+    empty: np.ndarray
+    outcome: np.ndarray
+    surrogate: np.ndarray | None
+    composite: np.ndarray | None
+
+    def space(self, name: str) -> np.ndarray:
+        return getattr(self, name)
+
+    def select(self, members: np.ndarray) -> "FrequencyStack":
+        """The stack of the given members only."""
+        arrays = (self.sizes, self.empty, self.outcome, self.surrogate, self.composite)
+        return FrequencyStack(*(None if a is None else a[members] for a in arrays))
 
 
-def _summarize_trial(trial: TrialCellCounts) -> TrialSummary:
-    n0, n1 = trial.arm_totals
-    if n0 <= 0:
-        raise EstimationError(
-            f"trial {trial.trial_id!r} has no units in arm 0; "
-            "frequencies are undefined"
-        )
-    if n1 <= 0 and not trial.is_target:
-        raise EstimationError(
-            f"trial {trial.trial_id!r} has no units in arm 1; "
-            "frequencies are undefined"
-        )
-    if trial.has_surrogate:
-        c0 = trial.counts[0]
-        control = dict(
-            control_outcome=_freq(c0.sum(axis=0), n0),
-            control_surrogate=_freq(c0.sum(axis=1), n0),
-            control_composite=_freq(c0.reshape(-1), n0),
-        )
-        if trial.is_target:
-            treated = dict(
-                treated_outcome=None, treated_surrogate=None, treated_composite=None
-            )
+def frequency_stack(dataset: MultiTrialDataset, tensor: np.ndarray) -> FrequencyStack:
+    """Frequencies of every state space for a ``(B, n_trials, cells)``
+    stack of count tensors laid out like ``dataset.counts_tensor()``."""
+    tensor = np.asarray(tensor)
+    arms = tensor.reshape(tensor.shape[:2] + (2, -1))
+    sizes = arms.sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = sizes[..., None]
+        if dataset.has_surrogate:
+            cells = arms.reshape(arms.shape[:3] + (2, -1))
+            outcome = cells.sum(axis=-2) / scale
+            surrogate = cells.sum(axis=-1) / scale
+            composite = arms / scale
         else:
-            c1 = trial.counts[1]
-            treated = dict(
-                treated_outcome=_freq(c1.sum(axis=0), n1),
-                treated_surrogate=_freq(c1.sum(axis=1), n1),
-                treated_composite=_freq(c1.reshape(-1), n1),
-            )
-    else:
-        control = dict(control_outcome=_freq(trial.counts[0], n0))
-        treated = dict(
-            treated_outcome=None if trial.is_target else _freq(trial.counts[1], n1)
-        )
-    return TrialSummary(
-        trial_id=trial.trial_id,
-        is_target=trial.is_target,
-        arm_sizes=(n0, n1),
-        **control,
-        **treated,
-    )
+            outcome, surrogate, composite = arms / scale, None, None
+    m = dataset.m
+    empty = (sizes[:, :m] <= 0).any(axis=(1, 2))
+    if dataset.target is not None:
+        empty |= sizes[:, m, 0] <= 0
+    return FrequencyStack(sizes, empty, outcome, surrogate, composite)
 
 
 def summarize(dataset: MultiTrialDataset) -> Summaries:
@@ -444,9 +445,44 @@ def summarize(dataset: MultiTrialDataset) -> Summaries:
     Raises :class:`EstimationError` when a non-target trial has an empty
     arm. For the target trial only control-side vectors are produced.
     """
+    freqs = frequency_stack(dataset, dataset.counts_tensor()[None])
+    sizes = freqs.sizes[0]
+    for trial, arm_sizes in zip(dataset.all_trials, sizes):
+        for arm in (0, 1):
+            if arm_sizes[arm] <= 0 and not (arm == 1 and trial.is_target):
+                raise EstimationError(
+                    f"trial {trial.trial_id!r} has no units in arm {arm}; "
+                    "frequencies are undefined"
+                )
+
+    def vectors(space: str, g: int, is_target: bool):
+        arms = freqs.space(space)
+        if arms is None:
+            return None, None
+        return arms[0, g, 0], None if is_target else arms[0, g, 1]
+
+    out = []
+    for g, trial in enumerate(dataset.all_trials):
+        (c_out, t_out), (c_sur, t_sur), (c_comp, t_comp) = (
+            vectors(space, g, trial.is_target)
+            for space in ("outcome", "surrogate", "composite")
+        )
+        out.append(
+            TrialSummary(
+                trial_id=trial.trial_id,
+                is_target=trial.is_target,
+                arm_sizes=(int(sizes[g, 0]), int(sizes[g, 1])),
+                control_outcome=c_out,
+                treated_outcome=t_out,
+                control_surrogate=c_sur,
+                treated_surrogate=t_sur,
+                control_composite=c_comp,
+                treated_composite=t_comp,
+            )
+        )
     return Summaries(
-        trials=tuple(_summarize_trial(t) for t in dataset.trials),
-        target=None if dataset.target is None else _summarize_trial(dataset.target),
+        trials=tuple(out[: dataset.m]),
+        target=out[dataset.m] if dataset.target is not None else None,
         outcome_cardinality=dataset.outcome_cardinality,
         has_surrogate=dataset.has_surrogate,
     )

@@ -4,21 +4,29 @@ Bootstrap resampling is stratified: within every trial the cell counts
 are redrawn as a multinomial over that trial's cells with the original
 trial total, which is equivalent to resampling units within the trial.
 Each replicate derives its own generator from the master seed and the
-replicate index, so results do not depend on worker count or execution
-order.
+replicate index, so a seed always gives the same resamples and results
+do not depend on how replicates are grouped.
+
+:func:`bootstrap` draws the replicates into a ``(B, n_trials, cells)``
+count tensor and fits them in one batched call when the estimator is a
+:class:`BatchEstimator` (every CLI command's is); a plain
+dataset-to-vector estimator is fitted one resampled dataset at a time.
+Either way replicate ``i`` comes from ``replicate_rng(seed, i)``. The
+bootstrap runs in one thread: the CLI's ``--workers`` parallelizes only
+``simulate``.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .data import MultiTrialDataset, Summaries
 from .errors import (
+    ForcedSolveWarning,
     IdentificationError,
     InferenceError,
     JointpoError,
@@ -29,6 +37,8 @@ from .special import chi2_sf, normal_quantile
 
 _MAX_REDRAWS = 100
 _MAX_FAILURE_FRACTION = 0.10
+#: Replicates drawn and fitted together; bounds the count tensor's memory.
+_CHUNK = 256
 #: Residuals below this magnitude count as an exact fit (a just-identified
 #: solve is exact up to rounding, so its test statistic must vanish).
 _EXACT_FIT_TOL = 1e-12
@@ -60,7 +70,13 @@ class BootstrapConfig:
 
 @dataclass(frozen=True)
 class VarianceEstimate:
-    """Point estimates with standard errors and confidence intervals."""
+    """Point estimates with standard errors and confidence intervals.
+
+    For a bootstrap, ``n_failed`` counts replicates that failed every
+    redraw, ``n_redrawn`` replicates whose first resample was rejected, and
+    ``n_forced`` kept replicates fitted minimum-norm despite a failed rank
+    check.
+    """
 
     point: np.ndarray
     se: np.ndarray
@@ -70,21 +86,92 @@ class VarianceEstimate:
     names: tuple[str, ...] | None = None
     replicates: np.ndarray | None = None
     n_failed: int = 0
+    n_forced: int = 0
+    n_redrawn: int = 0
+
+
+class BatchFit(NamedTuple):
+    """A statistic on a stack of B count tensors: ``values`` ``(B, w)``,
+    ``ok`` ``(B,)`` (False where the statistic is undefined, so the
+    replicate is redrawn) and ``forced`` ``(B,)`` (fitted despite a failed
+    rank check)."""
+
+    values: np.ndarray
+    ok: np.ndarray
+    forced: np.ndarray
+
+
+@dataclass(frozen=True)
+class BatchEstimator:
+    """A statistic in two forms: ``point`` evaluates it on one dataset (the
+    point estimate, with its warnings), ``fit`` on a whole
+    ``(B, n_trials, cells)`` stack of count tensors laid out like
+    ``dataset.counts_tensor()``. The two must agree on every resample."""
+
+    point: Callable[[MultiTrialDataset], np.ndarray]
+    fit: Callable[[np.ndarray], BatchFit]
+
+
+class _Draws:
+    """Stratified multinomial resamples of one count tensor: per trial, the
+    cells are redrawn with the trial's total; trials with no units are left
+    at zero and use no randomness."""
+
+    def __init__(self, tensor: np.ndarray):
+        self.shape = tensor.shape
+        totals = tensor.sum(axis=1)
+        self.live = totals > 0
+        self.totals = totals[self.live]
+        self.probs = tensor[self.live] / self.totals[:, None]
+
+    def draw(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        out = np.zeros((len(rngs),) + self.shape, dtype=np.int64)
+        if self.totals.size:
+            for row, rng in zip(out, rngs):
+                row[self.live] = rng.multinomial(self.totals, self.probs)
+        return out
 
 
 def resample_dataset(
     dataset: MultiTrialDataset, rng: np.random.Generator
 ) -> MultiTrialDataset:
     """One stratified resample: per-trial multinomial redraw of all cells."""
-    tensor = dataset.counts_tensor()
-    out = np.empty_like(tensor)
-    for i, row in enumerate(tensor):
-        total = int(row.sum())
-        if total == 0:
-            out[i] = 0
-            continue
-        out[i] = rng.multinomial(total, row / total)
-    return dataset.with_counts(out)
+    return dataset.with_counts(_Draws(dataset.counts_tensor()).draw([rng])[0])
+
+
+def _per_dataset(
+    dataset: MultiTrialDataset,
+    estimator: Callable[[MultiTrialDataset], np.ndarray],
+    shape: tuple[int, ...],
+) -> Callable[[np.ndarray], BatchFit]:
+    """Batch adapter of a dataset-to-vector estimator: one rebuilt dataset
+    per member. An estimator error, or a result of another shape than
+    ``shape``, makes the member undefined; a :class:`ForcedSolveWarning`
+    marks it forced. Other package warnings are ignored, as for any
+    resample."""
+
+    def fit(tensor: np.ndarray) -> BatchFit:
+        values = np.full((len(tensor), int(np.prod(shape))), np.nan)
+        ok = np.zeros(len(tensor), dtype=bool)
+        forced = np.zeros(len(tensor), dtype=bool)
+        for b, counts in enumerate(tensor):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("ignore", JointpoWarning)
+                warnings.simplefilter("always", ForcedSolveWarning)
+                try:
+                    value = np.asarray(estimator(dataset.with_counts(counts)), dtype=float)
+                except (JointpoError, np.linalg.LinAlgError):
+                    value = None
+            for w in caught:
+                if not issubclass(w.category, JointpoWarning):
+                    warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+            if value is not None and value.shape == shape:
+                values[b] = value.reshape(-1)
+                ok[b] = True
+                forced[b] = any(issubclass(w.category, ForcedSolveWarning) for w in caught)
+        return BatchFit(values, ok, forced)
+
+    return fit
 
 
 def _normal_ci(
@@ -96,53 +183,58 @@ def _normal_ci(
 
 def bootstrap(
     dataset: MultiTrialDataset,
-    estimator: Callable[[MultiTrialDataset], np.ndarray],
+    estimator: BatchEstimator | Callable[[MultiTrialDataset], np.ndarray],
     config: BootstrapConfig,
     *,
     names: Sequence[str] | None = None,
     workers: int = 1,
 ) -> VarianceEstimate:
-    """Stratified bootstrap of an arbitrary dataset-to-vector estimator.
+    """Stratified bootstrap of a :class:`BatchEstimator` or of a plain
+    dataset-to-vector estimator.
 
-    A replicate whose resample breaks the estimator (an empty arm, a
-    rank failure) is redrawn up to 100 times from its own generator and
-    counted as failed afterwards; more than 10% failed replicates abort
-    with :class:`InferenceError`. Fixed ``(seed, replicates)`` give
-    bit-identical results for any ``workers`` setting.
+    Replicate ``i`` is drawn from ``replicate_rng(seed, i)``. Replicates are
+    drawn and fitted in chunks; one whose resample breaks the estimator (an
+    empty arm, a rank failure) is redrawn from its own generator, up to 100
+    draws in all, and counted as failed afterwards; more than 10% failed
+    replicates abort with :class:`InferenceError`. ``workers`` is accepted
+    for compatibility and changes nothing: fixed ``(seed, replicates)``
+    give bit-identical results.
     """
-    point = np.asarray(estimator(dataset), dtype=float)
-    width = point.size
-
-    def one(index: int) -> tuple[np.ndarray, bool]:
-        # NaN coordinates are legitimate results (undefined quantities);
-        # only estimator exceptions count as a failed resample.
-        rng = replicate_rng(config.seed, index)
-        for _ in range(_MAX_REDRAWS):
-            resampled = resample_dataset(dataset, rng)
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", JointpoWarning)
-                    value = np.asarray(estimator(resampled), dtype=float)
-            except (JointpoError, np.linalg.LinAlgError):
-                continue
-            if value.shape == point.shape:
-                return value, True
-        return np.full(width, np.nan), False
-
-    draws = np.empty((config.replicates, width))
-    success = np.zeros(config.replicates, dtype=bool)
-    if workers <= 1:
-        for i in range(config.replicates):
-            draws[i], success[i] = one(i)
+    # NaN coordinates are legitimate results (undefined quantities); only
+    # estimator exceptions count as a failed resample.
+    if isinstance(estimator, BatchEstimator):
+        point = np.asarray(estimator.point(dataset), dtype=float)
+        fit = estimator.fit
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, (value, ok) in enumerate(pool.map(one, range(config.replicates))):
-                draws[i], success[i] = value, ok
+        point = np.asarray(estimator(dataset), dtype=float)
+        fit = _per_dataset(dataset, estimator, point.shape)
+
+    n = config.replicates
+    draws = np.full((n, point.size), np.nan)
+    success = np.zeros(n, dtype=bool)
+    forced = np.zeros(n, dtype=bool)
+    redrawn = np.zeros(n, dtype=bool)
+    sampler = _Draws(dataset.counts_tensor())
+    for start in range(0, n, _CHUNK):
+        index = np.arange(start, min(start + _CHUNK, n))
+        rngs = [replicate_rng(config.seed, int(i)) for i in index]
+        pending = index
+        for attempt in range(_MAX_REDRAWS):
+            result = fit(sampler.draw([rngs[i - start] for i in pending]))
+            done = pending[result.ok]
+            draws[done] = result.values[result.ok]
+            success[done] = True
+            forced[done] = result.forced[result.ok]
+            pending = pending[~result.ok]
+            if pending.size == 0:
+                break
+            if attempt == 0:
+                redrawn[pending] = True
 
     n_failed = int((~success).sum())
-    if n_failed > _MAX_FAILURE_FRACTION * config.replicates:
+    if n_failed > _MAX_FAILURE_FRACTION * n:
         raise InferenceError(
-            f"{n_failed} of {config.replicates} bootstrap replicates failed; "
+            f"{n_failed} of {n} bootstrap replicates failed; "
             "the dataset is too fragile for resampling inference"
         )
     kept = draws[success]
@@ -166,6 +258,8 @@ def bootstrap(
         names=None if names is None else tuple(names),
         replicates=kept,
         n_failed=n_failed,
+        n_forced=int(forced.sum()),
+        n_redrawn=int(redrawn.sum()),
     )
 
 

@@ -29,7 +29,13 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .transition import TransitionMatrix, build_system, solve_transitions
+from .transition import (
+    TransitionMatrix,
+    build_system,
+    joint_tables,
+    least_squares,
+    solve_transitions,
+)
 
 STRATA = ("00", "01", "10", "11")
 
@@ -69,18 +75,13 @@ def principal_scores(
     """
     if not summaries.has_surrogate:
         raise SchemaError("principal scores require surrogate data")
-    rows = []
-    violations = []
-    for t in summaries.trials:
-        s_control = float(t.control_surrogate[1])
-        s_treated = float(t.treated_surrogate[1])
-        d11 = s_control
-        d01 = s_treated - d11
-        d00 = 1.0 - s_treated
-        if d01 < 0:
-            violations.append(t.trial_id)
-        rows.append([d00, d01, 0.0, d11])
-    table = np.array(rows)
+    table = score_tables(
+        np.array([t.control_surrogate[1] for t in summaries.trials]),
+        np.array([t.treated_surrogate[1] for t in summaries.trials]),
+    )
+    violations = [
+        tid for tid, d01 in zip(summaries.trial_ids, table[:, 1]) if d01 < 0
+    ]
     clipped = False
     if violations:
         warnings.warn(
@@ -91,12 +92,7 @@ def principal_scores(
         )
         if clip_negative:
             clipped = True
-            for i in range(table.shape[0]):
-                if table[i, 1] < 0:
-                    keep = table[i, 0] + table[i, 3]
-                    table[i, 0] /= keep
-                    table[i, 3] /= keep
-                    table[i, 1] = 0.0
+            table = clip_score_tables(table)
     table.flags.writeable = False
     return PrincipalScores(
         trial_ids=summaries.trial_ids,
@@ -104,6 +100,26 @@ def principal_scores(
         clipped=clipped,
         violations=tuple(violations),
     )
+
+
+def score_tables(control_rate: np.ndarray, treated_rate: np.ndarray) -> np.ndarray:
+    """Stratum scores ``(..., 4)`` over :data:`STRATA` from control and
+    treated surrogate rates under S1 >= S0."""
+    d11 = control_rate
+    d01 = treated_rate - d11
+    d00 = 1.0 - treated_rate
+    return np.stack([d00, d01, np.zeros_like(d00), d11], axis=-1)
+
+
+def clip_score_tables(table: np.ndarray) -> np.ndarray:
+    """Zero negative ``01`` scores, renormalizing ``00`` and ``11`` of those rows."""
+    table = np.array(table)
+    bad = table[..., 1] < 0
+    rows = table[bad]
+    rows[:, [0, 3]] /= (rows[:, 0] + rows[:, 3])[:, None]
+    rows[:, 1] = 0.0
+    table[bad] = rows
+    return table
 
 
 @dataclass(frozen=True)
@@ -166,25 +182,6 @@ class FourWayJoint:
         return out
 
 
-def _pooled_cell_rate(
-    summaries: Summaries, arm: int, s_value: int
-) -> float:
-    """P(Y=1 | S=s, arm) pooled over trials with arm-size weights."""
-    num = 0.0
-    den = 0.0
-    for t in summaries.trials:
-        comp = t.control_composite if arm == 0 else t.treated_composite
-        size = t.arm_sizes[arm]
-        num += size * comp[2 * s_value + 1]
-        den += size * (comp[2 * s_value] + comp[2 * s_value + 1])
-    if den <= 0:
-        raise EstimationError(
-            f"no units with surrogate={s_value} in arm {arm}; a pooled "
-            "outcome rate is undefined"
-        )
-    return num / den
-
-
 def _check_binary_outcome(summaries: Summaries):
     if not summaries.has_surrogate:
         raise SchemaError("this estimator requires surrogate data")
@@ -192,9 +189,80 @@ def _check_binary_outcome(summaries: Summaries):
         raise ValidationError("this estimator requires a binary outcome")
 
 
-def _design_rank_ok(design: np.ndarray, tol: float = 1e-8) -> bool:
+def _pooled_rate(composite: np.ndarray, sizes: np.ndarray, s_value: int):
+    """P(Y=1 | S=s) of one arm pooled over trials with arm-size weights,
+    and its denominator. The sums are running totals over the trials in
+    order (``cumsum``), which round the same for any stack size."""
+    num = np.cumsum(sizes * composite[..., 2 * s_value + 1], axis=-1)[..., -1]
+    den = np.cumsum(
+        sizes * (composite[..., 2 * s_value] + composite[..., 2 * s_value + 1]), axis=-1
+    )[..., -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return num / den, den
+
+
+def _full_rank(design: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     sv = np.linalg.svd(design, compute_uv=False)
-    return design.shape[0] >= design.shape[1] and sv[-1] > sv[0] * tol
+    return (design.shape[-2] >= design.shape[-1]) & (sv[..., -1] > sv[..., 0] * tol)
+
+
+#: Why method 1 fails, by the status code :func:`method1_arrays` returns.
+_METHOD1_FAILURES = (
+    (EstimationError, "no units with surrogate=0 in arm 1; a pooled outcome rate is undefined"),
+    (EstimationError, "no units with surrogate=1 in arm 0; a pooled outcome rate is undefined"),
+    (
+        IdentificationError,
+        "rank condition failed for the treated-outcome step: the "
+        "principal-score design [P(01), P(11)] is not full column rank",
+    ),
+    (
+        IdentificationError,
+        "rank condition failed for the control-outcome step: the "
+        "principal-score design [P(00), P(01)] is not full column rank",
+    ),
+)
+
+
+def method1_arrays(
+    scores: np.ndarray, outcome: np.ndarray, composite: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Steps 2 and 3 of method 1 on stacks of trial tables.
+
+    Takes ``(..., m, 4)`` scores, ``(..., m, 2, 2)`` arm-by-outcome and
+    ``(..., m, 2, 4)`` arm-by-composite frequencies and ``(..., m, 2)`` arm
+    sizes. Returns treated and control outcome probabilities ``(..., 3)``
+    of strata 00, 01, 11 and a status per stack member: 0 when defined,
+    else 1 + the index of the failure in ``_METHOD1_FAILURES``.
+    """
+    d00, d01, d11 = scores[..., 0], scores[..., 1], scores[..., 3]
+    treated_00, den_t = _pooled_rate(composite[..., 1, :], sizes[..., 1], 0)
+    control_11, den_c = _pooled_rate(composite[..., 0, :], sizes[..., 0], 1)
+    design_t = np.stack([d01, d11], axis=-1)
+    design_c = np.stack([d00, d01], axis=-1)
+    status = np.select(
+        [den_t <= 0, den_c <= 0, ~_full_rank(design_t), ~_full_rank(design_c)],
+        [1, 2, 3, 4],
+        0,
+    )
+    rhs_t = outcome[..., 1, 1] - treated_00[..., None] * d00
+    rhs_c = outcome[..., 0, 1] - control_11[..., None] * d11
+    coef_t = least_squares(design_t, rhs_t[..., None])[..., 0]
+    coef_c = least_squares(design_c, rhs_c[..., None])[..., 0]
+    treated = np.stack([treated_00, coef_t[..., 0], coef_t[..., 1]], axis=-1)
+    control = np.stack([coef_c[..., 0], coef_c[..., 1], control_11], axis=-1)
+    return treated, control, status
+
+
+def method1_effects(treated: np.ndarray, control: np.ndarray, m: int) -> np.ndarray:
+    """Per-trial effect tables ``(..., m, 4)`` over :data:`STRATA` from the
+    stratum probabilities of :func:`method1_arrays`; the ``10`` stratum is
+    empty under the monotone ordering and reads NaN."""
+    effect = treated - control
+    row = np.stack(
+        [effect[..., 0], effect[..., 1], np.full(effect.shape[:-1], np.nan), effect[..., 2]],
+        axis=-1,
+    )
+    return np.repeat(row[..., None, :], m, axis=-2)
 
 
 def method1_estimate(
@@ -212,35 +280,18 @@ def method1_estimate(
     """
     _check_binary_outcome(summaries)
     scores = principal_scores(summaries, clip_negative=clip_scores)
-    d00 = scores.column("00")
-    d01 = scores.column("01")
-    d11 = scores.column("11")
-    y1 = np.array([t.treated_outcome[1] for t in summaries.trials])
-    y0 = np.array([t.control_outcome[1] for t in summaries.trials])
+    trials = summaries.trials
+    outcome = np.array([[t.control_outcome, t.treated_outcome] for t in trials])
+    composite = np.array([[t.control_composite, t.treated_composite] for t in trials])
+    probs_t, probs_c, status = method1_arrays(
+        scores.table[None], outcome[None], composite[None], summaries.arm_sizes()[None]
+    )
+    if status[0]:
+        error, message = _METHOD1_FAILURES[status[0] - 1]
+        raise error(message)
 
-    treated_00 = _pooled_cell_rate(summaries, arm=1, s_value=0)
-    control_11 = _pooled_cell_rate(summaries, arm=0, s_value=1)
-
-    design_treated = np.column_stack([d01, d11])
-    if not _design_rank_ok(design_treated):
-        raise IdentificationError(
-            "rank condition failed for the treated-outcome step: the "
-            "principal-score design [P(01), P(11)] is not full column rank"
-        )
-    coef_t, *_ = np.linalg.lstsq(design_treated, y1 - treated_00 * d00, rcond=None)
-    treated_01, treated_11 = (float(v) for v in coef_t)
-
-    design_control = np.column_stack([d00, d01])
-    if not _design_rank_ok(design_control):
-        raise IdentificationError(
-            "rank condition failed for the control-outcome step: the "
-            "principal-score design [P(00), P(01)] is not full column rank"
-        )
-    coef_c, *_ = np.linalg.lstsq(design_control, y0 - control_11 * d11, rcond=None)
-    control_00, control_01 = (float(v) for v in coef_c)
-
-    treated = {"00": treated_00, "01": treated_01, "11": treated_11}
-    control = {"00": control_00, "01": control_01, "11": control_11}
+    treated = dict(zip(("00", "01", "11"), (float(v) for v in probs_t[0])))
+    control = dict(zip(("00", "01", "11"), (float(v) for v in probs_c[0])))
     out_of_range = any(
         not (-1e-12 <= v <= 1 + 1e-12)
         for v in list(treated.values()) + list(control.values())
@@ -255,20 +306,12 @@ def method1_estimate(
     params = StratumOutcomeParams(
         treated_prob=treated, control_prob=control, out_of_range=out_of_range
     )
-
-    m = summaries.m
-    effects = np.full((m, 4), np.nan)
-    defined = np.zeros((m, 4), dtype=bool)
-    for j, s in enumerate(STRATA):
-        if s == "10":
-            continue  # empty stratum under the monotone ordering
-        effects[:, j] = treated[s] - control[s]
-        defined[:, j] = True
+    effects = method1_effects(probs_t[0], probs_c[0], summaries.m)
     table = PsaceTable(
         method=1,
         trial_ids=summaries.trial_ids,
         estimates=effects,
-        defined=defined,
+        defined=~np.isnan(effects),
         mask_used=("mono_s",),
     )
     return params, table
@@ -278,13 +321,10 @@ def _fourway_from_transitions(
     trans: TransitionMatrix, summaries: Summaries, mask_used: tuple[str, ...]
 ) -> FourWayJoint:
     control = np.stack([t.control_composite for t in summaries.trials])
-    m = control.shape[0]
-    probs = np.empty((m, 2, 2, 2, 2))
+    probs = fourway_tables(trans.probs, control)
     status = np.empty((2, 2, 2, 2), dtype=object)
     for i, (a, c) in enumerate(COMPOSITE_STATES):
         for j, (b, d) in enumerate(COMPOSITE_STATES):
-            cell = trans.probs[i, j] * control[:, i]
-            probs[:, a, b, c, d] = cell
             if not trans.support_mask[i, j]:
                 status[a, b, c, d] = CELL_STRUCTURAL_ZERO
             elif not trans.determined[i, j]:
@@ -310,32 +350,56 @@ def _fourway_from_transitions(
 _MASS_TOL = 1e-12
 
 
-def _psace_from_fourway(
-    joint: FourWayJoint, method: int, mono_s: bool
-) -> PsaceTable:
-    m = joint.probs.shape[0]
-    effects = np.full((m, 4), np.nan)
-    defined = np.zeros((m, 4), dtype=bool)
-    negative_mass_warned = False
+def fourway_tables(probs: np.ndarray, control: np.ndarray) -> np.ndarray:
+    """Per-trial joint laws ``(..., m, 2, 2, 2, 2)`` indexed
+    ``[S0, S1, Y0, Y1]``, from ``(..., 4, 4)`` composite transitions and
+    ``(..., m, 4)`` control composite frequencies."""
+    cells = joint_tables(probs[..., None, :, :], control)  # (..., m, (a, c), (b, d))
+    cells = cells.reshape(cells.shape[:-2] + (2, 2, 2, 2))
+    return np.ascontiguousarray(np.swapaxes(cells, -3, -2))
+
+
+def psace_tables(
+    fourway: np.ndarray, mono_s: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stratum effects of ``(..., m, 2, 2, 2, 2)`` joint laws.
+
+    Returns ``(..., m, 4)`` effects over :data:`STRATA` (NaN where
+    undefined), the matching ``defined`` flags, and ``(..., 4)`` flags of
+    strata with negative estimated mass in some trial. A stratum touching
+    an unavailable (NaN) cell of a stack member is undefined in all of that
+    member's trials; so is ``10`` under ``mono_s``.
+    """
+    effects = np.full(fourway.shape[:-4] + (4,), np.nan)
+    defined = np.zeros(effects.shape, dtype=bool)
+    negative = np.zeros(fourway.shape[:-5] + (4,), dtype=bool)
     for j, s in enumerate(STRATA):
         a, b = int(s[0]), int(s[1])
         if mono_s and s == "10":
             continue
-        cells = joint.probs[:, a, b]  # (m, 2, 2) over (c, d)
-        if np.isnan(cells).any():
-            continue  # stratum touches unavailable cells
-        mass = cells.sum(axis=(1, 2))
-        contrast = cells[:, 0, 1] - cells[:, 1, 0]  # (d - c) weighting
-        ok = mass > _MASS_TOL
-        if (mass < -_MASS_TOL).any() and not negative_mass_warned:
-            warnings.warn(
-                f"nonpositive estimated mass for stratum {s}; effect marked undefined",
-                OutOfRangeWarning,
-                stacklevel=3,
-            )
-            negative_mass_warned = True
-        effects[ok, j] = contrast[ok] / mass[ok]
-        defined[:, j] = ok
+        cells = fourway[..., a, b, :, :]  # (..., m, 2, 2) over (c, d)
+        available = ~np.isnan(cells).any(axis=(-3, -2, -1))
+        mass = cells.sum(axis=(-2, -1))
+        contrast = cells[..., 0, 1] - cells[..., 1, 0]  # (d - c) weighting
+        ok = (mass > _MASS_TOL) & available[..., None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            effects[..., j] = np.where(ok, contrast / mass, np.nan)
+        defined[..., j] = ok
+        negative[..., j] = available & (mass < -_MASS_TOL).any(axis=-1)
+    return effects, defined, negative
+
+
+def _psace_from_fourway(
+    joint: FourWayJoint, method: int, mono_s: bool
+) -> PsaceTable:
+    effects, defined, negative = psace_tables(joint.probs, mono_s)
+    if negative.any():
+        s = STRATA[int(np.argmax(negative))]
+        warnings.warn(
+            f"nonpositive estimated mass for stratum {s}; effect marked undefined",
+            OutOfRangeWarning,
+            stacklevel=3,
+        )
     return PsaceTable(
         method=method,
         trial_ids=joint.trial_ids,

@@ -34,6 +34,9 @@ Z95 = 1.96
 _MAX_REDRAWS = 100
 
 CASES = ("c1", "c2", "c3", "c4")
+#: Largest trial count of the built-in cases: their control success
+#: probabilities ``0.5 + g/30`` reach 1 at g = 15.
+MAX_CASE_M = 16
 
 
 @dataclass(frozen=True)
@@ -74,6 +77,11 @@ class DgpSpec:
             raise ValidationError(f"per-trial size must be positive, got {self.n_g}")
         if self.m < 2:
             raise ValidationError("at least two trials are required")
+        if self.case in CASES and self.m > MAX_CASE_M:
+            raise ValidationError(
+                f"built-in case {self.case} supports at most m={MAX_CASE_M} trials "
+                f"(its control success 0.5 + (m-1)/30 must not exceed 1), got m={self.m}"
+            )
         if not 0.0 < self.treatment_prob < 1.0:
             raise ValidationError("treatment probability must lie in (0, 1)")
 

@@ -129,7 +129,9 @@ def _state_labels(space: str, k: int) -> tuple[str, ...]:
     return COMPOSITE_STATE_LABELS
 
 
-def _monotone_mask(space: str, mono_s: bool, mono_y: bool) -> np.ndarray:
+def monotone_mask(space: str, mono_s: bool, mono_y: bool) -> np.ndarray:
+    """Support mask of the surrogate or composite space under the given
+    monotone orderings (True where a transition is allowed)."""
     if space == "surrogate":
         mask = np.ones((2, 2), dtype=bool)
         if mono_s:
@@ -192,7 +194,7 @@ def build_system(
     if state_space == "outcome":
         mask = np.ones((k, k), dtype=bool)
     else:
-        mask = _monotone_mask(state_space, mono_s, mono_y)
+        mask = monotone_mask(state_space, mono_s, mono_y)
     return DesignSystem(
         design=M,
         response=R,
@@ -202,11 +204,42 @@ def build_system(
     )
 
 
+def condition_ratios(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and ``sigma_min / sigma_max`` (0 for a zero matrix)
+    of every matrix in a ``(..., m, p)`` stack."""
+    sv = np.linalg.svd(matrices, compute_uv=False)
+    top = sv[..., 0]
+    ratio = np.divide(sv[..., -1], top, out=np.zeros_like(top), where=top > 0)
+    return sv, ratio
+
+
 def _svd_ratio(matrix: np.ndarray) -> tuple[tuple[float, ...], float]:
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    top = float(sv[0]) if sv.size else 0.0
-    ratio = float(sv[-1] / top) if top > 0 else 0.0
-    return tuple(float(s) for s in sv), ratio
+    sv, ratio = condition_ratios(matrix)
+    return tuple(float(s) for s in sv), float(ratio)
+
+
+def identified_columns(
+    design: np.ndarray, mask: np.ndarray, tol_ratio: float = _DEFAULT_RANK_TOL
+) -> np.ndarray:
+    """The rank decisions of :func:`check_rank` for a ``(B, m, k)`` stack of
+    designs, as ``(B, k)`` flags per target column.
+
+    Unmasked, every column shares the full design's decision. Masked, a
+    column is judged on its reduced design of allowed sources; the terminal
+    column and columns without sources always pass.
+    """
+    design = np.asarray(design, dtype=float)
+    n, m, k = design.shape
+    if mask.all():
+        _, ratio = condition_ratios(design)
+        return np.repeat(((m >= k) & (ratio > tol_ratio))[:, None], k, axis=1)
+    out = np.ones((n, k), dtype=bool)
+    for b in range(k - 1):
+        idx = np.flatnonzero(mask[:, b])
+        if idx.size:
+            _, ratio = condition_ratios(design[:, :, idx])
+            out[:, b] = (m >= idx.size) & (ratio > tol_ratio)
+    return out
 
 
 def check_rank(system: DesignSystem, tol_ratio: float = _DEFAULT_RANK_TOL) -> RankDiagnostics:
@@ -331,21 +364,111 @@ class TransitionMatrix:
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a vector onto the probability simplex."""
+    """Euclidean projection onto the probability simplex of a vector, or of
+    each vector along the last axis of a stack."""
     v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    cumulative = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
+    u = np.flip(np.sort(v, axis=-1), axis=-1)
+    cumulative = np.cumsum(u, axis=-1) - 1.0
+    idx = np.arange(1, v.shape[-1] + 1)
     positive = u - cumulative / idx > 0
-    rho = idx[positive][-1]
-    tau = cumulative[positive][-1] / rho
-    return np.maximum(v - tau, 0.0)
+    # rho is the 1-based position of the last positive entry.
+    rho = v.shape[-1] - np.argmax(np.flip(positive, axis=-1), axis=-1)
+    tau = np.take_along_axis(cumulative, (rho - 1)[..., None], axis=-1)[..., 0] / rho
+    return np.maximum(v - tau[..., None], 0.0)
 
 
-def _least_squares(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # SVD-based solve; minimum-norm coefficients on rank-deficient designs.
-    coef, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    return coef
+def least_squares(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients ``(..., p, q)`` for a ``(..., m, p)``
+    stack of designs and ``(..., m, q)`` right-hand sides.
+
+    Solved through the SVD with the cutoff of ``np.linalg.lstsq``: singular
+    values at or below ``eps * max(m, p)`` times the largest are dropped, so
+    rank-deficient designs get the minimum-norm solution.
+    """
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    cutoff = np.finfo(float).eps * max(design.shape[-2:]) * s[..., :1]
+    inverse = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
+    return np.swapaxes(vt, -1, -2) @ (inverse[..., None] * (np.swapaxes(u, -1, -2) @ rhs))
+
+
+@dataclass(frozen=True)
+class TransitionFit:
+    """Transition estimates of a stack of systems.
+
+    ``probs`` is ``(B, k, k)``, NaN where a column was left unsolved;
+    ``forced`` marks members with a column solved despite a failed rank
+    check.
+    """
+
+    probs: np.ndarray
+    forced: np.ndarray
+
+
+def fit_transitions(
+    design: np.ndarray,
+    response: np.ndarray,
+    mask: np.ndarray,
+    *,
+    force: bool = False,
+    identified: np.ndarray | None = None,
+) -> TransitionFit:
+    """Least-squares transition matrices of a ``(B, m, k)`` stack of designs
+    and responses sharing one support mask.
+
+    Unmasked members are solved on the full design; masked members column by
+    column on reduced designs, with the terminal column completed per row.
+    A column whose rank check fails (``identified``, computed by
+    :func:`identified_columns` when not given) is solved minimum-norm under
+    ``force`` and left NaN otherwise.
+    """
+    design = np.asarray(design, dtype=float)
+    response = np.asarray(response, dtype=float)
+    mask = np.asarray(mask, dtype=bool)
+    n, _, k = design.shape
+    if identified is None:
+        identified = identified_columns(design, mask)
+    solve = identified | force
+    if mask.all():
+        probs = np.full((n, k, k), np.nan)
+        rows = solve[:, 0]
+        if rows.any():
+            probs[rows] = least_squares(design[rows], response[rows])
+        if identified[:, 0].any():
+            row_err = np.abs(probs[identified[:, 0]].sum(axis=-1) - 1.0).max()
+            assert row_err <= _ROW_SUM_TOL, (
+                f"least-squares rows deviate from stochasticity by {row_err:.3e}"
+            )
+    else:
+        if not mask[:, k - 1].all():
+            raise ValidationError(
+                "masked solves require the terminal state to be reachable "
+                "from every source state"
+            )
+        probs = np.where(mask, np.nan, 0.0)[None].repeat(n, axis=0)
+        for b in range(k - 1):
+            idx = np.flatnonzero(mask[:, b])
+            rows = np.flatnonzero(solve[:, b])
+            if idx.size and rows.size:
+                coef = least_squares(design[rows][:, :, idx], response[rows][:, :, b, None])
+                probs[rows[:, None], idx, b] = coef[..., 0]
+        # Row completion: the terminal column absorbs the remaining mass.
+        partial = probs[:, :, : k - 1]
+        probs[:, :, k - 1] = np.where(
+            np.isnan(partial).any(axis=-1), np.nan, 1.0 - partial.sum(axis=-1)
+        )
+    return TransitionFit(probs, (solve & ~identified).any(axis=1))
+
+
+def project_rows(probs: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Project every determined row of a ``(..., k, k)`` stack of transition
+    matrices onto the simplex over its allowed entries."""
+    probs = np.array(probs, dtype=float)
+    for i in range(probs.shape[-1]):
+        idx = np.flatnonzero(mask[i])
+        row = probs[..., i, idx]
+        undetermined = np.isnan(row).any(axis=-1, keepdims=True)
+        probs[..., i, idx] = np.where(undetermined, row, project_to_simplex(row))
+    return probs
 
 
 def solve_transitions(
@@ -363,7 +486,8 @@ def solve_transitions(
     diagnostics (the solve then uses the minimum-norm solution and the
     result carries a warning). ``allow_partial`` lets masked systems
     return NaN for target columns whose reduced design is not
-    identified instead of raising.
+    identified instead of raising. The numbers come from
+    :func:`fit_transitions` on a stack of one.
     """
     diagnostics = check_rank(system)
     M = system.design
@@ -377,67 +501,43 @@ def solve_transitions(
         R = R * scale
     mask = system.support_mask
     k = system.k
-    forced = False
 
-    if not system.is_masked:
-        if not diagnostics.satisfied:
-            if not force:
-                raise IdentificationError(
-                    f"design matrix is not full column rank: {diagnostics.reason}"
-                )
-            forced = True
-            warnings.warn(
-                f"solving despite rank failure ({diagnostics.reason}); "
-                "coefficients are minimum-norm",
-                ForcedSolveWarning,
-                stacklevel=2,
-            )
-        probs = _least_squares(M, R)
-        determined = np.ones((k, k), dtype=bool)
-        if diagnostics.satisfied:
-            row_err = np.abs(probs.sum(axis=1) - 1.0).max()
-            assert row_err <= _ROW_SUM_TOL, (
-                f"least-squares rows deviate from stochasticity by {row_err:.3e}"
-            )
+    if system.is_masked:
+        identified = np.array([c.satisfied for c in diagnostics.columns])
     else:
-        if not mask[:, k - 1].all():
-            raise ValidationError(
-                "masked solves require the terminal state to be reachable "
-                "from every source state"
-            )
-        probs = np.full((k, k), np.nan)
-        probs[~mask] = 0.0
-        assert diagnostics.columns is not None
-        for b in range(k - 1):
-            idx = np.flatnonzero(mask[:, b])
-            if idx.size == 0:
-                continue
-            col = diagnostics.columns[b]
-            if col.satisfied or force:
-                if not col.satisfied:
-                    forced = True
-                    warnings.warn(
-                        f"column {system.state_labels[b]!r} solved despite rank "
-                        f"failure ({col.reason})",
-                        ForcedSolveWarning,
-                        stacklevel=2,
-                    )
-                probs[idx, b] = _least_squares(M[:, idx], R[:, b])
-        # Row completion: the terminal column absorbs the remaining mass.
-        for i in range(k):
-            partial = probs[i, : k - 1]
-            if np.isnan(partial).any():
-                continue
-            probs[i, k - 1] = 1.0 - partial.sum()
-        determined = ~np.isnan(probs)
-        if not determined.all() and not allow_partial:
-            missing = sorted(
-                {system.state_labels[b] for b in np.nonzero(~determined)[1]}
-            )
+        identified = np.full(k, diagnostics.satisfied)
+        if not diagnostics.satisfied and not force:
             raise IdentificationError(
-                "masked system is not fully identified; undetermined target "
-                f"column(s): {', '.join(missing)} ({diagnostics.reason})"
+                f"design matrix is not full column rank: {diagnostics.reason}"
             )
+    fit = fit_transitions(
+        M[None], R[None], mask, force=force, identified=identified[None]
+    )
+    probs = fit.probs[0]
+    forced = bool(fit.forced[0])
+    if forced and not system.is_masked:
+        warnings.warn(
+            f"solving despite rank failure ({diagnostics.reason}); "
+            "coefficients are minimum-norm",
+            ForcedSolveWarning,
+            stacklevel=2,
+        )
+    elif forced:
+        for b, col in enumerate(diagnostics.columns[: k - 1]):
+            if not col.satisfied:
+                warnings.warn(
+                    f"column {system.state_labels[b]!r} solved despite rank "
+                    f"failure ({col.reason})",
+                    ForcedSolveWarning,
+                    stacklevel=2,
+                )
+    determined = ~np.isnan(probs)
+    if not determined.all() and not allow_partial:
+        missing = sorted({system.state_labels[b] for b in np.nonzero(~determined)[1]})
+        raise IdentificationError(
+            "masked system is not fully identified; undetermined target "
+            f"column(s): {', '.join(missing)} ({diagnostics.reason})"
+        )
 
     out_of_range = bool(
         np.nanmin(probs) < -1e-12 or np.nanmax(probs) > 1.0 + 1e-12
@@ -449,13 +549,7 @@ def solve_transitions(
             stacklevel=2,
         )
     if project_simplex:
-        probs = probs.copy()
-        for i in range(k):
-            idx = np.flatnonzero(mask[i])
-            row = probs[i, idx]
-            if np.isnan(row).any():
-                continue
-            probs[i, idx] = project_to_simplex(row)
+        probs = project_rows(probs, mask)
         out_of_range = False
     probs.flags.writeable = False
     return TransitionMatrix(
@@ -488,6 +582,12 @@ class JointTable:
     negative_mass: bool
 
 
+def joint_tables(probs: np.ndarray, control_marginals: np.ndarray) -> np.ndarray:
+    """Joint tables ``J[..., a, b] = probs[..., a, b] * marginal[..., a]``,
+    broadcasting ``(..., k, k)`` transitions against ``(..., k)`` marginals."""
+    return probs * control_marginals[..., :, None]
+
+
 def joint_from_transitions(
     trans: TransitionMatrix, control_marginal: np.ndarray, trial_id: str = ""
 ) -> JointTable:
@@ -503,7 +603,7 @@ def joint_from_transitions(
         raise ValidationError(
             f"control marginal must have length {trans.k}, got {marginal.shape}"
         )
-    table = trans.probs * marginal[:, None]
+    table = joint_tables(trans.probs, marginal)
     negative = bool(np.nanmin(table) < -1e-12)
     if negative:
         warnings.warn(
@@ -542,14 +642,11 @@ def derived_estimands(
         raise ValidationError("derived estimands are defined for binary outcomes only")
     if favorable_label not in (0, 1):
         raise ValidationError("favorable_label must be 0 or 1")
-    fav = favorable_label
-    unf = 1 - fav
-    harm = float(table[fav, unf])
-    benefit = float(table[unf, fav])
-    unf_row = float(table[unf, unf] + table[unf, fav])
-    fav_col = float(table[unf, fav] + table[fav, fav])
-    persuasion = benefit / unf_row if unf_row > 0 else None
-    necessity = benefit / fav_col if fav_col > 0 else None
+    harm, benefit, persuasion, necessity = (
+        float(v) for v in estimand_vectors(table, favorable_label)
+    )
+    persuasion = None if np.isnan(persuasion) else persuasion
+    necessity = None if np.isnan(necessity) else necessity
     return DerivedEstimands(
         treatment_harm_rate=harm,
         treatment_benefit_rate=benefit,
@@ -557,3 +654,19 @@ def derived_estimands(
         prob_sufficient_causation=persuasion,
         prob_necessary_causation=necessity,
     )
+
+
+def estimand_vectors(tables: np.ndarray, favorable_label: int = 1) -> np.ndarray:
+    """Harm rate, benefit rate, persuasion rate (which is also the
+    probability of sufficient causation) and probability of necessary
+    causation of ``(..., 2, 2)`` binary joint tables, stacked on a last axis
+    of length 4; NaN where the conditioning event has no mass."""
+    fav = favorable_label
+    unf = 1 - fav
+    benefit = tables[..., unf, fav]
+    unf_row = tables[..., unf, unf] + benefit
+    fav_col = benefit + tables[..., fav, fav]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        persuasion = np.where(unf_row > 0, benefit / unf_row, np.nan)
+        necessity = np.where(fav_col > 0, benefit / fav_col, np.nan)
+    return np.stack([tables[..., fav, unf], benefit, persuasion, necessity], axis=-1)

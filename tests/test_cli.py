@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -376,6 +378,19 @@ class TestSimulate:
         report, _ = run_json(capsys, "simulate", "--config", str(cfg))
         assert report["results"]["config"]["case"] == "c1"
         assert report["results"]["config"]["n_g"] == 90
+
+    def test_too_many_trials_for_builtin_case_exits_2(self):
+        # Control success 0.5 + (m-1)/30 exceeds 1 beyond m = 16.
+        proc = subprocess.run(
+            [sys.executable, "-m", "jointpo.cli", "simulate", "--case", "c1",
+             "--m", "50", "--ng", "100", "--reps", "5", "--boot", "5", "--seed", "1"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        error = json.loads(proc.stderr)["error"]
+        assert error["type"] == "ValidationError" and "m=16" in error["message"]
 
     def test_unknown_case_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
