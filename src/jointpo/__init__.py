@@ -92,6 +92,7 @@ from .transition import (
     fit_transitions,
     joint_from_transitions,
     joint_tables,
+    least_squares,
     project_to_simplex,
     solve_transitions,
 )

@@ -8,9 +8,9 @@ transportability), ``psace`` (principal stratification effects),
 
 Reports are canonical JSON (sorted keys) written to stdout or
 ``--output``; identical inputs, statistical flags and seed produce
-byte-identical reports regardless of ``--workers``. Exit codes: 0
-success, 2 validation, 3 identification, 4 inference failure. Errors
-are mirrored as a JSON object on stderr.
+byte-identical reports (``--workers`` is accepted and has no effect).
+Exit codes: 0 success, 2 validation, 3 identification, 4 inference
+failure. Errors are mirrored as a JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -214,6 +214,20 @@ def _transition_dict(trans) -> dict:
         "out_of_range": trans.out_of_range,
         "forced": trans.forced,
     }
+
+
+def _bootstrap(args, dataset, estimator, names=None, ci_method="normal"):
+    """Bootstrap a command's statistic at ``--boot``, ``--seed`` and ``--ci``.
+
+    The statistic's point form repeats the command's own solve, whose
+    warnings the report already lists once, so package warnings are
+    silenced here."""
+    config = BootstrapConfig(
+        replicates=args.boot, seed=args.seed, ci_level=args.ci, ci_method=ci_method
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", JointpoWarning)
+        return bootstrap(dataset, estimator, config, names=names)
 
 
 # Bootstrap statistics of the commands. Each pairs the per-dataset statistic
@@ -442,13 +456,6 @@ def cmd_estimate(args) -> dict:
     variance = None
     if args.boot > 0:
         _require_seed(args)
-        config = BootstrapConfig(
-            replicates=args.boot,
-            seed=args.seed,
-            ci_level=args.ci,
-            ci_method=args.ci_method,
-        )
-
         estimator = estimate_estimator(
             dataset,
             args.space,
@@ -457,9 +464,7 @@ def cmd_estimate(args) -> dict:
             mono_y=args.mono_y,
             project=args.project,
         )
-        variance = bootstrap(
-            dataset, estimator, config, names=names, workers=args.workers
-        )
+        variance = _bootstrap(args, dataset, estimator, names, args.ci_method)
 
     return {
         "command": "estimate",
@@ -501,11 +506,9 @@ def cmd_test(args) -> dict:
     theta = binary_transition_params(trans)
 
     _require_seed(args)
-    config = BootstrapConfig(replicates=args.boot, seed=args.seed, ci_level=args.ci)
-
     estimator = overid_estimator(dataset, args.space, theta)
     names = ["theta[0]", "theta[1]"] + [f"residual[{tid}]" for tid in summaries.trial_ids]
-    variance = bootstrap(dataset, estimator, config, names=names, workers=args.workers)
+    variance = _bootstrap(args, dataset, estimator, names)
     sigma = variance.se[2:]
     result = overid_test(summaries, theta, sigma, space=args.space)
 
@@ -584,24 +587,22 @@ def cmd_psace(args) -> dict:
     variance = None
     if args.boot > 0:
         _require_seed(args)
-        config = BootstrapConfig(
-            replicates=args.boot,
-            seed=args.seed,
-            ci_level=args.ci,
-            ci_method=args.ci_method,
-        )
-
         estimator = psace_estimator(
             dataset, method, clip_scores=args.clip_scores, project=args.project
         )
-        variance = bootstrap(
-            dataset, estimator, config, names=names, workers=args.workers
-        )
+        variance = _bootstrap(args, dataset, estimator, names, args.ci_method)
 
     if args.plot_data:
         _write_psace_plot_data(
             Path(args.plot_data), args, dataset, summaries, table, variance
         )
+
+    spread = dict.fromkeys(("se", "ci_lower", "ci_upper"))
+    if variance is not None:
+        # An undefined effect has no interval, whatever its replicates gave.
+        for key in spread:
+            values = getattr(variance, key).reshape(table.estimates.shape)
+            spread[key] = np.where(table.defined, values, np.nan)
 
     results = {
         "method": method,
@@ -611,13 +612,7 @@ def cmd_psace(args) -> dict:
         "psace": {
             "estimates": table.estimates,
             "defined": table.defined,
-            "se": None if variance is None else variance.se.reshape(table.estimates.shape),
-            "ci_lower": None
-            if variance is None
-            else variance.ci_lower.reshape(table.estimates.shape),
-            "ci_upper": None
-            if variance is None
-            else variance.ci_upper.reshape(table.estimates.shape),
+            **spread,
             "ci_level": args.ci,
         },
         "principal_scores": None
@@ -691,17 +686,8 @@ def cmd_target(args) -> dict:
     variance = None
     if args.boot > 0:
         _require_seed(args)
-        config = BootstrapConfig(
-            replicates=args.boot,
-            seed=args.seed,
-            ci_level=args.ci,
-            ci_method=args.ci_method,
-        )
-
         estimator = target_estimator(dataset, args.space, trans.k, project=args.project)
-        variance = bootstrap(
-            dataset, estimator, config, names=names, workers=args.workers
-        )
+        variance = _bootstrap(args, dataset, estimator, names, args.ci_method)
 
     return {
         "command": "target",
@@ -760,9 +746,7 @@ def cmd_simulate(args) -> dict:
     m = pick(args.m, "m", 10)
 
     spec = DgpSpec(case=str(case).lower(), n_g=int(n_g), m=int(m))
-    result = run_study(
-        spec, int(reps), int(boot), int(seed), workers=args.workers
-    )
+    result = run_study(spec, int(reps), int(boot), int(seed))
     if args.table:
         sys.stderr.write(format_study_table(result))
     if args.replicates_csv:
@@ -875,13 +859,7 @@ def _write_psace_plot_data(
         )
         lo_cells = hi_cells = None
         if args.boot > 0 and args.seed is not None:
-            config = BootstrapConfig(
-                replicates=args.boot, seed=args.seed, ci_level=args.ci
-            )
-
-            var = bootstrap(
-                dataset, joint_cell_estimator(dataset, space), config, workers=args.workers
-            )
+            var = _bootstrap(args, dataset, joint_cell_estimator(dataset, space))
             lo_cells, hi_cells = var.ci_lower, var.ci_upper
         for i, s in enumerate(summaries.trials):
             cell_rows.append(
@@ -919,7 +897,7 @@ def _add_common(parser, *, needs_input=True):
         "--workers",
         type=int,
         default=1,
-        help="threads for simulate; accepted elsewhere, never changes results",
+        help="accepted for compatibility; has no effect (every command runs in one thread)",
     )
     parser.add_argument("--output", default=None, help="report path (default stdout)")
     parser.add_argument(

@@ -12,8 +12,8 @@ count tensor and fits them in one batched call when the estimator is a
 :class:`BatchEstimator` (every CLI command's is); a plain
 dataset-to-vector estimator is fitted one resampled dataset at a time.
 Either way replicate ``i`` comes from ``replicate_rng(seed, i)``. The
-bootstrap runs in one thread: the CLI's ``--workers`` parallelizes only
-``simulate``.
+bootstrap runs in one thread, as every command does; the CLI's
+``--workers`` has no effect.
 """
 
 from __future__ import annotations

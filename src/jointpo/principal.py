@@ -201,11 +201,6 @@ def _pooled_rate(composite: np.ndarray, sizes: np.ndarray, s_value: int):
         return num / den, den
 
 
-def _full_rank(design: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    sv = np.linalg.svd(design, compute_uv=False)
-    return (design.shape[-2] >= design.shape[-1]) & (sv[..., -1] > sv[..., 0] * tol)
-
-
 #: Why method 1 fails, by the status code :func:`method1_arrays` returns.
 _METHOD1_FAILURES = (
     (EstimationError, "no units with surrogate=0 in arm 1; a pooled outcome rate is undefined"),
@@ -237,19 +232,13 @@ def method1_arrays(
     d00, d01, d11 = scores[..., 0], scores[..., 1], scores[..., 3]
     treated_00, den_t = _pooled_rate(composite[..., 1, :], sizes[..., 1], 0)
     control_11, den_c = _pooled_rate(composite[..., 0, :], sizes[..., 0], 1)
-    design_t = np.stack([d01, d11], axis=-1)
-    design_c = np.stack([d00, d01], axis=-1)
-    status = np.select(
-        [den_t <= 0, den_c <= 0, ~_full_rank(design_t), ~_full_rank(design_c)],
-        [1, 2, 3, 4],
-        0,
-    )
     rhs_t = outcome[..., 1, 1] - treated_00[..., None] * d00
     rhs_c = outcome[..., 0, 1] - control_11[..., None] * d11
-    coef_t = least_squares(design_t, rhs_t[..., None])[..., 0]
-    coef_c = least_squares(design_c, rhs_c[..., None])[..., 0]
-    treated = np.stack([treated_00, coef_t[..., 0], coef_t[..., 1]], axis=-1)
-    control = np.stack([coef_c[..., 0], coef_c[..., 1], control_11], axis=-1)
+    coef_t, ok_t = least_squares(np.stack([d01, d11], axis=-1), rhs_t[..., None])
+    coef_c, ok_c = least_squares(np.stack([d00, d01], axis=-1), rhs_c[..., None])
+    status = np.select([den_t <= 0, den_c <= 0, ~ok_t, ~ok_c], [1, 2, 3, 4], 0)
+    treated = np.stack([treated_00, coef_t[..., 0, 0], coef_t[..., 1, 0]], axis=-1)
+    control = np.stack([coef_c[..., 0, 0], coef_c[..., 1, 0], control_11], axis=-1)
     return treated, control, status
 
 

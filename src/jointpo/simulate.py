@@ -12,14 +12,20 @@ fair coin treatment:
 * ``c4``: monotone surrogate strata with logistic stratum outcome
   probabilities, estimated through the four-step stratum estimator.
 
-Replicates derive their own generators from the master seed, so studies
-are reproducible for any worker count. Coverage uses normal intervals
+Every case is estimated by a :class:`Pipeline`: arm frequencies of a
+stack of count matrices fed to the package's least-squares kernel
+(:func:`~jointpo.transition.least_squares`, or through
+:func:`~jointpo.principal.method1_arrays` for the four-step estimator),
+so the studies measure the solver and rank rule the CLI applies. A
+study replicate fits its point estimate and its bootstrap resamples as
+one stack. Replicates derive their own generators from the master seed,
+so studies are reproducible; they run in one thread, and ``workers`` is
+accepted and changes nothing. Coverage uses normal intervals
 ``point +- 1.96 * se`` with the bootstrap standard error.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -28,7 +34,9 @@ import numpy as np
 from .data import MultiTrialDataset, TrialCellCounts
 from .errors import InferenceError, ValidationError
 from .inference import replicate_rng
+from .principal import method1_arrays, score_tables
 from .special import chi2_sf, expit
+from .transition import least_squares
 
 Z95 = 1.96
 _MAX_REDRAWS = 100
@@ -45,7 +53,9 @@ class Population:
 
     ``cell_probs`` follows the dataset cell layout: row-major over
     (arm[, surrogate], outcome). ``truth`` holds the target parameter
-    vector aligned with ``param_names``.
+    vector aligned with ``param_names``, and ``estimator`` names the
+    :class:`Pipeline` statistic that estimates it (by default the
+    composite transition with a surrogate, else the binary transition).
     """
 
     cell_probs: np.ndarray
@@ -56,6 +66,7 @@ class Population:
     control_marginals: np.ndarray | None = None
     treated_marginals: np.ndarray | None = None
     transition: np.ndarray | None = None
+    estimator: str | None = None
 
 
 @dataclass(frozen=True)
@@ -189,6 +200,7 @@ def _c4_population(m: int, t: float) -> Population:
         has_surrogate=True,
         control_marginals=control,
         treated_marginals=treated,
+        estimator="principal-four-step",
     )
 
 
@@ -232,25 +244,6 @@ def simulate_dataset(spec: DgpSpec, seed: int) -> MultiTrialDataset:
     return MultiTrialDataset(trials=tuple(trials))
 
 
-def _batched_ls(design: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """QR least squares over leading batch dimensions.
-
-    ``design`` is (..., m, p), ``rhs`` (..., m, q). Returns coefficients
-    (..., p, q) and a validity mask for batch members whose triangular
-    factor is numerically nonsingular (others come back NaN).
-    """
-    q_mat, r_mat = np.linalg.qr(design)
-    diag = np.abs(np.diagonal(r_mat, axis1=-2, axis2=-1))
-    ok = (diag.min(axis=-1) > diag.max(axis=-1) * 1e-12) & (diag.max(axis=-1) > 0)
-    rhs_proj = np.swapaxes(q_mat, -1, -2) @ rhs
-    coef = np.full(r_mat.shape[:-2] + (design.shape[-1], rhs.shape[-1]), np.nan)
-    if ok.all():
-        coef = np.linalg.solve(r_mat, rhs_proj)
-    elif ok.any():
-        coef[ok] = np.linalg.solve(r_mat[ok], rhs_proj[ok])
-    return coef, ok
-
-
 def _resample_counts(
     counts: np.ndarray,
     n_draws: int,
@@ -288,199 +281,119 @@ def _arms_positive(batch: np.ndarray) -> np.ndarray:
     ).all(axis=-1)
 
 
-class BinaryTransitionPipeline:
-    """Transition parameters of a binary outcome from (m, 4) cell counts."""
+def _four_step_valid(batch: np.ndarray) -> np.ndarray:
+    # Pooled step-2 denominators must be positive: treated units with s=0
+    # and control units with s=1 somewhere in the batch member.
+    treated_s0 = batch[..., 4:6].sum(axis=(-1, -2))
+    control_s1 = batch[..., 2:4].sum(axis=(-1, -2))
+    return _arms_positive(batch) & (treated_s0 > 0) & (control_s1 > 0)
 
-    name = "binary-transition"
+
+def _binary_arms(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Control outcome frequencies ``(..., m, 2)`` and treated success rates
+    ``(..., m)`` of binary-outcome cell counts."""
+    control = counts[..., :2]
+    treated = counts[..., 2:]
+    design = control / control.sum(axis=-1, keepdims=True)
+    return design, treated[..., 1] / treated.sum(axis=-1)
+
+
+def _binary_fit(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    design, response = _binary_arms(counts)
+    coef, ok = least_squares(design, response[..., None])
+    return coef[..., 0], ok
+
+
+def _composite_fit(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The unconstrained 16-entry composite transition, reported as the
+    # per-source-state rates of the surrogate, then of the outcome. Rows
+    # are source states (s, y): sum target columns with s=1, then y=1.
+    control = counts[..., :4]
+    treated = counts[..., 4:]
+    trans, ok = least_squares(
+        control / control.sum(axis=-1, keepdims=True),
+        treated / treated.sum(axis=-1, keepdims=True),
+    )
+    s_rate = trans[..., :, 2] + trans[..., :, 3]
+    y_rate = trans[..., :, 1] + trans[..., :, 3]
+    return np.concatenate([s_rate, y_rate], axis=-1), ok
+
+
+def _four_step_fit(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Method 1: the six stratum outcome probabilities, then the three
+    # stratum effects (their pairwise differences).
+    arms = counts.reshape(counts.shape[:-1] + (2, 4))  # (..., m, arm, (s, y))
+    sizes = arms.sum(axis=-1)
+    composite = arms / sizes[..., None]
+    outcome = composite[..., :2] + composite[..., 2:]
+    surrogate = composite[..., 2] + composite[..., 3]
+    treated, control, status = method1_arrays(
+        score_tables(surrogate[..., 0], surrogate[..., 1]), outcome, composite, sizes
+    )
+    return np.concatenate([treated, control, treated - control], axis=-1), status == 0
+
+
+#: Per estimator name: the predicate a resample must pass (others are
+#: redrawn) and the batch fit.
+_ESTIMATORS = {
+    "binary-transition": (_arms_positive, _binary_fit),
+    "composite-transition": (_arms_positive, _composite_fit),
+    "principal-four-step": (_four_step_valid, _four_step_fit),
+}
+
+
+class Pipeline:
+    """The study estimator of a population's parameters on cell counts.
+
+    ``fit`` maps a ``(B, m, cells)`` stack of count matrices, laid out like
+    ``Population.cell_probs``, to ``(B, len(param_names))`` values and a
+    ``(B,)`` flag of members that pass the rank check of
+    :func:`~jointpo.transition.least_squares`; ``valid`` flags the resamples
+    the statistic accepts at all.
+    """
 
     def __init__(self, population: Population):
+        self.name = population.estimator or (
+            "composite-transition" if population.has_surrogate else "binary-transition"
+        )
         self.param_names = population.param_names
         self.truth = population.truth
-
-    @staticmethod
-    def _margins(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        control = batch[..., :2]
-        treated = batch[..., 2:]
-        n0 = control.sum(axis=-1, keepdims=True)
-        n1 = treated.sum(axis=-1)
-        design = control / n0
-        response = treated[..., 1] / n1
-        return design, response
+        self.valid, self.fit = _ESTIMATORS[self.name]
 
     def point(self, counts: np.ndarray) -> np.ndarray:
-        design, response = self._margins(counts[None])
-        coef, ok = _batched_ls(design, response[..., None])
-        if not ok.all():
-            raise InferenceError("singular design in point estimation")
-        return coef[0, :, 0]
-
-    def point_with_residuals(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        design, response = self._margins(counts[None])
-        coef, ok = _batched_ls(design, response[..., None])
-        if not ok.all():
-            raise InferenceError("singular design in point estimation")
-        fitted = (design @ coef)[0, :, 0]
-        return coef[0, :, 0], response[0] - fitted
+        values, ok = self.fit(counts[None])
+        if not ok[0]:
+            raise InferenceError(f"singular design in the {self.name} point estimate")
+        return values[0]
 
     def bootstrap(
         self, counts: np.ndarray, n_draws: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
-        batch, keep = _resample_counts(counts, n_draws, rng, _arms_positive)
-        design, response = self._margins(batch)
-        coef, ok = _batched_ls(design, response[..., None])
-        return coef[..., 0], keep & ok
+        batch, keep = _resample_counts(counts, n_draws, rng, self.valid)
+        values, ok = self.fit(batch)
+        return values, keep & ok
 
-    def bootstrap_with_residuals(
-        self,
-        counts: np.ndarray,
-        n_draws: int,
-        rng: np.random.Generator,
-        fixed_theta: np.ndarray | None = None,
+    def replicate(
+        self, counts: np.ndarray, n_draws: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Bootstrap coefficients plus per-trial deviations.
-
-        With ``fixed_theta`` the deviations are taken against that fixed
-        fit (the raw per-trial noise scale, which is what the chi-square
-        reference of the overidentification test normalizes by);
-        otherwise each replicate's own fit is used.
-        """
-        batch, keep = _resample_counts(counts, n_draws, rng, _arms_positive)
-        design, response = self._margins(batch)
-        coef, ok = _batched_ls(design, response[..., None])
-        if fixed_theta is None:
-            residuals = response - (design @ coef)[..., 0]
-        else:
-            residuals = response - design @ np.asarray(fixed_theta, dtype=float)
-        return coef[..., 0], residuals, keep & ok
+        """:meth:`point` and :meth:`bootstrap` of one study replicate, fitted
+        together as one stack of ``1 + n_draws`` members."""
+        batch, keep = _resample_counts(counts, n_draws, rng, self.valid)
+        values, ok = self.fit(np.concatenate([counts[None], batch]))
+        if not ok[0]:
+            raise InferenceError(f"singular design in the {self.name} point estimate")
+        return values[0], values[1:], keep & ok[1:]
 
 
-class CompositeTransitionPipeline:
-    """Composite 4-state transition margins from (m, 8) cell counts.
-
-    Estimates the unconstrained 16-entry transition matrix and reports
-    the per-source-state rates of the surrogate and of the outcome.
-    """
-
-    name = "composite-transition"
-
-    def __init__(self, population: Population):
-        self.param_names = population.param_names
-        self.truth = population.truth
-
-    @staticmethod
-    def _margins(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        control = batch[..., :4]
-        treated = batch[..., 4:]
-        design = control / control.sum(axis=-1, keepdims=True)
-        response = treated / treated.sum(axis=-1, keepdims=True)
-        return design, response
-
-    @staticmethod
-    def _extract(trans: np.ndarray) -> np.ndarray:
-        # Rows are source states (s, y); sum target columns with s=1,
-        # then target columns with y=1.
-        s_rate = trans[..., :, 2] + trans[..., :, 3]
-        y_rate = trans[..., :, 1] + trans[..., :, 3]
-        return np.concatenate([s_rate, y_rate], axis=-1)
-
-    def point(self, counts: np.ndarray) -> np.ndarray:
-        design, response = self._margins(counts[None])
-        coef, ok = _batched_ls(design, response)
-        if not ok.all():
-            raise InferenceError("singular composite design in point estimation")
-        return self._extract(coef)[0]
-
-    def bootstrap(
-        self, counts: np.ndarray, n_draws: int, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        batch, keep = _resample_counts(counts, n_draws, rng, _arms_positive)
-        design, response = self._margins(batch)
-        coef, ok = _batched_ls(design, response)
-        return self._extract(coef), keep & ok
+#: Names of the built-in estimators, kept for their callers; each builds
+#: whichever estimator the population names.
+BinaryTransitionPipeline = CompositeTransitionPipeline = PrincipalFourStepPipeline = Pipeline
 
 
-class PrincipalFourStepPipeline:
-    """Four-step stratum estimator from (m, 8) cell counts.
-
-    Produces the six stratum outcome probabilities followed by the three
-    stratum effects (their pairwise differences).
-    """
-
-    name = "principal-four-step"
-
-    def __init__(self, population: Population):
-        self.param_names = population.param_names
-        self.truth = population.truth
-
-    @staticmethod
-    def _valid(batch: np.ndarray) -> np.ndarray:
-        ok = _arms_positive(batch)
-        # Pooled step-2 denominators must be positive: treated units with
-        # s=0 and control units with s=1 somewhere in the batch member.
-        treated_s0 = batch[..., 4:6].sum(axis=(-1, -2))
-        control_s1 = batch[..., 2:4].sum(axis=(-1, -2))
-        return ok & (treated_s0 > 0) & (control_s1 > 0)
-
-    @staticmethod
-    def _estimate(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        control = batch[..., :4]
-        treated = batch[..., 4:]
-        n0 = control.sum(axis=-1)
-        n1 = treated.sum(axis=-1)
-        s_control = (control[..., 2] + control[..., 3]) / n0
-        s_treated = (treated[..., 2] + treated[..., 3]) / n1
-        d11 = s_control
-        d01 = s_treated - d11
-        d00 = 1.0 - s_treated
-        y1 = (treated[..., 1] + treated[..., 3]) / n1
-        y0 = (control[..., 1] + control[..., 3]) / n0
-        pooled_t00 = treated[..., 1].sum(axis=-1) / (
-            treated[..., 0].sum(axis=-1) + treated[..., 1].sum(axis=-1)
-        )
-        pooled_c11 = control[..., 3].sum(axis=-1) / (
-            control[..., 2].sum(axis=-1) + control[..., 3].sum(axis=-1)
-        )
-        design_t = np.stack([d01, d11], axis=-1)
-        rhs_t = (y1 - pooled_t00[..., None] * d00)[..., None]
-        coef_t, ok_t = _batched_ls(design_t, rhs_t)
-        design_c = np.stack([d00, d01], axis=-1)
-        rhs_c = (y0 - pooled_c11[..., None] * d11)[..., None]
-        coef_c, ok_c = _batched_ls(design_c, rhs_c)
-        treated_probs = np.stack(
-            [pooled_t00, coef_t[..., 0, 0], coef_t[..., 1, 0]], axis=-1
-        )
-        control_probs = np.stack(
-            [coef_c[..., 0, 0], coef_c[..., 1, 0], pooled_c11], axis=-1
-        )
-        effects = treated_probs - control_probs
-        params = np.concatenate([treated_probs, control_probs, effects], axis=-1)
-        return params, ok_t & ok_c
-
-    def point(self, counts: np.ndarray) -> np.ndarray:
-        params, ok = self._estimate(counts[None].astype(float))
-        if not ok.all():
-            raise InferenceError("singular score design in point estimation")
-        return params[0]
-
-    def bootstrap(
-        self, counts: np.ndarray, n_draws: int, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        batch, keep = _resample_counts(counts, n_draws, rng, self._valid)
-        params, ok = self._estimate(batch.astype(float))
-        return params, keep & ok
-
-
-def default_pipeline(spec: DgpSpec, population: Population):
-    """The estimator used for a case's headline parameters."""
-    if spec.case in ("c1", "c2"):
-        return BinaryTransitionPipeline(population)
-    if spec.case == "c3":
-        return CompositeTransitionPipeline(population)
-    if spec.case == "c4":
-        return PrincipalFourStepPipeline(population)
-    if population.has_surrogate:
-        return CompositeTransitionPipeline(population)
-    return BinaryTransitionPipeline(population)
+def default_pipeline(spec: DgpSpec, population: Population) -> Pipeline:
+    """The estimator used for a case's headline parameters: the one its
+    population names (``spec`` adds nothing to that)."""
+    return Pipeline(population)
 
 
 def compute_metrics(
@@ -528,7 +441,10 @@ def run_study(
 
     Per replicate: draw a dataset, estimate the case parameters, and
     attach bootstrap standard errors from ``bootstrap_replicates``
-    stratified resamples. Failed replicates (beyond 5%) abort the study.
+    stratified resamples. A :class:`Pipeline` fits both in one call; any
+    other ``pipeline`` needs ``point(counts)`` and
+    ``bootstrap(counts, n_draws, rng)``. Failed replicates (beyond 5%)
+    abort the study. ``workers`` is accepted and changes nothing.
     """
     if replicates < 2:
         raise ValidationError("a study needs at least 2 replicates")
@@ -540,25 +456,19 @@ def run_study(
     estimates = np.full((replicates, width), np.nan)
     ses = np.full((replicates, width), np.nan)
 
-    def one(index: int) -> tuple[np.ndarray, np.ndarray]:
-        rng = replicate_rng(seed, index)
+    for i in range(replicates):
+        rng = replicate_rng(seed, i)
         counts = _draw_counts(population.cell_probs, spec.n_g, rng)
         try:
-            point = pipe.point(counts)
-            draws, keep = pipe.bootstrap(counts, bootstrap_replicates, rng)
+            if isinstance(pipe, Pipeline):
+                point, draws, keep = pipe.replicate(counts, bootstrap_replicates, rng)
+            else:
+                point = pipe.point(counts)
+                draws, keep = pipe.bootstrap(counts, bootstrap_replicates, rng)
         except InferenceError:
-            return np.full(width, np.nan), np.full(width, np.nan)
-        if keep.sum() < 0.9 * bootstrap_replicates:
-            return np.full(width, np.nan), np.full(width, np.nan)
-        return point, draws[keep].std(axis=0, ddof=1)
-
-    if workers <= 1:
-        for i in range(replicates):
-            estimates[i], ses[i] = one(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, (est, se) in enumerate(pool.map(one, range(replicates))):
-                estimates[i], ses[i] = est, se
+            continue
+        if keep.sum() >= 0.9 * bootstrap_replicates:
+            estimates[i], ses[i] = point, draws[keep].std(axis=0, ddof=1)
 
     failed = np.isnan(estimates).any(axis=1) | np.isnan(ses).any(axis=1)
     n_failed = int(failed.sum())
@@ -593,35 +503,29 @@ def overid_size_study(
 ) -> np.ndarray:
     """P-values of the overidentification test across simulated replicates.
 
-    Each replicate bootstraps the per-trial residual standard errors
-    from the same resamples that refit the transition parameters.
+    Each replicate bootstraps the per-trial residual standard errors:
+    the spread, across resamples, of each trial's deviation from the
+    point fit. ``workers`` is accepted and changes nothing.
     """
     population = dgp_population(spec)
     if population.has_surrogate:
         raise ValidationError("the size study runs on binary-outcome cases")
-    pipe = BinaryTransitionPipeline(population)
     m = population.cell_probs.shape[0]
     df = m - 2
-
-    def one(index: int) -> float:
-        rng = replicate_rng(seed, index)
-        counts = _draw_counts(population.cell_probs, spec.n_g, rng)
-        theta, residuals = pipe.point_with_residuals(counts)
-        _, boot_resid, keep = pipe.bootstrap_with_residuals(
-            counts, bootstrap_replicates, rng, fixed_theta=theta
-        )
-        sigma = boot_resid[keep].std(axis=0, ddof=1)
-        if (sigma == 0).any():
-            return np.nan
-        stat = float(np.sum((residuals / sigma) ** 2))
-        return chi2_sf(stat, df)
-
     p_values = np.empty(replicates)
-    if workers <= 1:
-        for i in range(replicates):
-            p_values[i] = one(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, p in enumerate(pool.map(one, range(replicates))):
-                p_values[i] = p
+    for i in range(replicates):
+        rng = replicate_rng(seed, i)
+        counts = _draw_counts(population.cell_probs, spec.n_g, rng)
+        batch, keep = _resample_counts(counts, bootstrap_replicates, rng, _arms_positive)
+        design, response = _binary_arms(np.concatenate([counts[None], batch]))
+        coef, ok = least_squares(design, response[..., None])
+        if not ok[0]:
+            raise InferenceError("singular design in point estimation")
+        # Residuals of the point fit, and each resample's deviation from it.
+        residuals = response - (design @ coef[0])[..., 0]
+        sigma = residuals[1:][keep & ok[1:]].std(axis=0, ddof=1)
+        if (sigma == 0).any():
+            p_values[i] = np.nan
+        else:
+            p_values[i] = chi2_sf(float(np.sum((residuals[0] / sigma) ** 2)), df)
     return p_values

@@ -218,30 +218,6 @@ def _svd_ratio(matrix: np.ndarray) -> tuple[tuple[float, ...], float]:
     return tuple(float(s) for s in sv), float(ratio)
 
 
-def identified_columns(
-    design: np.ndarray, mask: np.ndarray, tol_ratio: float = _DEFAULT_RANK_TOL
-) -> np.ndarray:
-    """The rank decisions of :func:`check_rank` for a ``(B, m, k)`` stack of
-    designs, as ``(B, k)`` flags per target column.
-
-    Unmasked, every column shares the full design's decision. Masked, a
-    column is judged on its reduced design of allowed sources; the terminal
-    column and columns without sources always pass.
-    """
-    design = np.asarray(design, dtype=float)
-    n, m, k = design.shape
-    if mask.all():
-        _, ratio = condition_ratios(design)
-        return np.repeat(((m >= k) & (ratio > tol_ratio))[:, None], k, axis=1)
-    out = np.ones((n, k), dtype=bool)
-    for b in range(k - 1):
-        idx = np.flatnonzero(mask[:, b])
-        if idx.size:
-            _, ratio = condition_ratios(design[:, :, idx])
-            out[:, b] = (m >= idx.size) & (ratio > tol_ratio)
-    return out
-
-
 def check_rank(system: DesignSystem, tol_ratio: float = _DEFAULT_RANK_TOL) -> RankDiagnostics:
     """Diagnose whether the design identifies the transition parameters.
 
@@ -377,18 +353,74 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - tau[..., None], 0.0)
 
 
-def least_squares(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients ``(..., p, q)`` for a ``(..., m, p)``
-    stack of designs and ``(..., m, q)`` right-hand sides.
-
-    Solved through the SVD with the cutoff of ``np.linalg.lstsq``: singular
-    values at or below ``eps * max(m, p)`` times the largest are dropped, so
-    rank-deficient designs get the minimum-norm solution.
-    """
+def _min_norm(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    # The SVD solve of ``np.linalg.lstsq``: singular values at or below
+    # ``eps * max(m, p)`` times the largest are dropped.
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     cutoff = np.finfo(float).eps * max(design.shape[-2:]) * s[..., :1]
     inverse = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
     return np.swapaxes(vt, -1, -2) @ (inverse[..., None] * (np.swapaxes(u, -1, -2) @ rhs))
+
+
+def _back_substitute(r: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # Solves the upper-triangular systems r x = z of a (n, p, p) stack by
+    # column-oriented back substitution, with the stack on the last axis so
+    # that every step is one vector operation across it.
+    rt = r.transpose(1, 2, 0)
+    x = np.ascontiguousarray(z.transpose(1, 2, 0))
+    for i in range(r.shape[-1] - 1, -1, -1):
+        x[i] /= rt[i, i]
+        x[:i] -= rt[:i, i, None] * x[i]
+    return x.transpose(2, 0, 1)
+
+
+#: Relative slack around the rank tolerance inside which the Frobenius bound
+#: defers to the SVD; the bound's own rounding near the tolerance is about
+#: ``kappa * eps``, some 1e-8 relative, far inside it.
+_BOUND_SLACK = 1e-3
+
+
+def least_squares(
+    design: np.ndarray, rhs: np.ndarray, *, force: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares coefficients ``(..., p, q)`` of a ``(..., m, p)`` stack
+    of designs and ``(..., m, q)`` right-hand sides, with the rank decision
+    of :func:`check_rank` per member: ``m >= p`` and
+    ``sigma_min / sigma_max > 1e-8``.
+
+    One QR factorization ``A = QR`` and one triangular solve of
+    ``R X = [Q^T b | I]`` give the coefficients and ``R^-1``. Since
+    ``b = 1 / (|R|_F |R^-1|_F)`` bounds the condition ratio as
+    ``b <= ratio <= p * b``, only members whose bound straddles the
+    tolerance take the SVD of :func:`condition_ratios`. Unidentified
+    members are NaN, or under ``force`` the minimum-norm solution of
+    ``np.linalg.lstsq``.
+    """
+    design = np.asarray(design, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    batch = design.shape[:-2]
+    m, p = design.shape[-2:]
+    q = rhs.shape[-1]
+    a = design.reshape((-1, m, p))
+    y = rhs.reshape((-1, m, q))
+    coef = np.full((len(a), p, q), np.nan)
+    identified = np.zeros(len(a), dtype=bool)
+    if m >= p:
+        qm, r = np.linalg.qr(a)
+        eye = np.broadcast_to(np.eye(p), r.shape)
+        # A zero on the diagonal of R (A singular up to rounding) gives an
+        # infinite inverse and a zero bound.
+        with np.errstate(all="ignore"):
+            x = _back_substitute(r, np.concatenate([np.swapaxes(qm, 1, 2) @ y, eye], axis=2))
+            bound = 1.0 / np.sqrt((r * r).sum(axis=(1, 2)) * (x[..., q:] ** 2).sum(axis=(1, 2)))
+        identified = bound > _DEFAULT_RANK_TOL * (1 + _BOUND_SLACK)
+        band = ~identified & (p * bound >= _DEFAULT_RANK_TOL * (1 - _BOUND_SLACK))
+        if band.any():
+            identified[band] = condition_ratios(a[band])[1] > _DEFAULT_RANK_TOL
+        coef = np.where(identified[:, None, None], x[..., :q], np.nan)
+    if force and not identified.all():
+        coef[~identified] = _min_norm(a[~identified], y[~identified])
+    return coef.reshape(batch + (p, q)), identified.reshape(batch)
 
 
 @dataclass(frozen=True)
@@ -410,34 +442,27 @@ def fit_transitions(
     mask: np.ndarray,
     *,
     force: bool = False,
-    identified: np.ndarray | None = None,
 ) -> TransitionFit:
     """Least-squares transition matrices of a ``(B, m, k)`` stack of designs
     and responses sharing one support mask.
 
     Unmasked members are solved on the full design; masked members column by
     column on reduced designs, with the terminal column completed per row.
-    A column whose rank check fails (``identified``, computed by
-    :func:`identified_columns` when not given) is solved minimum-norm under
-    ``force`` and left NaN otherwise.
+    A column that :func:`least_squares` finds unidentified is solved
+    minimum-norm under ``force`` and left NaN otherwise.
     """
     design = np.asarray(design, dtype=float)
     response = np.asarray(response, dtype=float)
     mask = np.asarray(mask, dtype=bool)
     n, _, k = design.shape
-    if identified is None:
-        identified = identified_columns(design, mask)
-    solve = identified | force
     if mask.all():
-        probs = np.full((n, k, k), np.nan)
-        rows = solve[:, 0]
-        if rows.any():
-            probs[rows] = least_squares(design[rows], response[rows])
-        if identified[:, 0].any():
-            row_err = np.abs(probs[identified[:, 0]].sum(axis=-1) - 1.0).max()
+        probs, identified = least_squares(design, response, force=force)
+        if identified.any():
+            row_err = np.abs(probs[identified].sum(axis=-1) - 1.0).max()
             assert row_err <= _ROW_SUM_TOL, (
                 f"least-squares rows deviate from stochasticity by {row_err:.3e}"
             )
+        unidentified = ~identified
     else:
         if not mask[:, k - 1].all():
             raise ValidationError(
@@ -445,18 +470,21 @@ def fit_transitions(
                 "from every source state"
             )
         probs = np.where(mask, np.nan, 0.0)[None].repeat(n, axis=0)
+        unidentified = np.zeros(n, dtype=bool)
         for b in range(k - 1):
             idx = np.flatnonzero(mask[:, b])
-            rows = np.flatnonzero(solve[:, b])
-            if idx.size and rows.size:
-                coef = least_squares(design[rows][:, :, idx], response[rows][:, :, b, None])
-                probs[rows[:, None], idx, b] = coef[..., 0]
+            if idx.size:
+                coef, identified = least_squares(
+                    design[:, :, idx], response[:, :, b, None], force=force
+                )
+                probs[:, idx, b] = coef[..., 0]
+                unidentified |= ~identified
         # Row completion: the terminal column absorbs the remaining mass.
         partial = probs[:, :, : k - 1]
         probs[:, :, k - 1] = np.where(
             np.isnan(partial).any(axis=-1), np.nan, 1.0 - partial.sum(axis=-1)
         )
-    return TransitionFit(probs, (solve & ~identified).any(axis=1))
+    return TransitionFit(probs, unidentified & force)
 
 
 def project_rows(probs: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -487,7 +515,9 @@ def solve_transitions(
     result carries a warning). ``allow_partial`` lets masked systems
     return NaN for target columns whose reduced design is not
     identified instead of raising. The numbers come from
-    :func:`fit_transitions` on a stack of one.
+    :func:`fit_transitions` on a stack of one, whose rank decisions are
+    those of :func:`check_rank`, taken on the weighted design when weights
+    are given.
     """
     diagnostics = check_rank(system)
     M = system.design
@@ -502,17 +532,11 @@ def solve_transitions(
     mask = system.support_mask
     k = system.k
 
-    if system.is_masked:
-        identified = np.array([c.satisfied for c in diagnostics.columns])
-    else:
-        identified = np.full(k, diagnostics.satisfied)
-        if not diagnostics.satisfied and not force:
-            raise IdentificationError(
-                f"design matrix is not full column rank: {diagnostics.reason}"
-            )
-    fit = fit_transitions(
-        M[None], R[None], mask, force=force, identified=identified[None]
-    )
+    if not system.is_masked and not diagnostics.satisfied and not force:
+        raise IdentificationError(
+            f"design matrix is not full column rank: {diagnostics.reason}"
+        )
+    fit = fit_transitions(M[None], R[None], mask, force=force)
     probs = fit.probs[0]
     forced = bool(fit.forced[0])
     if forced and not system.is_masked:

@@ -283,6 +283,52 @@ class TestPsace:
         assert len(cells) == 1 + 2 * 10
 
 
+    def test_method3_m3_undefined_effects_have_null_intervals(self, capsys, tmp_path):
+        # With three trials method 3 identifies no stratum effect; the
+        # bootstrap still solves every replicate minimum-norm, but no
+        # interval may be reported for an undefined effect.
+        ds = simulate_dataset(DgpSpec(case="c4", n_g=300, m=3), seed=2)
+        p = tmp_path / "m3.csv"
+        p.write_text(serialize_dataset(ds))
+        report, _ = run_json(
+            capsys, "psace", "--input", str(p), "--method", "3",
+            "--boot", "50", "--seed", "1",
+        )
+        psace = report["results"]["psace"]
+        assert not any(any(row) for row in psace["defined"])
+        for key in ("estimates", "se", "ci_lower", "ci_upper"):
+            assert all(v is None for row in psace[key] for v in row), key
+
+
+class TestWarningsListedOnce:
+    """The bootstrap repeats each command's point solve; the report must
+    list the command's warnings once, whatever ``--boot`` is."""
+
+    @staticmethod
+    def _warnings(capsys, *argv):
+        lists = []
+        for boot in ("0", "50"):
+            report, _ = run_json(capsys, *argv, "--boot", boot, "--seed", "1")
+            lists.append(report["diagnostics"]["warnings"])
+        return lists
+
+    def test_masked_composite_estimate(self, capsys, tmp_path):
+        p = tmp_path / "c3.csv"
+        p.write_text(serialize_dataset(simulate_dataset(DgpSpec(case="c3", n_g=2000), seed=4)))
+        without, with_boot = self._warnings(
+            capsys, "estimate", "--input", str(p), "--space", "composite",
+            "--mono-s", "--mono-y",
+        )
+        assert without and with_boot == without
+
+    def test_psace_method3_m3(self, capsys, tmp_path):
+        p = tmp_path / "m3.csv"
+        p.write_text(serialize_dataset(simulate_dataset(DgpSpec(case="c4", n_g=300, m=3), seed=2)))
+        without, with_boot = self._warnings(capsys, "psace", "--input", str(p), "--method", "3")
+        assert with_boot == without
+        assert "ForcedSolveWarning" not in {w["category"] for w in with_boot}
+
+
 class TestTarget:
     def test_joint_on_target_marginal(self, capsys, target_csv):
         report, _ = run_json(
