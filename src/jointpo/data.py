@@ -7,8 +7,14 @@ The canonical on-disk format is a CSV of cell counts with the header
 where ``arm`` is 0 (control) or 1 (treated), ``s`` is a binary
 post-treatment variable or the literal ``NA`` when no such variable was
 recorded (uniformly across the file), ``y`` is the outcome category
-``0..k-1`` and ``count`` a nonnegative base-10 integer. Duplicate cell
-rows are summed. Trials keep their order of first appearance.
+``0..k-1`` and ``count`` a nonnegative base-10 integer. Integer fields
+must read ``[+-]?[0-9]+`` once surrounding whitespace is stripped (no
+digit-group underscores, no non-ASCII digits). Duplicate cell rows are
+summed. Trials keep their order of first appearance.
+
+Parsing validates each distinct raw row once, at its first line, and only
+counts its repeats, so an error names the first line holding the offending
+row.
 
 A trial labeled ``0`` (configurable) designates a control-only target
 population: it may contain control rows only and is kept separate from
@@ -98,6 +104,17 @@ class TrialCellCounts:
             )
         arr.flags.writeable = False
         object.__setattr__(self, "counts", arr)
+
+    @classmethod
+    def _parsed(cls, trial_id: str, counts: np.ndarray) -> "TrialCellCounts":
+        """An experimental trial over a parser-built block row: a read-only,
+        nonnegative int64 array of a valid shape, which ``__post_init__``
+        would only copy and re-check."""
+        cell = object.__new__(cls)
+        object.__setattr__(cell, "trial_id", trial_id)
+        object.__setattr__(cell, "counts", counts)
+        object.__setattr__(cell, "is_target", False)
+        return cell
 
     @property
     def has_surrogate(self) -> bool:
@@ -237,40 +254,52 @@ def _open_source(source) -> tuple[TextIO, bool]:
 
 
 def _parse_int(text: str, what: str, line: int) -> int:
+    """``text`` as an integer, if it is ``[+-]?[0-9]+`` once stripped.
+
+    ``int`` alone would also take digit-group underscores and non-ASCII
+    digits.
+    """
     text = text.strip()
-    try:
-        return int(text, 10)
-    except ValueError:
-        raise ParseError(f"{what} {text!r} is not a base-10 integer", line) from None
+    if text.isascii() and "_" not in text:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise ParseError(f"{what} {text!r} is not a base-10 integer", line)
 
 
 def _rows_to_dataset(
-    cells: dict[str, dict[tuple[int, int | None, int], int]],
-    order: list[str],
+    parsed: dict[tuple[str, ...], tuple[str, int, int, int, int]],
+    tally: dict[tuple[str, ...], int],
     has_surrogate: bool,
     max_y: int,
     schema: ColumnSchema,
 ) -> MultiTrialDataset:
+    """Fold each distinct row's ``(trial, arm, s, y, count)`` (``s`` is 0
+    without a surrogate) times the number of lines it appeared on into one
+    count block per trial."""
     k = max_y + 1
     if k < 2:
         raise ValidationError("the outcome must have at least two categories")
+    shape = (2, 2, k) if has_surrogate else (2, k)
+    states = 2 if has_surrogate else 1
+    width = 2 * states * k
+    index: dict[str, int] = {}
+    totals: dict[int, int] = {}
+    for key, (trial, arm, s, y, count) in parsed.items():
+        g = index.setdefault(trial, len(index))
+        cell = g * width + (states * arm + s) * k + y
+        totals[cell] = totals.get(cell, 0) + count * tally[key]
+    block = np.zeros((len(index),) + shape, dtype=np.int64)
+    block.reshape(-1)[list(totals)] = list(totals.values())
+    block.flags.writeable = False
     trials: list[TrialCellCounts] = []
     target: TrialCellCounts | None = None
-    for trial_id in order:
-        shape = (2, 2, k) if has_surrogate else (2, k)
-        arr = np.zeros(shape, dtype=np.int64)
-        for (arm, s, y), c in cells[trial_id].items():
-            if has_surrogate:
-                arr[arm, s, y] += c
-            else:
-                arr[arm, y] += c
-        cell = TrialCellCounts(
-            trial_id=trial_id, counts=arr, is_target=(trial_id == schema.target_label)
-        )
-        if cell.is_target:
-            target = cell
+    for trial_id, counts in zip(index, block):
+        if trial_id == schema.target_label:
+            target = TrialCellCounts(trial_id=trial_id, counts=counts, is_target=True)
         else:
-            trials.append(cell)
+            trials.append(TrialCellCounts._parsed(trial_id, counts))
     if not trials:
         raise ValidationError("no experimental trials found in input")
     return MultiTrialDataset(trials=tuple(trials), target=target)
@@ -279,6 +308,13 @@ def _rows_to_dataset(
 def _parse_rows(
     source, schema: ColumnSchema, with_count: bool
 ) -> MultiTrialDataset:
+    """Validate each distinct raw row at its first line, tally the repeats.
+
+    Every check depends only on the row and on the surrogate presence the
+    first data row fixes, so the first line that fails is the first
+    appearance of its row: a repeat needs no second check, and errors name
+    the same line as a row-by-row scan would.
+    """
     stream, owned = _open_source(source)
     try:
         reader = csv.reader(stream)
@@ -291,11 +327,17 @@ def _parse_rows(
             raise SchemaError(
                 f"expected header {','.join(expected)!r}, got {','.join(header)!r}"
             )
-        cells: dict[str, dict[tuple[int, int | None, int], int]] = {}
-        order: list[str] = []
+        tally: dict[tuple[str, ...], int] = {}
+        parsed: dict[tuple[str, ...], tuple[str, int, int, int, int]] = {}
         surrogate_seen: bool | None = None
         max_y = -1
         for row in reader:
+            key = tuple(row)
+            seen = tally.get(key)
+            if seen:
+                tally[key] = seen + 1
+                continue
+            tally[key] = 1
             line = reader.line_num
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -309,14 +351,13 @@ def _parse_rows(
             arm = _parse_int(row[1], "arm", line)
             if arm not in (0, 1):
                 raise ParseError(f"arm must be 0 or 1, got {arm}", line)
-            s_text = row[2].strip()
-            if s_text == schema.na_token:
-                s: int | None = None
-            else:
+            has_s = row[2].strip() != schema.na_token
+            if has_s:
                 s = _parse_int(row[2], "surrogate", line)
                 if s not in (0, 1):
                     raise ParseError(f"surrogate must be 0, 1 or NA, got {s}", line)
-            has_s = s is not None
+            else:
+                s = 0
             if surrogate_seen is None:
                 surrogate_seen = has_s
             elif surrogate_seen != has_s:
@@ -333,14 +374,10 @@ def _parse_rows(
                     f"line {line}: negative count {count} for trial {trial!r}"
                 )
             max_y = max(max_y, y)
-            if trial not in cells:
-                cells[trial] = {}
-                order.append(trial)
-            key = (arm, s, y)
-            cells[trial][key] = cells[trial].get(key, 0) + count
-        if not order:
+            parsed[key] = (trial, arm, s, y, count)
+        if not parsed:
             raise ParseError("no data rows in input", reader.line_num)
-        return _rows_to_dataset(cells, order, bool(surrogate_seen), max_y, schema)
+        return _rows_to_dataset(parsed, tally, bool(surrogate_seen), max_y, schema)
     finally:
         if owned:
             stream.close()
@@ -356,7 +393,12 @@ def parse_dataset(source, schema: ColumnSchema = DEFAULT_SCHEMA) -> MultiTrialDa
 
 def parse_unit_rows(source, schema: ColumnSchema = DEFAULT_SCHEMA) -> MultiTrialDataset:
     """Parse long-format unit rows (one row per individual, no count column)
-    and aggregate them into cell counts."""
+    and aggregate them into cell counts.
+
+    Identical rows are validated once and then only counted, so parsing
+    costs little more than reading the CSV when units share few distinct
+    rows; an error names the first line holding the offending row.
+    """
     return _parse_rows(source, schema, with_count=False)
 
 

@@ -7,11 +7,21 @@ so agreement is evidence, not tautology.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
 
-from jointpo.data import MultiTrialDataset, Summaries, TrialCellCounts, TrialSummary
+from jointpo.data import (
+    DEFAULT_SCHEMA,
+    ColumnSchema,
+    MultiTrialDataset,
+    Summaries,
+    TrialCellCounts,
+    TrialSummary,
+    _parse_int,
+)
+from jointpo.errors import ParseError, SchemaError, ValidationError
 
 
 def poisson_sum_chi2_sf(x: float, df: int) -> float:
@@ -150,3 +160,93 @@ def well_conditioned_system(
             transition = random_stochastic_rows(rng, k, k)
             return design, transition, design @ transition
     raise AssertionError("failed to draw a well-conditioned system")
+
+
+def reference_parse_rows(
+    stream, schema: ColumnSchema = DEFAULT_SCHEMA, with_count: bool = True
+) -> MultiTrialDataset:
+    """Row-by-row CSV parsing: every line runs the full check chain and
+    updates a nested ``trial -> (arm, s, y) -> count`` dict.
+
+    This is the parser the package shipped before it validated each
+    distinct row once; it shares only ``_parse_int`` (the integer rule)
+    with the package.
+    """
+    reader = csv.reader(stream)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("input is empty", 1) from None
+    expected = schema.header(with_count)
+    if [h.strip() for h in header] != expected:
+        raise SchemaError(
+            f"expected header {','.join(expected)!r}, got {','.join(header)!r}"
+        )
+    cells: dict[str, dict[tuple[int, int | None, int], int]] = {}
+    order: list[str] = []
+    surrogate_seen: bool | None = None
+    max_y = -1
+    for row in reader:
+        line = reader.line_num
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(expected):
+            raise ParseError(f"expected {len(expected)} fields, got {len(row)}", line)
+        trial = row[0].strip()
+        if not trial:
+            raise ParseError("empty trial label", line)
+        arm = _parse_int(row[1], "arm", line)
+        if arm not in (0, 1):
+            raise ParseError(f"arm must be 0 or 1, got {arm}", line)
+        if row[2].strip() == schema.na_token:
+            s = None
+        else:
+            s = _parse_int(row[2], "surrogate", line)
+            if s not in (0, 1):
+                raise ParseError(f"surrogate must be 0, 1 or NA, got {s}", line)
+        has_s = s is not None
+        if surrogate_seen is None:
+            surrogate_seen = has_s
+        elif surrogate_seen != has_s:
+            raise SchemaError(
+                f"line {line}: surrogate column mixes values and "
+                f"{schema.na_token!r}; presence must be uniform"
+            )
+        y = _parse_int(row[3], "outcome", line)
+        if y < 0:
+            raise ParseError(f"outcome must be nonnegative, got {y}", line)
+        count = _parse_int(row[4], "count", line) if with_count else 1
+        if count < 0:
+            raise ValidationError(
+                f"line {line}: negative count {count} for trial {trial!r}"
+            )
+        max_y = max(max_y, y)
+        if trial not in cells:
+            cells[trial] = {}
+            order.append(trial)
+        key = (arm, s, y)
+        cells[trial][key] = cells[trial].get(key, 0) + count
+    if not order:
+        raise ParseError("no data rows in input", reader.line_num)
+    k = max_y + 1
+    if k < 2:
+        raise ValidationError("the outcome must have at least two categories")
+    trials: list[TrialCellCounts] = []
+    target: TrialCellCounts | None = None
+    for trial_id in order:
+        arr = np.zeros((2, 2, k) if surrogate_seen else (2, k), dtype=np.int64)
+        for (arm, s, y), c in cells[trial_id].items():
+            if surrogate_seen:
+                arr[arm, s, y] += c
+            else:
+                arr[arm, y] += c
+        cell = TrialCellCounts(
+            trial_id=trial_id, counts=arr, is_target=(trial_id == schema.target_label)
+        )
+        if cell.is_target:
+            target = cell
+        else:
+            trials.append(cell)
+    if not trials:
+        raise ValidationError("no experimental trials found in input")
+    return MultiTrialDataset(trials=tuple(trials), target=target)

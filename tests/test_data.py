@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from jointpo.data import (
     ColumnSchema,
     MultiTrialDataset,
     TrialCellCounts,
+    _parse_int,
     parse_dataset,
     parse_unit_rows,
     serialize_dataset,
@@ -16,12 +18,13 @@ from jointpo.data import (
 )
 from jointpo.errors import (
     EstimationError,
+    JointpoError,
     ParseError,
     SchemaError,
     ValidationError,
 )
 
-from helpers import binary_dataset
+from helpers import binary_dataset, reference_parse_rows
 
 TOY = """trial,arm,s,y,count
 1,0,NA,0,20
@@ -118,6 +121,171 @@ class TestParse:
     def test_single_outcome_category_is_rejected(self):
         with pytest.raises(ValidationError, match="two categories"):
             _parse("trial,arm,s,y,count\n1,0,NA,0,5\n1,1,NA,0,5\n")
+
+
+UNIT_HEADER = "trial,arm,s,y\n"
+GOOD_UNITS = "1,0,NA,0\n1,0,NA,1\n1,1,NA,0\n1,1,NA,1\n"
+
+
+class TestIntegerFields:
+    """Integer fields take ``[+-]?[0-9]+`` after stripping, nothing else."""
+
+    FIELDS = {"arm": 1, "surrogate": 2, "outcome": 3, "count": 4}
+
+    @pytest.mark.parametrize("text", ["1_0", "1_000", "\u0663", "\uff11", "0x1", "1.0"])
+    @pytest.mark.parametrize(
+        "what, with_count",
+        [(what, True) for what in FIELDS]
+        + [(what, False) for what in list(FIELDS)[:3]],
+    )
+    def test_non_decimal_forms_are_parse_errors(self, text, what, with_count):
+        fields = ["1", "0", "0", "1", "5"][: 5 if with_count else 4]
+        fields[self.FIELDS[what]] = text
+        good = "1,0,0,0,5\n1,1,0,1,5\n" if with_count else "1,0,0,0\n1,1,0,1\n"
+        header = "trial,arm,s,y,count\n" if with_count else UNIT_HEADER
+        stream = io.StringIO(header + good + ",".join(fields) + "\n")
+        parse = parse_dataset if with_count else parse_unit_rows
+        with pytest.raises(ParseError) as err:
+            parse(stream)
+        assert err.value.line_number == 4
+        assert str(err.value) == f"line 4: {what} {text!r} is not a base-10 integer"
+
+    def test_padding_and_signs_are_accepted(self):
+        ds = _parse(
+            "trial,arm,s,y,count\n1, +0 ,NA,0, 7 \n1,-0,NA,\t1,+3\n1,1,NA,0,1\n"
+        )
+        np.testing.assert_array_equal(ds.trials[0].counts, [[7, 3], [1, 0]])
+
+    @given(
+        text=st.text(
+            alphabet=st.sampled_from(
+                "0123456789+-_ \t\n\x0b\x1c\u0663\u00b2\u3000a."
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_exactly_signed_ascii_digits(self, text):
+        if re.fullmatch(r"[+-]?[0-9]+", text.strip()):
+            assert _parse_int(text, "count", 7) == int(text.strip())
+        else:
+            with pytest.raises(ParseError) as err:
+                _parse_int(text, "count", 7)
+            message = f"line 7: count {text.strip()!r} is not a base-10 integer"
+            assert str(err.value) == message
+
+
+class TestUnitRowErrors:
+    """A bad row is reported at its first line, however often it repeats."""
+
+    BAD_ROWS = [
+        ("1,0,NA,x", ParseError, "outcome 'x' is not a base-10 integer"),
+        ("1,2,NA,0", ParseError, "arm must be 0 or 1, got 2"),
+        ("1,0,1,0", SchemaError, "surrogate column mixes values"),
+        ("1,0,NA", ParseError, "expected 4 fields, got 3"),
+    ]
+
+    @pytest.mark.parametrize("bad, kind, message", BAD_ROWS)
+    def test_repeated_bad_row_names_its_first_line(self, bad, kind, message):
+        text = UNIT_HEADER + GOOD_UNITS + (bad + "\n1,0,NA,0\n") * 3
+        with pytest.raises(kind, match=f"line 6: {re.escape(message)}"):
+            parse_unit_rows(io.StringIO(text))
+
+    def test_blank_and_multiline_rows_shift_the_line(self):
+        text = (
+            UNIT_HEADER
+            + GOOD_UNITS
+            + "\n   \n"
+            + '"A\nB",0,NA,1\n'
+            + "1,0,NA,-1\n" * 2
+        )
+        with pytest.raises(ParseError) as err:
+            parse_unit_rows(io.StringIO(text))
+        assert err.value.line_number == 10
+        assert str(err.value) == "line 10: outcome must be nonnegative, got -1"
+        with pytest.raises(ParseError, match="^line 10: outcome must be nonnegative"):
+            reference_parse_rows(io.StringIO(text), with_count=False)
+
+
+#: Valid and bad texts of each field for generated CSVs. Valid texts come
+#: padded, signed or spread over two lines (a quoted multi-line field);
+#: bad ones cover every check of a row.
+FIELD_TEXTS = {
+    "trial": (["1", "2", " 2 ", "A\nB", "0"], ["", " "]),
+    "arm": (["0", "1", " 1 ", "+0"], ["2", "-1", "x", "1_0", "\u0663", ""]),
+    "s": (["NA", " NA ", "0", "1", "\n1"], ["2", "x", "na"]),
+    "y": (["0", "1", "2", " 1 ", "\n2"], ["-1", "1_0", "\u0663", "x"]),
+    "count": (["0", "1", "5", "12", " 7 ", "+2"], ["-3", "1_000", "\u0663", "x"]),
+}
+
+
+def _field_text(name: str, surrogate: str):
+    good, bad = FIELD_TEXTS[name]
+    if name == "s" and surrogate != "mixed":
+        good = [t for t in good if (t.strip() == "NA") == (surrogate == "NA")]
+    return st.sampled_from(good * 6 + bad)
+
+
+def _csv_field(text: str, quote: bool) -> str:
+    if quote or any(c in text for c in ',"\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def csv_texts(draw, with_count: bool):
+    """A CSV text of repeated rows from a small pool, with blank lines."""
+    names = ["trial", "arm", "s", "y"] + (["count"] if with_count else [])
+    surrogate = draw(st.sampled_from(["NA", "binary", "mixed"]))
+    pool = []
+    control_only_target = draw(st.booleans())
+    rows: list[list[str]] = []
+    for _ in range(draw(st.integers(1, 8))):
+        fields = [draw(_field_text(name, surrogate)) for name in names]
+        if rows and draw(st.booleans()):
+            # A near-duplicate: an earlier row with one field drawn anew.
+            column = draw(st.integers(0, len(names) - 1))
+            fields = draw(st.sampled_from(rows))[:]
+            fields[column] = draw(_field_text(names[column], surrogate))
+        rows.append(fields)
+        if control_only_target and fields[0] == "0":
+            fields[1] = "0"
+        n = len(fields)
+        width = draw(st.sampled_from([n] * 20 + [n - 1, n + 1]))
+        fields = (fields + ["0"])[:width]
+        pool.append(",".join(_csv_field(f, draw(st.booleans())) for f in fields))
+    lines = draw(
+        st.lists(st.sampled_from(pool * 4 + ["", "  "]), min_size=1, max_size=30)
+    )
+    return ",".join(names) + "\n" + "\n".join(lines) + "\n"
+
+
+def _outcome(parse, text: str):
+    """What parsing ``text`` gives: the dataset's trial ids, target and
+    counts, or the error's type, message and line."""
+    try:
+        ds = parse(io.StringIO(text))
+    except JointpoError as err:
+        return type(err), str(err), getattr(err, "line_number", None)
+    target = None if ds.target is None else ds.target.trial_id
+    counts = [t.counts.tolist() for t in ds.all_trials]
+    return [t.trial_id for t in ds.trials], target, counts
+
+
+class TestParserMatchesRowByRowReference:
+    """Validating each distinct row once changes no outcome of the
+    row-by-row scan: same dataset, or the same error at the same line."""
+
+    @given(text=csv_texts(with_count=True))
+    @settings(max_examples=400, deadline=None)
+    def test_cell_counts(self, text):
+        reference = _outcome(lambda s: reference_parse_rows(s, with_count=True), text)
+        assert _outcome(parse_dataset, text) == reference
+
+    @given(text=csv_texts(with_count=False))
+    @settings(max_examples=400, deadline=None)
+    def test_unit_rows(self, text):
+        reference = _outcome(lambda s: reference_parse_rows(s, with_count=False), text)
+        assert _outcome(parse_unit_rows, text) == reference
 
 
 class TestSummarize:
