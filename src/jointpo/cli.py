@@ -11,6 +11,15 @@ Reports are canonical JSON (sorted keys) written to stdout or
 byte-identical reports (``--workers`` is accepted and has no effect).
 Exit codes: 0 success, 2 validation, 3 identification, 4 inference
 failure. Errors are mirrored as a JSON object on stderr.
+
+Each command builds its report fields, and their warnings, once through
+the object path (``summarize`` -> ``build_system`` ->
+``solve_transitions``). Its bootstrap statistic exists only in batch form,
+a :class:`~jointpo.inference.BatchEstimator` from one of the
+``*_estimator`` functions below: the bootstrap fits the observed counts as
+member 0 for the point estimate and the resamples as one stack.
+``psace --plot-data`` bootstraps a single statistic, the psace table
+followed by the surrogate and outcome joint harm cells.
 """
 
 from __future__ import annotations
@@ -34,14 +43,7 @@ from .errors import (
     JointpoWarning,
     ValidationError,
 )
-from .inference import (
-    BatchEstimator,
-    BatchFit,
-    BootstrapConfig,
-    bootstrap,
-    overid_test,
-    transition_residuals,
-)
+from .inference import BatchEstimator, BatchFit, BootstrapConfig, bootstrap, overid_test
 from .principal import (
     STRATA,
     clip_score_tables,
@@ -217,23 +219,11 @@ def _transition_dict(trans) -> dict:
 
 
 def _bootstrap(args, dataset, estimator, names=None, ci_method="normal"):
-    """Bootstrap a command's statistic at ``--boot``, ``--seed`` and ``--ci``.
-
-    The statistic's point form repeats the command's own solve, whose
-    warnings the report already lists once, so package warnings are
-    silenced here."""
+    """Bootstrap a command's statistic at ``--boot``, ``--seed`` and ``--ci``."""
     config = BootstrapConfig(
         replicates=args.boot, seed=args.seed, ci_level=args.ci, ci_method=ci_method
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", JointpoWarning)
-        return bootstrap(dataset, estimator, config, names=names)
-
-
-# Bootstrap statistics of the commands. Each pairs the per-dataset statistic
-# (the point estimate, through the same calls as the command's own) with
-# its batch form on a stack of resampled count tensors; tests hold the two
-# to agreement on every resample.
+    return bootstrap(dataset, estimator, config, names=names)
 
 
 def _batch_fit(dataset, width: int, fit_live):
@@ -268,19 +258,6 @@ def estimate_estimator(
     m = dataset.m
     two_state = mask.shape[0] == 2
 
-    def point(ds):
-        s = summarize(ds)
-        sys_b = build_system(s, space, mono_s=mono_s, mono_y=mono_y)
-        t = solve_transitions(sys_b, project_simplex=project, force=True)
-        values = list(t.parameter_values())
-        if two_state:
-            for summary in s.trials:
-                joint = joint_from_transitions(
-                    t, _control_marginal(summary, space), summary.trial_id
-                )
-                values.extend(estimand_vectors(joint.table))
-        return np.array(values)
-
     def fit_live(freqs):
         fit = _stack_transitions(freqs, m, space, mask, project)
         values = [fit.probs[:, mask]]
@@ -291,7 +268,7 @@ def estimate_estimator(
         return np.concatenate(values, axis=1), ok, fit.forced
 
     width = int(mask.sum()) + (4 * m if two_state else 0)
-    return BatchEstimator(point, _batch_fit(dataset, width, fit_live))
+    return BatchEstimator(_batch_fit(dataset, width, fit_live))
 
 
 def overid_estimator(dataset, space: str, theta: np.ndarray) -> BatchEstimator:
@@ -301,20 +278,13 @@ def overid_estimator(dataset, space: str, theta: np.ndarray) -> BatchEstimator:
     m = dataset.m
     mask = np.ones((2, 2), dtype=bool)
 
-    def point(ds):
-        s = summarize(ds)
-        sys_b = build_system(s, space)
-        t = solve_transitions(sys_b, force=True)
-        th = binary_transition_params(t)
-        return np.concatenate([th, transition_residuals(s, theta, space=space)])
-
     def fit_live(freqs):
         fit = _stack_transitions(freqs, m, space, mask)
         arms = freqs.space(space)[:, :m]
         residuals = arms[:, :, 1, 1] - arms[:, :, 0] @ theta
         return np.concatenate([fit.probs[:, :, 1], residuals], axis=1), True, fit.forced
 
-    return BatchEstimator(point, _batch_fit(dataset, 2 + m, fit_live))
+    return BatchEstimator(_batch_fit(dataset, 2 + m, fit_live))
 
 
 def target_estimator(dataset, space: str, k: int, *, project=False) -> BatchEstimator:
@@ -322,18 +292,6 @@ def target_estimator(dataset, space: str, k: int, *, project=False) -> BatchEsti
     states, its THR, TBR, persuasion rate and PN."""
     m = dataset.m
     mask = np.ones((k, k), dtype=bool)
-
-    def point(ds):
-        s = summarize(ds)
-        sys_b = build_system(s, space)
-        t = solve_transitions(sys_b, project_simplex=project, force=True)
-        j = joint_from_transitions(
-            t, _control_marginal(s.target, space), s.target.trial_id
-        )
-        values = list(t.parameter_values()) + list(j.table.reshape(-1))
-        if k == 2:
-            values.extend(estimand_vectors(j.table))
-        return np.array(values)
 
     def fit_live(freqs):
         fit = _stack_transitions(freqs, m, space, mask, project)
@@ -345,7 +303,7 @@ def target_estimator(dataset, space: str, k: int, *, project=False) -> BatchEsti
         return np.concatenate(values, axis=1), True, fit.forced
 
     width = 2 * k * k + (4 if k == 2 else 0)
-    return BatchEstimator(point, _batch_fit(dataset, width, fit_live))
+    return BatchEstimator(_batch_fit(dataset, width, fit_live))
 
 
 #: (mono_s, mono_y) of the composite psace methods.
@@ -357,18 +315,6 @@ def psace_estimator(
 ) -> BatchEstimator:
     """The per-trial stratum effect table of a psace method, flattened."""
     m = dataset.m
-
-    def point(ds):
-        s = summarize(ds)
-        if method == 1:
-            _, t = method1_estimate(s, clip_scores=clip_scores)
-        elif method == 2:
-            _, t = monotone_variant_estimate(s, "method2", force=True, project=project)
-        elif method == 3:
-            _, t = monotone_variant_estimate(s, "method3", force=True, project=project)
-        else:
-            _, t = method4_estimate(s, "none", force=True, project=project)
-        return t.estimates.reshape(-1)
 
     def fit_live(freqs):
         n = len(freqs.empty)
@@ -392,7 +338,7 @@ def psace_estimator(
         ok = method == 3 or ~np.isnan(fit.probs).any(axis=(1, 2))
         return effects.reshape(n, -1), ok, fit.forced
 
-    return BatchEstimator(point, _batch_fit(dataset, 4 * m, fit_live))
+    return BatchEstimator(_batch_fit(dataset, 4 * m, fit_live))
 
 
 def joint_cell_estimator(dataset, space: str) -> BatchEstimator:
@@ -400,22 +346,25 @@ def joint_cell_estimator(dataset, space: str) -> BatchEstimator:
     m = dataset.m
     mask = np.ones((2, 2), dtype=bool)
 
-    def point(ds):
-        s = summarize(ds)
-        sy = build_system(s, space)
-        t = solve_transitions(sy, force=True)
-        return np.array(
-            [
-                joint_from_transitions(t, _control_marginal(ts, space), ts.trial_id).table[1, 0]
-                for ts in s.trials
-            ]
-        )
-
     def fit_live(freqs):
         fit = _stack_transitions(freqs, m, space, mask)
         return fit.probs[:, None, 1, 0] * freqs.space(space)[:, :m, 0, 1], True, fit.forced
 
-    return BatchEstimator(point, _batch_fit(dataset, m, fit_live))
+    return BatchEstimator(_batch_fit(dataset, m, fit_live))
+
+
+def _concat_fits(fits) -> BatchFit:
+    """Statistics side by side: a member is ok where every part is, forced
+    where any part is."""
+    return BatchFit(
+        np.concatenate([f.values for f in fits], axis=1),
+        np.logical_and.reduce([f.ok for f in fits]),
+        np.logical_or.reduce([f.forced for f in fits]),
+    )
+
+
+#: State spaces of the joint harm cells that ``psace --plot-data`` writes.
+_CELL_SPACES = ("surrogate", "outcome")
 
 
 def cmd_estimate(args) -> dict:
@@ -581,27 +530,35 @@ def cmd_psace(args) -> dict:
             summaries, "none", force=args.force, project=args.project
         )
 
-    point = table.estimates.reshape(-1)
+    # With --plot-data the statistic is the psace table followed by each
+    # space's joint harm cells, bootstrapped once.
+    estimator = psace_estimator(
+        dataset, method, clip_scores=args.clip_scores, project=args.project
+    )
     names = _psace_names(summaries.trial_ids)
+    if args.plot_data:
+        parts = [estimator] + [joint_cell_estimator(dataset, sp) for sp in _CELL_SPACES]
+        estimator = BatchEstimator(lambda t: _concat_fits([p.fit(t) for p in parts]))
+        names += [f"joint_cell[{sp}]@{tid}" for sp in _CELL_SPACES for tid in summaries.trial_ids]
 
     variance = None
     if args.boot > 0:
         _require_seed(args)
-        estimator = psace_estimator(
-            dataset, method, clip_scores=args.clip_scores, project=args.project
-        )
         variance = _bootstrap(args, dataset, estimator, names, args.ci_method)
 
     if args.plot_data:
-        _write_psace_plot_data(
-            Path(args.plot_data), args, dataset, summaries, table, variance
-        )
+        if variance is None:
+            point = estimator.fit(dataset.counts_tensor()[None]).values[0]
+        else:
+            point = variance.point
+        _write_psace_plot_data(Path(args.plot_data), table, point, variance)
 
+    size = table.estimates.size
     spread = dict.fromkeys(("se", "ci_lower", "ci_upper"))
     if variance is not None:
         # An undefined effect has no interval, whatever its replicates gave.
         for key in spread:
-            values = getattr(variance, key).reshape(table.estimates.shape)
+            values = getattr(variance, key)[:size].reshape(table.estimates.shape)
             spread[key] = np.where(table.defined, values, np.nan)
 
     results = {
@@ -816,13 +773,20 @@ def _write_test_plot_data(directory: Path, summaries, theta, space) -> None:
     _write_tsv(directory / "ate.tsv", ["trial", "ate"], ate_rows)
 
 
-def _write_psace_plot_data(
-    directory: Path, args, dataset, summaries, table, variance
-) -> None:
+def _write_psace_plot_data(directory: Path, table, point, variance) -> None:
+    """Write ``psace_intervals.tsv`` and ``joint_cells.tsv``.
+
+    ``point`` and ``variance`` (None without a bootstrap) run over the psace
+    table, then each space's per-trial joint harm cell
+    P(state0=1, state1=0), in :data:`_CELL_SPACES` order.
+    """
+
+    def bounds(index, defined=True):
+        if variance is None or not defined:
+            return ["", ""]
+        return [repr(float(variance.ci_lower[index])), repr(float(variance.ci_upper[index]))]
+
     rows = []
-    se = None if variance is None else variance.se.reshape(table.estimates.shape)
-    lo = None if variance is None else variance.ci_lower.reshape(table.estimates.shape)
-    hi = None if variance is None else variance.ci_upper.reshape(table.estimates.shape)
     for i, tid in enumerate(table.trial_ids):
         for j, stratum in enumerate(STRATA):
             defined = bool(table.defined[i, j])
@@ -832,8 +796,7 @@ def _write_psace_plot_data(
                     stratum,
                     tid,
                     repr(float(table.estimates[i, j])) if defined else "",
-                    repr(float(lo[i, j])) if defined and lo is not None else "",
-                    repr(float(hi[i, j])) if defined and hi is not None else "",
+                    *bounds(i * len(STRATA) + j, defined),
                     int(defined),
                 ]
             )
@@ -843,35 +806,12 @@ def _write_psace_plot_data(
         rows,
     )
 
-    # Per-trial joint harm cells P(state0=1, state1=0) for the surrogate
-    # and the outcome, with bootstrap intervals when a seed is available.
     cell_rows = []
-    for space in ("surrogate", "outcome"):
-        system = build_system(summaries, space)
-        trans = solve_transitions(system, force=True)
-        cells = np.array(
-            [
-                joint_from_transitions(
-                    trans, _control_marginal(s, space), s.trial_id
-                ).table[1, 0]
-                for s in summaries.trials
-            ]
-        )
-        lo_cells = hi_cells = None
-        if args.boot > 0 and args.seed is not None:
-            var = _bootstrap(args, dataset, joint_cell_estimator(dataset, space))
-            lo_cells, hi_cells = var.ci_lower, var.ci_upper
-        for i, s in enumerate(summaries.trials):
-            cell_rows.append(
-                [
-                    space,
-                    "10",
-                    s.trial_id,
-                    repr(float(cells[i])),
-                    "" if lo_cells is None else repr(float(lo_cells[i])),
-                    "" if hi_cells is None else repr(float(hi_cells[i])),
-                ]
-            )
+    index = table.estimates.size
+    for space in _CELL_SPACES:
+        for tid in table.trial_ids:
+            cell_rows.append([space, "10", tid, repr(float(point[index])), *bounds(index)])
+            index += 1
     _write_tsv(
         directory / "joint_cells.tsv",
         ["space", "cell", "trial", "estimate", "lower", "upper"],
@@ -891,7 +831,11 @@ def _add_common(parser, *, needs_input=True):
     parser.add_argument("--boot", type=int, default=500, help="bootstrap replicates")
     parser.add_argument("--ci", type=float, default=0.95)
     parser.add_argument(
-        "--ci-method", choices=("normal", "percentile"), default="normal"
+        "--ci-method",
+        choices=("normal", "percentile"),
+        default="normal",
+        help="bootstrap interval method of estimate, target and psace (with "
+        "--plot-data, also of its joint cells); test's intervals are normal",
     )
     parser.add_argument(
         "--workers",

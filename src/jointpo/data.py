@@ -10,7 +10,9 @@ recorded (uniformly across the file), ``y`` is the outcome category
 ``0..k-1`` and ``count`` a nonnegative base-10 integer. Integer fields
 must read ``[+-]?[0-9]+`` once surrounding whitespace is stripped (no
 digit-group underscores, no non-ASCII digits). Duplicate cell rows are
-summed. Trials keep their order of first appearance.
+summed. Counts are held as int64, so a count, and the sum of a trial's
+counts, may not exceed ``2**63 - 1``. Trials keep their order of first
+appearance.
 
 Parsing validates each distinct raw row once, at its first line, and only
 counts its repeats, so an error names the first line holding the offending
@@ -41,6 +43,9 @@ from .errors import (
 #: Fixed ordering of the composite (S, Y) state space used everywhere a
 #: 4-state system appears: index = 2 * s + y.
 COMPOSITE_STATES: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+#: Largest count, and largest sum of one trial's counts, that int64 holds.
+_MAX_COUNT = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -277,7 +282,7 @@ def _rows_to_dataset(
 ) -> MultiTrialDataset:
     """Fold each distinct row's ``(trial, arm, s, y, count)`` (``s`` is 0
     without a surrogate) times the number of lines it appeared on into one
-    count block per trial."""
+    count block per trial, whose sum must fit int64."""
     k = max_y + 1
     if k < 2:
         raise ValidationError("the outcome must have at least two categories")
@@ -286,10 +291,18 @@ def _rows_to_dataset(
     width = 2 * states * k
     index: dict[str, int] = {}
     totals: dict[int, int] = {}
+    units: dict[str, int] = {}
     for key, (trial, arm, s, y, count) in parsed.items():
         g = index.setdefault(trial, len(index))
         cell = g * width + (states * arm + s) * k + y
-        totals[cell] = totals.get(cell, 0) + count * tally[key]
+        n = count * tally[key]
+        totals[cell] = totals.get(cell, 0) + n
+        units[trial] = units.get(trial, 0) + n
+    for trial, n in units.items():
+        if n > _MAX_COUNT:
+            raise ValidationError(
+                f"trial {trial!r}: its counts sum to {n}, beyond 2**63 - 1"
+            )
     block = np.zeros((len(index),) + shape, dtype=np.int64)
     block.reshape(-1)[list(totals)] = list(totals.values())
     block.flags.writeable = False
@@ -372,6 +385,10 @@ def _parse_rows(
             if count < 0:
                 raise ValidationError(
                     f"line {line}: negative count {count} for trial {trial!r}"
+                )
+            if count > _MAX_COUNT:
+                raise ValidationError(
+                    f"line {line}: count {count} for trial {trial!r} exceeds 2**63 - 1"
                 )
             max_y = max(max_y, y)
             parsed[key] = (trial, arm, s, y, count)

@@ -9,11 +9,13 @@ do not depend on how replicates are grouped.
 
 :func:`bootstrap` draws the replicates into a ``(B, n_trials, cells)``
 count tensor and fits them in one batched call when the estimator is a
-:class:`BatchEstimator` (every CLI command's is); a plain
-dataset-to-vector estimator is fitted one resampled dataset at a time.
-Either way replicate ``i`` comes from ``replicate_rng(seed, i)``. The
-bootstrap runs in one thread, as every command does; the CLI's
-``--workers`` has no effect.
+:class:`BatchEstimator` (every CLI command's is); its point estimate is
+member 0 of the same batch form fitted on the observed counts, so the
+statistic exists in one form only. A plain dataset-to-vector estimator
+is evaluated on the dataset for the point and fitted one resampled
+dataset at a time. Either way replicate ``i`` comes from
+``replicate_rng(seed, i)``. The bootstrap runs in one thread, as every
+command does; the CLI's ``--workers`` has no effect.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 
 from .data import MultiTrialDataset, Summaries
 from .errors import (
+    EstimationError,
     ForcedSolveWarning,
     IdentificationError,
     InferenceError,
@@ -103,12 +106,11 @@ class BatchFit(NamedTuple):
 
 @dataclass(frozen=True)
 class BatchEstimator:
-    """A statistic in two forms: ``point`` evaluates it on one dataset (the
-    point estimate, with its warnings), ``fit`` on a whole
+    """A statistic in batch form: ``fit`` evaluates it on a whole
     ``(B, n_trials, cells)`` stack of count tensors laid out like
-    ``dataset.counts_tensor()``. The two must agree on every resample."""
+    ``dataset.counts_tensor()``. Its point estimate is member 0 of ``fit``
+    on ``dataset.counts_tensor()[None]``."""
 
-    point: Callable[[MultiTrialDataset], np.ndarray]
     fit: Callable[[np.ndarray], BatchFit]
 
 
@@ -192,6 +194,9 @@ def bootstrap(
     """Stratified bootstrap of a :class:`BatchEstimator` or of a plain
     dataset-to-vector estimator.
 
+    The point estimate of a :class:`BatchEstimator` is member 0 of its fit
+    on the observed counts (an :class:`EstimationError` if that member is
+    undefined); a plain estimator is called on ``dataset``.
     Replicate ``i`` is drawn from ``replicate_rng(seed, i)``. Replicates are
     drawn and fitted in chunks; one whose resample breaks the estimator (an
     empty arm, a rank failure) is redrawn from its own generator, up to 100
@@ -203,8 +208,11 @@ def bootstrap(
     # NaN coordinates are legitimate results (undefined quantities); only
     # estimator exceptions count as a failed resample.
     if isinstance(estimator, BatchEstimator):
-        point = np.asarray(estimator.point(dataset), dtype=float)
         fit = estimator.fit
+        observed = fit(dataset.counts_tensor()[None])
+        if not observed.ok[0]:
+            raise EstimationError("the statistic is undefined on the observed counts")
+        point = observed.values[0]
     else:
         point = np.asarray(estimator(dataset), dtype=float)
         fit = _per_dataset(dataset, estimator, point.shape)

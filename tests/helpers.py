@@ -20,8 +20,18 @@ from jointpo.data import (
     TrialCellCounts,
     TrialSummary,
     _parse_int,
+    summarize,
 )
 from jointpo.errors import ParseError, SchemaError, ValidationError
+from jointpo.inference import transition_residuals
+from jointpo.principal import method1_estimate, method4_estimate, monotone_variant_estimate
+from jointpo.transition import (
+    binary_transition_params,
+    build_system,
+    estimand_vectors,
+    joint_from_transitions,
+    solve_transitions,
+)
 
 
 def poisson_sum_chi2_sf(x: float, df: int) -> float:
@@ -220,6 +230,10 @@ def reference_parse_rows(
             raise ValidationError(
                 f"line {line}: negative count {count} for trial {trial!r}"
             )
+        if count > 2**63 - 1:
+            raise ValidationError(
+                f"line {line}: count {count} for trial {trial!r} exceeds 2**63 - 1"
+            )
         max_y = max(max_y, y)
         if trial not in cells:
             cells[trial] = {}
@@ -250,3 +264,90 @@ def reference_parse_rows(
     if not trials:
         raise ValidationError("no experimental trials found in input")
     return MultiTrialDataset(trials=tuple(trials), target=target)
+
+
+# Per-dataset reference forms of the CLI's bootstrap statistics: each
+# evaluates one dataset through the object path (``summarize`` ->
+# ``build_system`` -> ``solve_transitions`` -> ``joint_from_transitions``),
+# the way the commands build their reports, and raises where ``summarize``
+# or a solve rejects the dataset.
+
+
+def _joint(trans, summary, space: str) -> np.ndarray:
+    control = getattr(summary, f"control_{space}")
+    return joint_from_transitions(trans, control, summary.trial_id).table
+
+
+def reference_estimate(space: str, *, mono_s=False, mono_y=False, project=False):
+    """``cli.estimate_estimator``: transition parameters, then per-trial THR,
+    TBR, persuasion rate and PN when the space has two states."""
+
+    def statistic(ds):
+        s = summarize(ds)
+        system = build_system(s, space, mono_s=mono_s, mono_y=mono_y)
+        t = solve_transitions(system, project_simplex=project, force=True)
+        values = list(t.parameter_values())
+        if t.k == 2:
+            for summary in s.trials:
+                values.extend(estimand_vectors(_joint(t, summary, space)))
+        return np.array(values)
+
+    return statistic
+
+
+def reference_overid(space: str, theta: np.ndarray):
+    """``cli.overid_estimator``: both transition parameters, then each
+    trial's residual against ``theta``."""
+
+    def statistic(ds):
+        s = summarize(ds)
+        t = solve_transitions(build_system(s, space), force=True)
+        residuals = transition_residuals(s, theta, space=space)
+        return np.concatenate([binary_transition_params(t), residuals])
+
+    return statistic
+
+
+def reference_target(space: str, *, project=False):
+    """``cli.target_estimator``: transition parameters, the target trial's
+    joint table and, with two states, its THR, TBR, persuasion rate and PN."""
+
+    def statistic(ds):
+        s = summarize(ds)
+        t = solve_transitions(build_system(s, space), project_simplex=project, force=True)
+        joint = _joint(t, s.target, space)
+        values = list(t.parameter_values()) + list(joint.reshape(-1))
+        if t.k == 2:
+            values.extend(estimand_vectors(joint))
+        return np.array(values)
+
+    return statistic
+
+
+def reference_psace(method: int, *, clip_scores=False, project=False):
+    """``cli.psace_estimator``: the per-trial stratum effect table, flattened."""
+
+    def statistic(ds):
+        s = summarize(ds)
+        if method == 1:
+            _, table = method1_estimate(s, clip_scores=clip_scores)
+        elif method in (2, 3):
+            variant = f"method{method}"
+            _, table = monotone_variant_estimate(s, variant, force=True, project=project)
+        else:
+            _, table = method4_estimate(s, "none", force=True, project=project)
+        return table.estimates.reshape(-1)
+
+    return statistic
+
+
+def reference_joint_cells(space: str):
+    """``cli.joint_cell_estimator``: each trial's joint harm cell
+    P(state0=1, state1=0)."""
+
+    def statistic(ds):
+        s = summarize(ds)
+        t = solve_transitions(build_system(s, space), force=True)
+        return np.array([_joint(t, summary, space)[1, 0] for summary in s.trials])
+
+    return statistic

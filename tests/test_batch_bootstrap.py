@@ -2,9 +2,11 @@
 
 The reference replays the bootstrap one dataset at a time: replicate ``i``
 draws ``resample_dataset(ds, replicate_rng(seed, i))`` until the statistic's
-per-dataset form accepts a resample, at most 100 times. The batched driver
-must fit exactly those resamples, bit for bit, and its values must match the
-per-dataset values to 1e-12 (the batched solver rounds differently).
+per-dataset reference form (``helpers.reference_*``) accepts a resample, at
+most 100 times. The batched driver must fit exactly those resamples, bit for
+bit, and its values must match the per-dataset values to 1e-12 (the batched
+solver rounds differently). Its point estimate, member 0 of a fit of the
+observed counts, must equal the reference form on the observed data exactly.
 """
 
 import warnings
@@ -21,7 +23,7 @@ from jointpo.cli import (
     target_estimator,
 )
 from jointpo.data import MultiTrialDataset, TrialCellCounts, summarize
-from jointpo.errors import ForcedSolveWarning, JointpoError, JointpoWarning
+from jointpo.errors import EstimationError, ForcedSolveWarning, JointpoError, JointpoWarning
 from jointpo.inference import (
     BatchEstimator,
     BatchFit,
@@ -34,7 +36,14 @@ from jointpo.simulate import DgpSpec, simulate_dataset
 from jointpo.transition import binary_transition_params, build_system, solve_transitions
 from jointpo.transition import monotone_mask
 
-from helpers import binary_dataset
+from helpers import (
+    binary_dataset,
+    reference_estimate,
+    reference_joint_cells,
+    reference_overid,
+    reference_psace,
+    reference_target,
+)
 
 TOL = 1e-12
 
@@ -69,18 +78,25 @@ def reference(ds, statistic, seed, n):
     return out
 
 
-def check_equivalent(ds, estimator, seed, n):
-    """Bootstrap ``n`` replicates (one chunk) both ways and compare."""
+def check_equivalent(ds, estimator, statistic, seed, n):
+    """Bootstrap ``n`` replicates (one chunk) of ``estimator`` both ways,
+    the reference with the per-dataset ``statistic``, and compare."""
     calls = []
 
     def fit(tensor):
         calls.append(np.array(tensor))
         return estimator.fit(tensor)
 
-    var = bootstrap(ds, BatchEstimator(estimator.point, fit), BootstrapConfig(n, seed))
-    ref = reference(ds, estimator.point, seed, n)
+    var = bootstrap(ds, BatchEstimator(fit), BootstrapConfig(n, seed))
+    ref = reference(ds, statistic, seed, n)
+    # The point is member 0 of a fit of the observed counts.
+    observed = ds.counts_tensor()[None]
+    assert calls[0].shape == observed.shape
+    np.testing.assert_array_equal(calls[0], observed)
+    assert np.array_equal(var.point, statistic(ds), equal_nan=True)
     # Round r fits, in replicate order, the r-th draw of every replicate
     # that needed more than r draws.
+    calls = calls[1:]
     assert len(calls) == max(len(rep.attempts) for rep in ref)
     for r, batch in enumerate(calls):
         expected = [rep.attempts[r] for rep in ref if len(rep.attempts) > r]
@@ -115,14 +131,15 @@ SEEDS = (3, 11)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_estimate_outcome(seed):
     ds = _dataset("c1", 150, seed=seed)
-    check_equivalent(ds, estimate_estimator(ds, "outcome", _mask(ds, "outcome")), seed, 40)
+    est = estimate_estimator(ds, "outcome", _mask(ds, "outcome"))
+    check_equivalent(ds, est, reference_estimate("outcome"), seed, 40)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_estimate_surrogate_projected(seed):
     ds = _dataset("c3", 120, seed=seed)
     est = estimate_estimator(ds, "surrogate", _mask(ds, "surrogate"), project=True)
-    check_equivalent(ds, est, seed, 40)
+    check_equivalent(ds, est, reference_estimate("surrogate", project=True), seed, 40)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -130,41 +147,45 @@ def test_estimate_masked_composite_projected(seed):
     ds = _dataset("c3", 100, seed=seed)
     mask = _mask(ds, "composite", mono_s=True, mono_y=True)
     est = estimate_estimator(ds, "composite", mask, mono_s=True, mono_y=True, project=True)
-    var = check_equivalent(ds, est, seed, 40)
+    ref = reference_estimate("composite", mono_s=True, mono_y=True, project=True)
+    var = check_equivalent(ds, est, ref, seed, 40)
     assert np.isfinite(var.replicates).all()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_estimate_unmasked_composite(seed):
     ds = _dataset("c3", 200, seed=seed)
-    check_equivalent(ds, estimate_estimator(ds, "composite", _mask(ds, "composite")), seed, 30)
+    est = estimate_estimator(ds, "composite", _mask(ds, "composite"))
+    check_equivalent(ds, est, reference_estimate("composite"), seed, 30)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_overid_residuals(seed):
     ds = _dataset("c1", 150, seed=seed)
     theta = binary_transition_params(solve_transitions(build_system(summarize(ds))))
-    check_equivalent(ds, overid_estimator(ds, "outcome", theta), seed, 40)
+    est = overid_estimator(ds, "outcome", theta)
+    check_equivalent(ds, est, reference_overid("outcome", theta), seed, 40)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_target(seed):
     ds = _with_target(_dataset("c1", 150, seed=seed), [40, 55])
-    check_equivalent(ds, target_estimator(ds, "outcome", 2), seed, 40)
+    check_equivalent(ds, target_estimator(ds, "outcome", 2), reference_target("outcome"), seed, 40)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("method", (1, 2, 4))
 def test_psace(seed, method):
     ds = _dataset("c4" if method == 1 else "c3", 200, seed=seed)
-    check_equivalent(ds, psace_estimator(ds, method), seed, 30)
+    check_equivalent(ds, psace_estimator(ds, method), reference_psace(method), seed, 30)
 
 
 def test_psace_method1_clipped_scores():
     # At n_g = 40 some resamples put the treated surrogate rate below the
     # control rate, so clipping changes the scores.
     ds = _dataset("c4", 40, seed=5)
-    check_equivalent(ds, psace_estimator(ds, 1, clip_scores=True), 5, 40)
+    est = psace_estimator(ds, 1, clip_scores=True)
+    check_equivalent(ds, est, reference_psace(1, clip_scores=True), 5, 40)
 
 
 def test_psace_method3_nan_columns():
@@ -172,7 +193,8 @@ def test_psace_method3_nan_columns():
     # identified: the point leaves its strata NaN, the bootstrap solves it
     # minimum-norm in every replicate.
     ds = _dataset("c4", 300, m=3, seed=2)
-    var = check_equivalent(ds, psace_estimator(ds, 3, project=True), 2, 30)
+    est = psace_estimator(ds, 3, project=True)
+    var = check_equivalent(ds, est, reference_psace(3, project=True), 2, 30)
     assert var.n_forced == 30
     assert np.isnan(var.replicates).any()
 
@@ -180,13 +202,22 @@ def test_psace_method3_nan_columns():
 @pytest.mark.parametrize("space", ("surrogate", "outcome"))
 def test_joint_cells(space):
     ds = _dataset("c3", 150, seed=4)
-    check_equivalent(ds, joint_cell_estimator(ds, space), 4, 40)
+    check_equivalent(ds, joint_cell_estimator(ds, space), reference_joint_cells(space), 4, 40)
 
 
 def test_empty_arm_redraws():
     ds = binary_dataset([(30, 30, 1, 0), (20, 40, 30, 30), (35, 25, 30, 30)])
-    var = check_equivalent(ds, estimate_estimator(ds, "outcome", _mask(ds, "outcome")), 2, 60)
+    est = estimate_estimator(ds, "outcome", _mask(ds, "outcome"))
+    var = check_equivalent(ds, est, reference_estimate("outcome"), 2, 60)
     assert var.n_redrawn > 0 and var.n_failed == 0
+
+
+def test_undefined_point_raises():
+    # An empty arm leaves the statistic undefined on the observed counts.
+    ds = binary_dataset([(30, 30, 0, 0), (20, 40, 30, 30), (35, 25, 30, 30)])
+    mask = np.ones((2, 2), dtype=bool)
+    with pytest.raises(EstimationError, match="undefined on the observed counts"):
+        bootstrap(ds, estimate_estimator(ds, "outcome", mask), BootstrapConfig(20, 1))
 
 
 def test_failed_replicates_counted():
@@ -194,7 +225,8 @@ def test_failed_replicates_counted():
     # arms with probability about 0.04, so some replicates fail 100 draws.
     rows = [(40 + 3 * g, 20 + 5 * g, 0, 1) for g in range(7)] + [(30, 30, 25, 35)]
     ds = binary_dataset(rows)
-    var = check_equivalent(ds, estimate_estimator(ds, "outcome", _mask(ds, "outcome")), 0, 40)
+    est = estimate_estimator(ds, "outcome", _mask(ds, "outcome"))
+    var = check_equivalent(ds, est, reference_estimate("outcome"), 0, 40)
     assert var.n_failed == 2
 
 
@@ -202,7 +234,8 @@ def test_rank_deficient_replicate_is_forced():
     # c1 with three trials of 20 units: one of these 200 replicates draws
     # three identical control rows, a design of rank one.
     ds = _dataset("c1", 20, m=3, seed=2)
-    var = check_equivalent(ds, estimate_estimator(ds, "outcome", _mask(ds, "outcome")), 2, 200)
+    est = estimate_estimator(ds, "outcome", _mask(ds, "outcome"))
+    var = check_equivalent(ds, est, reference_estimate("outcome"), 2, 200)
     assert var.n_forced == 1
 
 
@@ -219,7 +252,7 @@ def test_zero_trial_row_uses_no_randomness():
         values = tensor[:, [0, 2]].reshape(n, -1).astype(float)
         return BatchFit(values, np.ones(n, dtype=bool), np.zeros(n, dtype=bool))
 
-    var = check_equivalent(ds, BatchEstimator(point, fit), 6, 20)
+    var = check_equivalent(ds, BatchEstimator(fit), point, 6, 20)
     reduced = binary_dataset([(10, 12, 9, 13), (5, 6, 7, 8)])
     for i in range(20):
         draw = resample_dataset(reduced, replicate_rng(6, i)).counts_tensor()

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from jsonschema import validate
 
-from jointpo.cli import main
-from jointpo.data import serialize_dataset
+import jointpo.cli
+from jointpo.cli import joint_cell_estimator, main
+from jointpo.data import parse_dataset, serialize_dataset
+from jointpo.inference import BootstrapConfig, bootstrap
 from jointpo.report import load_report_schema
 from jointpo.simulate import DgpSpec, simulate_dataset
 from jointpo.special import chi2_sf
@@ -282,6 +284,37 @@ class TestPsace:
         ]
         assert len(cells) == 1 + 2 * 10
 
+    @pytest.mark.parametrize("ci_method", ["normal", "percentile"])
+    def test_plot_data_bootstraps_once(self, capsys, c4_csv, tmp_path, monkeypatch, ci_method):
+        # The psace table and both spaces' joint cells are one statistic:
+        # one bootstrap, whose joint-cell intervals are those of bootstrapping
+        # the joint cells alone when no replicate is redrawn.
+        results = []
+
+        def counted(*args, **kwargs):
+            results.append(bootstrap(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(jointpo.cli, "bootstrap", counted)
+        plot_dir = tmp_path / "plots"
+        run_json(
+            capsys, "psace", "--input", str(c4_csv), "--method", "4", "--boot", "40",
+            "--seed", "6", "--ci-method", ci_method, "--plot-data", str(plot_dir),
+        )
+        assert len(results) == 1
+        assert results[0].n_redrawn == 0
+        rows = [
+            line.split("\t")
+            for line in (plot_dir / "joint_cells.tsv").read_text().splitlines()[1:]
+        ]
+        ds = parse_dataset(c4_csv)
+        config = BootstrapConfig(replicates=40, seed=6, ci_method=ci_method)
+        for space in ("surrogate", "outcome"):
+            alone = bootstrap(ds, joint_cell_estimator(ds, space), config)
+            got = np.array([[float(r[4]), float(r[5])] for r in rows if r[0] == space])
+            np.testing.assert_array_equal(got[:, 0], alone.ci_lower)
+            np.testing.assert_array_equal(got[:, 1], alone.ci_upper)
+
 
     def test_method3_m3_undefined_effects_have_null_intervals(self, capsys, tmp_path):
         # With three trials method 3 identifies no stratum effect; the
@@ -471,6 +504,24 @@ class TestSchemaAndErrors:
         code, _, err = run_cli(capsys, "estimate", "--input", str(p), "--boot", "0")
         assert code == 2
         assert json.loads(err)["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # A count beyond int64, at its first line.
+            (["2,0,NA,0,99999999999999999999"] * 2, "line 10: count 99999999999999999999"),
+            # Counts that fit int64 but whose trial sum does not.
+            ([f"2,0,NA,0,{2**62}", f"2,1,NA,1,{2**62}"], "trial '2': its counts sum to"),
+        ],
+    )
+    def test_counts_beyond_int64_exit_2(self, capsys, tmp_path, rows, message):
+        p = tmp_path / "huge.csv"
+        p.write_text(TOY_TWO_TRIAL + "\n".join(rows) + "\n")
+        code, out, err = run_cli(capsys, "estimate", "--input", str(p), "--boot", "0")
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValidationError" and error["exit_code"] == 2
+        assert error["message"].startswith(message)
 
     def test_inference_failure_exit_code(self, capsys, tmp_path):
         # One treated unit total in trial 2 makes most resamples drop the

@@ -174,6 +174,40 @@ class TestIntegerFields:
             assert str(err.value) == message
 
 
+class TestCountRange:
+    """Counts are int64: a count, or a trial's sum of counts, beyond
+    2**63 - 1 is a validation error, never a wrapped or overflowing sum."""
+
+    HUGE = "99999999999999999999"
+
+    @pytest.mark.parametrize("parse", [parse_dataset, reference_parse_rows])
+    def test_count_beyond_int64_names_its_first_line(self, parse):
+        text = TOY + f"2,0,NA,0,{self.HUGE}\n" * 2
+        with pytest.raises(
+            ValidationError, match=f"^line 6: count {self.HUGE} for trial '2' exceeds"
+        ):
+            parse(io.StringIO(text))
+
+    @pytest.mark.parametrize("parse", [parse_dataset, reference_parse_rows])
+    def test_largest_int64_count_is_accepted(self, parse):
+        ds = parse(io.StringIO(TOY + f"2,0,NA,0,{2**63 - 1}\n2,1,NA,1,0\n"))
+        assert ds.trials[1].counts[0, 0] == 2**63 - 1
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # Two distinct rows whose sum wraps int64.
+            [f"2,0,NA,0,{2**62}", f"2,1,NA,1,{2**62}"],
+            # One row whose repeats sum beyond int64.
+            [f"2,0,NA,1,{2**62}"] * 2 + ["2,1,NA,0,1"],
+        ],
+    )
+    def test_trial_sum_beyond_int64_names_the_trial(self, rows):
+        text = TOY + "\n".join(rows) + "\n"
+        with pytest.raises(ValidationError, match=r"^trial '2': its counts sum to \d+, beyond 2\*\*63 - 1$"):
+            _parse(text)
+
+
 class TestUnitRowErrors:
     """A bad row is reported at its first line, however often it repeats."""
 
