@@ -8,7 +8,9 @@ transportability), ``psace`` (principal stratification effects),
 
 Reports are canonical JSON (sorted keys) written to stdout or
 ``--output``; identical inputs, statistical flags and seed produce
-byte-identical reports (``--workers`` is accepted and has no effect).
+byte-identical reports. ``--workers`` sets the threads of ``simulate``'s
+study replicates (default: the usable CPUs) and never changes a report;
+every other command runs in one thread and ignores it.
 Exit codes: 0 success, 2 validation, 3 identification, 4 inference
 failure. Errors are mirrored as a JSON object on stderr.
 
@@ -440,6 +442,10 @@ def cmd_estimate(args) -> dict:
 
 
 def cmd_test(args) -> dict:
+    if args.ci_method != "normal":
+        raise ValidationError(
+            f"test reports normal intervals only; --ci-method {args.ci_method} is not supported"
+        )
     dataset, info = _load(args)
     summaries = summarize(dataset)
     system = build_system(summaries, args.space)
@@ -703,7 +709,7 @@ def cmd_simulate(args) -> dict:
     m = pick(args.m, "m", 10)
 
     spec = DgpSpec(case=str(case).lower(), n_g=int(n_g), m=int(m))
-    result = run_study(spec, int(reps), int(boot), int(seed))
+    result = run_study(spec, int(reps), int(boot), int(seed), workers=args.workers)
     if args.table:
         sys.stderr.write(format_study_table(result))
     if args.replicates_csv:
@@ -835,13 +841,15 @@ def _add_common(parser, *, needs_input=True):
         choices=("normal", "percentile"),
         default="normal",
         help="bootstrap interval method of estimate, target and psace (with "
-        "--plot-data, also of its joint cells); test's intervals are normal",
+        "--plot-data, also of its joint cells); test accepts normal only",
     )
     parser.add_argument(
         "--workers",
         type=int,
-        default=1,
-        help="accepted for compatibility; has no effect (every command runs in one thread)",
+        default=None,
+        help="threads of simulate's study replicates, at least 1 (default: the "
+        "usable CPUs); reports are identical for any value; every other command "
+        "runs in one thread and ignores it",
     )
     parser.add_argument("--output", default=None, help="report path (default stdout)")
     parser.add_argument(

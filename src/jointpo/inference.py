@@ -14,8 +14,10 @@ member 0 of the same batch form fitted on the observed counts, so the
 statistic exists in one form only. A plain dataset-to-vector estimator
 is evaluated on the dataset for the point and fitted one resampled
 dataset at a time. Either way replicate ``i`` comes from
-``replicate_rng(seed, i)``. The bootstrap runs in one thread, as every
-command does; the CLI's ``--workers`` has no effect.
+``replicate_rng(seed, i)``. The bootstrap runs in one thread; its
+``workers`` argument, like the CLI's ``--workers`` outside ``simulate``,
+has no effect. :data:`_CHUNK` bounds the members fitted together, here and
+in the Monte Carlo studies of :mod:`jointpo.simulate`.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from .special import chi2_sf, normal_quantile
 
 _MAX_REDRAWS = 100
 _MAX_FAILURE_FRACTION = 0.10
-#: Replicates drawn and fitted together; bounds the count tensor's memory.
+#: Stack members drawn and fitted together; bounds the count tensor's
+#: memory (a Monte Carlo study chunk holds ``_CHUNK // (1 + B)`` replicates).
 _CHUNK = 256
 #: Residuals below this magnitude count as an exact fit (a just-identified
 #: solve is exact up to rounding, so its test statistic must vanish).

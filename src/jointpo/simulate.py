@@ -16,21 +16,28 @@ Every case is estimated by a :class:`Pipeline`: arm frequencies of a
 stack of count matrices fed to the package's least-squares kernel
 (:func:`~jointpo.transition.least_squares`, or through
 :func:`~jointpo.principal.method1_arrays` for the four-step estimator),
-so the studies measure the solver and rank rule the CLI applies. A
-study replicate fits its point estimate and its bootstrap resamples as
-one stack. Replicates derive their own generators from the master seed,
-so studies are reproducible; they run in one thread, and ``workers`` is
-accepted and changes nothing. Coverage uses normal intervals
-``point +- 1.96 * se`` with the bootstrap standard error.
+so the studies measure the solver and rank rule the CLI applies.
+
+Replicate ``i`` of a study draws its dataset and its bootstrap resamples
+from ``replicate_rng(seed, i)``, so studies are reproducible. Replicates
+are drawn and fitted in chunks, each chunk's points and resamples as one
+stack, and the chunks run on a pool of ``workers`` threads (by default the
+usable CPUs): the multinomial draws and the QR factorizations release the
+interpreter lock. Every kernel works member by member and results land by
+replicate index, so studies are bit-identical for any ``workers`` and
+chunk size. Coverage uses normal intervals ``point +- 1.96 * se`` with
+the bootstrap standard error.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from . import inference
 from .data import MultiTrialDataset, TrialCellCounts
 from .errors import InferenceError, ValidationError
 from .inference import replicate_rng
@@ -220,10 +227,9 @@ def dgp_population(spec: DgpSpec) -> Population:
 def _draw_counts(
     cell_probs: np.ndarray, n_g: int, rng: np.random.Generator
 ) -> np.ndarray:
-    counts = np.empty_like(cell_probs, dtype=np.int64)
-    for g in range(cell_probs.shape[0]):
-        counts[g] = rng.multinomial(n_g, cell_probs[g])
-    return counts
+    """One ``(m, cells)`` count matrix, ``n_g`` units per trial, drawn trial
+    by trial in one call."""
+    return rng.multinomial(n_g, cell_probs)
 
 
 def simulate_dataset(spec: DgpSpec, seed: int) -> MultiTrialDataset:
@@ -244,34 +250,39 @@ def simulate_dataset(spec: DgpSpec, seed: int) -> MultiTrialDataset:
     return MultiTrialDataset(trials=tuple(trials))
 
 
-def _resample_counts(
-    counts: np.ndarray,
-    n_draws: int,
-    rng: np.random.Generator,
-    valid: Callable[[np.ndarray], np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stratified multinomial resamples of a count matrix.
-
-    Returns a (n_draws, m, cells) batch plus a keep mask; batch members
-    failing ``valid`` are redrawn up to 100 rounds and dropped after.
-    """
-    m, c = counts.shape
+def _resample(counts: np.ndarray, n_draws: int, rng: np.random.Generator) -> np.ndarray:
+    """``(n_draws, m, cells)`` stratified multinomial resamples of a count
+    matrix, drawn in one call: all of trial 0's, then trial 1's, ..."""
     totals = counts.sum(axis=1)
     probs = counts / totals[:, None]
-    batch = np.empty((n_draws, m, c), dtype=np.int64)
-    for g in range(m):
-        batch[:, g, :] = rng.multinomial(int(totals[g]), probs[g], size=n_draws)
-    keep = valid(batch)
+    draws = rng.multinomial(totals[:, None], probs[:, None, :], size=(len(counts), n_draws))
+    return draws.swapaxes(0, 1)
+
+
+def _resample_stacks(
+    stacks: np.ndarray,
+    rngs: list[np.random.Generator],
+    valid: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Fill members ``1:`` of each ``(1 + B, m, cells)`` stack with
+    stratified resamples of its member 0, each stack from its own generator.
+
+    Returns the ``(len(stacks), B)`` keep mask: resamples failing ``valid``
+    are redrawn, up to 100 rounds, and dropped after.
+    """
+    draws = stacks[:, 1:]
+    for stack, rng in zip(stacks, rngs):
+        stack[1:] = _resample(stack[0], draws.shape[1], rng)
+    keep = valid(draws)
     for _ in range(_MAX_REDRAWS):
-        if keep.all():
+        bad = ~keep
+        if not bad.any():
             break
-        bad = np.flatnonzero(~keep)
-        for g in range(m):
-            batch[bad, g, :] = rng.multinomial(
-                int(totals[g]), probs[g], size=bad.size
-            )
-        keep[bad] = valid(batch[bad])
-    return batch, keep
+        for stack, rng, redo in zip(stacks, rngs, bad):
+            if redo.any():
+                stack[1:][redo] = _resample(stack[0], int(redo.sum()), rng)
+        keep[bad] = valid(draws[bad])
+    return keep
 
 
 def _arms_positive(batch: np.ndarray) -> np.ndarray:
@@ -369,20 +380,11 @@ class Pipeline:
     def bootstrap(
         self, counts: np.ndarray, n_draws: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
-        batch, keep = _resample_counts(counts, n_draws, rng, self.valid)
-        values, ok = self.fit(batch)
+        stack = np.empty((1, 1 + n_draws) + counts.shape, dtype=np.int64)
+        stack[0, 0] = counts
+        keep = _resample_stacks(stack, [rng], self.valid)[0]
+        values, ok = self.fit(stack[0, 1:])
         return values, keep & ok
-
-    def replicate(
-        self, counts: np.ndarray, n_draws: int, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`point` and :meth:`bootstrap` of one study replicate, fitted
-        together as one stack of ``1 + n_draws`` members."""
-        batch, keep = _resample_counts(counts, n_draws, rng, self.valid)
-        values, ok = self.fit(np.concatenate([counts[None], batch]))
-        if not ok[0]:
-            raise InferenceError(f"singular design in the {self.name} point estimate")
-        return values[0], values[1:], keep & ok[1:]
 
 
 #: Names of the built-in estimators, kept for their callers; each builds
@@ -428,6 +430,64 @@ class StudyResult:
     metrics: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+def _thread_count(workers: int | None) -> int:
+    """Threads a study may use: ``workers``, or by default the CPUs this
+    process may run on."""
+    if workers is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    if workers < 1:
+        raise ValidationError(f"workers must be at least 1, got {workers}")
+    return workers
+
+
+def _run_chunks(
+    cell_probs: np.ndarray,
+    n_g: int,
+    replicates: int,
+    n_draws: int,
+    seed: int,
+    valid: Callable[[np.ndarray], np.ndarray],
+    finish: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
+    threads: int,
+) -> None:
+    """Draw every study replicate and hand its chunk to ``finish``.
+
+    Replicate ``i`` draws its observed counts, then ``n_draws`` resamples
+    (redrawing those failing ``valid``), all from ``replicate_rng(seed, i)``.
+    Chunks of ``max(1, inference._CHUNK // (1 + n_draws))`` replicates run on
+    a pool of at most ``threads`` threads; ``finish(index, stacks, keep)``
+    gets a chunk's replicate indices, its ``(len(index), 1 + n_draws, m,
+    cells)`` count stacks and ``(len(index), n_draws)`` keep mask, and
+    stores its results by index. Warnings would race the caller's
+    ``warnings.catch_warnings``, so floating-point ones are silenced.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    def work(index: np.ndarray) -> None:
+        rngs = [replicate_rng(seed, int(i)) for i in index]
+        stacks = np.empty((len(index), 1 + n_draws) + cell_probs.shape, dtype=np.int64)
+        with np.errstate(all="ignore"):
+            for stack, rng in zip(stacks, rngs):
+                stack[0] = _draw_counts(cell_probs, n_g, rng)
+            finish(index, stacks, _resample_stacks(stacks, rngs, valid))
+
+    size = max(1, inference._CHUNK // (1 + n_draws))
+    chunks = [np.arange(i, min(i + size, replicates)) for i in range(0, replicates, size)]
+    if not chunks:
+        return
+    with ThreadPoolExecutor(min(threads, len(chunks))) as pool:
+        for _ in pool.map(work, chunks):
+            pass
+
+
+def _members(stacks: np.ndarray) -> np.ndarray:
+    """The ``(n, 1 + B, m, cells)`` stacks as one ``(n * (1 + B), m, cells)``
+    stack of count matrices."""
+    return stacks.reshape((-1,) + stacks.shape[2:])
+
+
 def run_study(
     spec: DgpSpec,
     replicates: int,
@@ -435,40 +495,60 @@ def run_study(
     seed: int,
     *,
     pipeline=None,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> StudyResult:
     """Replicate a simulation case and summarize estimator performance.
 
     Per replicate: draw a dataset, estimate the case parameters, and
     attach bootstrap standard errors from ``bootstrap_replicates``
-    stratified resamples. A :class:`Pipeline` fits both in one call; any
-    other ``pipeline`` needs ``point(counts)`` and
-    ``bootstrap(counts, n_draws, rng)``. Failed replicates (beyond 5%)
-    abort the study. ``workers`` is accepted and changes nothing.
+    stratified resamples. Replicate ``i`` draws everything from
+    ``replicate_rng(seed, i)``. A :class:`Pipeline` fits the points and
+    resamples of a chunk of replicates as one stack, chunks spread over
+    ``workers`` threads (default: the usable CPUs); the result is
+    bit-identical for any ``workers``. Any other ``pipeline`` needs
+    ``point(counts)`` and ``bootstrap(counts, n_draws, rng)`` and runs one
+    replicate at a time in the calling thread. A replicate fails when its
+    point is undefined or fewer than 90% of its resamples are kept; more
+    than 5% failed replicates abort the study.
     """
     if replicates < 2:
         raise ValidationError("a study needs at least 2 replicates")
     if bootstrap_replicates < 2:
         raise ValidationError("bootstrap needs at least 2 replicates")
+    threads = _thread_count(workers)
     population = dgp_population(spec)
     pipe = pipeline if pipeline is not None else default_pipeline(spec, population)
     width = len(pipe.param_names)
     estimates = np.full((replicates, width), np.nan)
     ses = np.full((replicates, width), np.nan)
 
-    for i in range(replicates):
-        rng = replicate_rng(seed, i)
-        counts = _draw_counts(population.cell_probs, spec.n_g, rng)
-        try:
-            if isinstance(pipe, Pipeline):
-                point, draws, keep = pipe.replicate(counts, bootstrap_replicates, rng)
-            else:
-                point = pipe.point(counts)
-                draws, keep = pipe.bootstrap(counts, bootstrap_replicates, rng)
-        except InferenceError:
-            continue
+    def record(i, point, draws, keep):
         if keep.sum() >= 0.9 * bootstrap_replicates:
             estimates[i], ses[i] = point, draws[keep].std(axis=0, ddof=1)
+
+    def finish(index, stacks, keep):
+        values, ok = pipe.fit(_members(stacks))
+        values = values.reshape(stacks.shape[:2] + (width,))
+        ok = ok.reshape(stacks.shape[:2])
+        for i, v, o, k in zip(index, values, ok, keep):
+            if o[0]:
+                record(i, v[0], v[1:], k & o[1:])
+
+    if isinstance(pipe, Pipeline):
+        _run_chunks(
+            population.cell_probs, spec.n_g, replicates, bootstrap_replicates, seed,
+            pipe.valid, finish, threads,
+        )
+    else:
+        for i in range(replicates):
+            rng = replicate_rng(seed, i)
+            counts = _draw_counts(population.cell_probs, spec.n_g, rng)
+            try:
+                point = pipe.point(counts)
+                draws, keep = pipe.bootstrap(counts, bootstrap_replicates, rng)
+            except InferenceError:
+                continue
+            record(i, point, draws, keep)
 
     failed = np.isnan(estimates).any(axis=1) | np.isnan(ses).any(axis=1)
     n_failed = int(failed.sum())
@@ -499,33 +579,46 @@ def overid_size_study(
     bootstrap_replicates: int,
     seed: int,
     *,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> np.ndarray:
     """P-values of the overidentification test across simulated replicates.
 
     Each replicate bootstraps the per-trial residual standard errors:
     the spread, across resamples, of each trial's deviation from the
-    point fit. ``workers`` is accepted and changes nothing.
+    point fit. Replicates are drawn and fitted in chunks over ``workers``
+    threads as in :func:`run_study`, with bit-identical p-values for any
+    ``workers``.
     """
+    threads = _thread_count(workers)
     population = dgp_population(spec)
     if population.has_surrogate:
         raise ValidationError("the size study runs on binary-outcome cases")
     m = population.cell_probs.shape[0]
     df = m - 2
     p_values = np.empty(replicates)
-    for i in range(replicates):
-        rng = replicate_rng(seed, i)
-        counts = _draw_counts(population.cell_probs, spec.n_g, rng)
-        batch, keep = _resample_counts(counts, bootstrap_replicates, rng, _arms_positive)
-        design, response = _binary_arms(np.concatenate([counts[None], batch]))
+
+    def finish(index, stacks, keep):
+        design, response = _binary_arms(_members(stacks))
         coef, ok = least_squares(design, response[..., None])
-        if not ok[0]:
-            raise InferenceError("singular design in point estimation")
-        # Residuals of the point fit, and each resample's deviation from it.
-        residuals = response - (design @ coef[0])[..., 0]
-        sigma = residuals[1:][keep & ok[1:]].std(axis=0, ddof=1)
-        if (sigma == 0).any():
-            p_values[i] = np.nan
-        else:
-            p_values[i] = chi2_sf(float(np.sum((residuals[0] / sigma) ** 2)), df)
+        per_replicate = (
+            a.reshape(stacks.shape[:2] + a.shape[1:]) for a in (design, response, coef, ok)
+        )
+        for i, d, r, c, o, k in zip(index, *per_replicate, keep):
+            if not o[0]:
+                raise InferenceError("singular design in point estimation")
+            # Residuals of the point fit, and each resample's deviation from it.
+            residuals = r - (d @ c[0])[..., 0]
+            kept = residuals[1:][k & o[1:]]
+            # With fewer than two kept resamples the spread is undefined (and
+            # ``std`` would warn).
+            sigma = kept.std(axis=0, ddof=1) if len(kept) > 1 else np.full(m, np.nan)
+            if (sigma == 0).any():
+                p_values[i] = np.nan
+            else:
+                p_values[i] = chi2_sf(float(np.sum((residuals[0] / sigma) ** 2)), df)
+
+    _run_chunks(
+        population.cell_probs, spec.n_g, replicates, bootstrap_replicates, seed,
+        _arms_positive, finish, threads,
+    )
     return p_values

@@ -23,13 +23,21 @@ from jointpo.data import (
     summarize,
 )
 from jointpo.errors import ParseError, SchemaError, ValidationError
-from jointpo.inference import transition_residuals
+from jointpo.inference import replicate_rng, transition_residuals
 from jointpo.principal import method1_estimate, method4_estimate, monotone_variant_estimate
+from jointpo.simulate import (
+    Pipeline,
+    _arms_positive,
+    _binary_arms,
+    dgp_population,
+)
+from jointpo.special import chi2_sf
 from jointpo.transition import (
     binary_transition_params,
     build_system,
     estimand_vectors,
     joint_from_transitions,
+    least_squares,
     solve_transitions,
 )
 
@@ -351,3 +359,79 @@ def reference_joint_cells(space: str):
         return np.array([_joint(t, summary, space)[1, 0] for summary in s.trials])
 
     return statistic
+
+
+# Reference Monte Carlo studies: one replicate at a time, drawing trial by
+# trial as ``simulate`` did before it drew each replicate's counts in one
+# ``multinomial`` call and fitted replicates in chunks over threads.
+
+
+def _reference_draws(cell_probs, n_g, n_draws, rng, valid):
+    """A replicate's observed counts, its resamples, their keep mask and the
+    number of resamples redrawn at least once."""
+    m, c = cell_probs.shape
+    counts = np.empty((m, c), dtype=np.int64)
+    for g in range(m):
+        counts[g] = rng.multinomial(n_g, cell_probs[g])
+    totals = counts.sum(axis=1)
+    probs = counts / totals[:, None]
+    batch = np.empty((n_draws, m, c), dtype=np.int64)
+    for g in range(m):
+        batch[:, g, :] = rng.multinomial(int(totals[g]), probs[g], size=n_draws)
+    keep = valid(batch)
+    redrawn = ~keep
+    for _ in range(100):
+        if keep.all():
+            break
+        bad = np.flatnonzero(~keep)
+        for g in range(m):
+            batch[bad, g, :] = rng.multinomial(int(totals[g]), probs[g], size=bad.size)
+        keep[bad] = valid(batch[bad])
+    return counts, batch, keep, int(redrawn.sum())
+
+
+def reference_run_study(spec, replicates: int, n_draws: int, seed: int):
+    """``simulate.run_study`` without its 5% abort: the kept estimates and
+    standard errors, the number of failed replicates and the number of
+    resamples redrawn."""
+    pop = dgp_population(spec)
+    pipe = Pipeline(pop)
+    width = len(pipe.param_names)
+    estimates = np.full((replicates, width), np.nan)
+    ses = np.full((replicates, width), np.nan)
+    n_redrawn = 0
+    for i in range(replicates):
+        rng = replicate_rng(seed, i)
+        counts, batch, keep, redrawn = _reference_draws(
+            pop.cell_probs, spec.n_g, n_draws, rng, pipe.valid
+        )
+        n_redrawn += redrawn
+        with np.errstate(all="ignore"):
+            values, ok = pipe.fit(np.concatenate([counts[None], batch]))
+        keep = keep & ok[1:]
+        if ok[0] and keep.sum() >= 0.9 * n_draws:
+            estimates[i], ses[i] = values[0], values[1:][keep].std(axis=0, ddof=1)
+    failed = np.isnan(estimates).any(axis=1) | np.isnan(ses).any(axis=1)
+    return estimates[~failed], ses[~failed], int(failed.sum()), n_redrawn
+
+
+def reference_overid_size_study(spec, replicates: int, n_draws: int, seed: int):
+    """``simulate.overid_size_study``, one replicate at a time."""
+    pop = dgp_population(spec)
+    df = pop.cell_probs.shape[0] - 2
+    p_values = np.empty(replicates)
+    for i in range(replicates):
+        rng = replicate_rng(seed, i)
+        counts, batch, keep, _ = _reference_draws(
+            pop.cell_probs, spec.n_g, n_draws, rng, _arms_positive
+        )
+        design, response = _binary_arms(np.concatenate([counts[None], batch]))
+        coef, ok = least_squares(design, response[..., None])
+        assert ok[0]
+        residuals = response - (design @ coef[0])[..., 0]
+        sigma = residuals[1:][keep & ok[1:]].std(axis=0, ddof=1)
+        if (sigma == 0).any():
+            p_values[i] = np.nan
+        else:
+            p_values[i] = chi2_sf(float(np.sum((residuals[0] / sigma) ** 2)), df)
+    return p_values

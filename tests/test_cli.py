@@ -197,6 +197,19 @@ class TestTest:
         )
         assert report["results"]["df"] == 10 - 2
 
+    def test_percentile_ci_method_exits_2(self, c1_csv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "jointpo.cli", "test", "--input", str(c1_csv),
+             "--boot", "20", "--seed", "3", "--ci-method", "percentile"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        error = json.loads(proc.stderr)["error"]
+        assert error["type"] == "ValidationError" and error["exit_code"] == 2
+        assert "normal intervals only" in error["message"]
+
     def test_plot_data_files(self, capsys, c1_csv, tmp_path):
         plot_dir = tmp_path / "plots"
         run_json(
@@ -437,6 +450,21 @@ class TestSimulate:
         _, out2 = run_json(capsys, *args, "--workers", "4")
         _, out3 = run_json(capsys, *args)
         assert out1 == out2 == out3
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exits_2(self, workers):
+        proc = subprocess.run(
+            [sys.executable, "-m", "jointpo.cli", "simulate", "--case", "c1",
+             "--ng", "80", "--reps", "4", "--boot", "6", "--seed", "2",
+             "--workers", workers],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        error = json.loads(proc.stderr)["error"]
+        assert error["type"] == "ValidationError" and error["exit_code"] == 2
+        assert error["message"] == f"workers must be at least 1, got {workers}"
 
     def test_table_goes_to_stderr(self, capsys):
         code, out, err = run_cli(

@@ -1,17 +1,28 @@
+import concurrent.futures
+import os
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
+import jointpo.inference
+from helpers import _reference_draws, reference_overid_size_study, reference_run_study
 from jointpo.data import summarize
-from jointpo.errors import ValidationError
+from jointpo.errors import InferenceError, ValidationError
+from jointpo.inference import replicate_rng
 from jointpo.principal import method1_estimate
 from jointpo.simulate import (
     BinaryTransitionPipeline,
     CompositeTransitionPipeline,
     DgpSpec,
+    Pipeline,
     Population,
     PrincipalFourStepPipeline,
+    _thread_count,
     compute_metrics,
     dgp_population,
+    overid_size_study,
     run_study,
     simulate_dataset,
 )
@@ -209,3 +220,147 @@ class TestRunStudy:
         assert np.abs(res.metrics["bias"]).max() < 0.05
         assert 0.02 < res.metrics["sd"][0] < 0.15
         assert 0.75 <= res.metrics["cp95"].min() <= 1.0
+
+
+# Studies checked against the one-replicate-at-a-time reference: (spec,
+# replicates, bootstrap replicates, seed). With B = 9 a stack member chunk
+# of 23 holds 2 replicates and the default of 256 holds 25, so 29
+# replicates end on a partial chunk; 10**6 puts them all in one chunk.
+STUDIES = {
+    "c1": (DgpSpec(case="c1", n_g=120), 29, 9, 5),
+    "c2": (DgpSpec(case="c2", n_g=100), 29, 9, 6),
+    "c3": (DgpSpec(case="c3", n_g=150), 29, 9, 7),
+    "c4": (DgpSpec(case="c4", n_g=150), 29, 9, 8),
+    # Empty arms and empty treated-s0 or control-s1 pools make 108 of the
+    # 261 resamples redraw, and one replicate fail.
+    "c4-redraws": (DgpSpec(case="c4", n_g=8), 29, 9, 3),
+    # Three replicates fail: undefined points and too few kept resamples.
+    "c1-failures": (DgpSpec(case="c1", n_g=10), 60, 10, 1),
+}
+CHUNKS = (1, 7, 23, 256, 10**6)
+_REFERENCES = {}
+
+
+def _reference(name):
+    if name not in _REFERENCES:
+        _REFERENCES[name] = reference_run_study(*STUDIES[name])
+    return _REFERENCES[name]
+
+
+def _assert_matches_reference(result, reference):
+    estimates, ses, n_failed, _ = reference
+    np.testing.assert_array_equal(result.estimates, estimates)
+    np.testing.assert_array_equal(result.ses, ses)
+    assert result.n_failed == n_failed
+
+
+class TestChunkedStudy:
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("workers", (1, 2, 3))
+    @pytest.mark.parametrize("name", sorted(STUDIES))
+    def test_bit_identical_to_reference(self, monkeypatch, name, workers, chunk):
+        monkeypatch.setattr(jointpo.inference, "_CHUNK", chunk)
+        result = run_study(*STUDIES[name], workers=workers)
+        _assert_matches_reference(result, _reference(name))
+
+    def test_many_threads_with_frequent_switches(self, monkeypatch):
+        # More threads than cores, switching often: a result written to the
+        # wrong row or lost would break the equality.
+        monkeypatch.setattr(jointpo.inference, "_CHUNK", 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = run_study(*STUDIES["c1-failures"], workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        _assert_matches_reference(result, _reference("c1-failures"))
+
+    def test_reference_studies_exercise_redraws_and_failures(self):
+        assert _reference("c4-redraws")[3] == 108
+        assert _reference("c4-redraws")[2] == 1
+        assert _reference("c1-failures")[2] == 3
+        assert all(_reference(name)[2] == 0 for name in ("c1", "c2", "c3", "c4"))
+
+    @pytest.mark.parametrize("workers", (None, 2))
+    def test_fewer_replicates_than_one_chunk(self, workers):
+        spec = DgpSpec(case="c3", n_g=150)
+        result = run_study(spec, 5, 9, 7, workers=workers)
+        _assert_matches_reference(result, reference_run_study(spec, 5, 9, 7))
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_too_many_failures_abort_with_reference_count(self, workers):
+        spec = DgpSpec(case="c1", n_g=8)
+        n_failed = reference_run_study(spec, 60, 10, 1)[2]
+        assert n_failed > 3
+        with pytest.raises(InferenceError, match=f"^{n_failed} of 60 study replicates failed"):
+            run_study(spec, 60, 10, 1, workers=workers)
+
+    def test_workers_emit_no_warnings(self):
+        # Undefined points divide by empty arms inside the worker threads.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_study(*STUDIES["c1-failures"], workers=2)
+            overid_size_study(DgpSpec(case="c1", n_g=40), 20, 9, 2, workers=2)
+        assert caught == []
+
+    def test_pool_has_no_more_threads_than_chunks(self, monkeypatch):
+        sizes = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        spec = DgpSpec(case="c1", n_g=120)
+        # 256 // (1 + 9) = 25 replicates a chunk: 60 replicates are 3 chunks.
+        run_study(spec, 60, 9, 5, workers=8)
+        run_study(spec, 60, 9, 5, workers=2)
+        run_study(spec, 20, 9, 5, workers=8)
+        assert sizes == [3, 2, 1]
+
+    def test_workers_below_one_rejected(self):
+        spec = DgpSpec(case="c1", n_g=120)
+        for workers in (0, -1):
+            with pytest.raises(ValidationError, match="workers must be at least 1"):
+                run_study(spec, 4, 4, 1, workers=workers)
+            with pytest.raises(ValidationError, match="workers must be at least 1"):
+                overid_size_study(spec, 4, 4, 1, workers=workers)
+        pop = dgp_population(spec)
+        with pytest.raises(ValidationError, match="workers must be at least 1"):
+            run_study(spec, 4, 4, 1, pipeline=_TruthPipeline(pop.truth), workers=0)
+
+    def test_default_workers_are_the_usable_cpus(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert _thread_count(None) == len(os.sched_getaffinity(0))
+        else:
+            assert _thread_count(None) == (os.cpu_count() or 1)
+        assert _thread_count(3) == 3
+
+    def test_pipeline_bootstrap_matches_reference_draws(self):
+        spec = DgpSpec(case="c4", n_g=8)
+        pop = dgp_population(spec)
+        pipe = Pipeline(pop)
+        counts, batch, keep, redrawn = _reference_draws(
+            pop.cell_probs, spec.n_g, 40, replicate_rng(3, 0), pipe.valid
+        )
+        assert redrawn > 0
+        rng = replicate_rng(3, 0)
+        observed = rng.multinomial(spec.n_g, pop.cell_probs)
+        np.testing.assert_array_equal(observed, counts)
+        values, kept = pipe.bootstrap(observed, 40, rng)
+        expected, ok = pipe.fit(batch)
+        np.testing.assert_array_equal(values, expected)
+        np.testing.assert_array_equal(kept, keep & ok)
+
+
+class TestChunkedOveridSize:
+    @pytest.mark.parametrize("chunk", (1, 23, 10**6))
+    @pytest.mark.parametrize("workers", (1, 2, 3))
+    def test_bit_identical_to_reference(self, monkeypatch, workers, chunk):
+        spec = DgpSpec(case="c1", n_g=200)
+        if "overid" not in _REFERENCES:
+            _REFERENCES["overid"] = reference_overid_size_study(spec, 29, 9, 4)
+        monkeypatch.setattr(jointpo.inference, "_CHUNK", chunk)
+        p_values = overid_size_study(spec, 29, 9, 4, workers=workers)
+        np.testing.assert_array_equal(p_values, _REFERENCES["overid"])
