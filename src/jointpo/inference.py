@@ -3,9 +3,9 @@
 Bootstrap resampling is stratified: within every trial the cell counts
 are redrawn as a multinomial over that trial's cells with the original
 trial total, which is equivalent to resampling units within the trial.
-Each replicate derives its own generator from the master seed and the
-replicate index, so a seed always gives the same resamples and results
-do not depend on how replicates are grouped.
+The resampler :class:`_Draws` and the redraw loop :func:`_redraw` also
+serve the Monte Carlo studies of :mod:`jointpo.simulate`, which draw all of
+a study replicate's resamples from one generator.
 
 :func:`bootstrap` draws the replicates into a ``(B, n_trials, cells)``
 count tensor and fits them in one batched call when the estimator is a
@@ -14,10 +14,9 @@ member 0 of the same batch form fitted on the observed counts, so the
 statistic exists in one form only. A plain dataset-to-vector estimator
 is evaluated on the dataset for the point and fitted one resampled
 dataset at a time. Either way replicate ``i`` comes from
-``replicate_rng(seed, i)``. The bootstrap runs in one thread; its
-``workers`` argument, like the CLI's ``--workers`` outside ``simulate``,
-has no effect. :data:`_CHUNK` bounds the members fitted together, here and
-in the Monte Carlo studies of :mod:`jointpo.simulate`.
+``replicate_rng(seed, i)``, so a seed always gives the same resamples
+however replicates are grouped. The bootstrap runs in one thread;
+:data:`_CHUNK` bounds the members fitted together, here and in the studies.
 """
 
 from __future__ import annotations
@@ -126,22 +125,52 @@ class _Draws:
         self.shape = tensor.shape
         totals = tensor.sum(axis=1)
         self.live = totals > 0
-        self.totals = totals[self.live]
-        self.probs = tensor[self.live] / self.totals[:, None]
+        # Shaped (trials, 1) and (trials, 1, cells) to broadcast over n draws.
+        self.totals = totals[self.live, None]
+        self.probs = (tensor[self.live] / self.totals)[:, None, :]
 
-    def draw(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        out = np.zeros((len(rngs),) + self.shape, dtype=np.int64)
-        if self.totals.size:
-            for row, rng in zip(out, rngs):
-                row[self.live] = rng.multinomial(self.totals, self.probs)
-        return out
+    def draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Fill the zeroed ``(n, trials, cells)`` ``out`` with ``n`` resamples
+        from one ``rng`` call, trial-major (at ``n = 1``, the stream of
+        ``rng.multinomial(totals, probs)``)."""
+        out[:, self.live] = rng.multinomial(
+            self.totals, self.probs, size=(len(self.totals), len(out))
+        ).swapaxes(0, 1)
+
+
+def _redraw(
+    samplers: Sequence[_Draws], rngs: Sequence[np.random.Generator], n: int, accept, max_draws: int
+) -> np.ndarray:
+    """Draw ``n`` members from each stream ``samplers[s]``, ``rngs[s]`` (member
+    ``s * n + j`` is its ``j``-th), then redraw from its own stream each member
+    that ``accept(members, draws)`` rejects, up to ``max_draws`` draws in all.
+    A round calls ``accept`` once, on the sorted pending members and their
+    resamples. Returns the draws each member took to be accepted (0: never)."""
+    pending = np.arange(len(rngs) * n)
+    tries = np.zeros(pending.size, dtype=np.int64)
+    for attempt in range(max_draws):
+        draws = np.zeros((pending.size,) + samplers[0].shape, dtype=np.int64)
+        # Stream s's pending members are rows bounds[s]:bounds[s + 1].
+        bounds = np.searchsorted(pending, np.arange(len(rngs) + 1) * n).tolist()
+        for s, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            if hi > lo:
+                samplers[s].draw(rngs[s], draws[lo:hi])
+        ok = accept(pending, draws)
+        tries[pending[ok]] = attempt + 1
+        pending = pending[~ok]
+        if pending.size == 0:
+            break
+    return tries
 
 
 def resample_dataset(
     dataset: MultiTrialDataset, rng: np.random.Generator
 ) -> MultiTrialDataset:
     """One stratified resample: per-trial multinomial redraw of all cells."""
-    return dataset.with_counts(_Draws(dataset.counts_tensor()).draw([rng])[0])
+    counts = dataset.counts_tensor()
+    out = np.zeros((1,) + counts.shape, dtype=np.int64)
+    _Draws(counts).draw(rng, out)
+    return dataset.with_counts(out[0])
 
 
 def _per_dataset(
@@ -192,7 +221,6 @@ def bootstrap(
     config: BootstrapConfig,
     *,
     names: Sequence[str] | None = None,
-    workers: int = 1,
 ) -> VarianceEstimate:
     """Stratified bootstrap of a :class:`BatchEstimator` or of a plain
     dataset-to-vector estimator.
@@ -204,9 +232,8 @@ def bootstrap(
     drawn and fitted in chunks; one whose resample breaks the estimator (an
     empty arm, a rank failure) is redrawn from its own generator, up to 100
     draws in all, and counted as failed afterwards; more than 10% failed
-    replicates abort with :class:`InferenceError`. ``workers`` is accepted
-    for compatibility and changes nothing: fixed ``(seed, replicates)``
-    give bit-identical results.
+    replicates abort with :class:`InferenceError`. Fixed
+    ``(seed, replicates)`` give bit-identical results.
     """
     # NaN coordinates are legitimate results (undefined quantities); only
     # estimator exceptions count as a failed resample.
@@ -222,33 +249,29 @@ def bootstrap(
 
     n = config.replicates
     draws = np.full((n, point.size), np.nan)
-    success = np.zeros(n, dtype=bool)
     forced = np.zeros(n, dtype=bool)
-    redrawn = np.zeros(n, dtype=bool)
+    tries = np.zeros(n, dtype=np.int64)
     sampler = _Draws(dataset.counts_tensor())
     for start in range(0, n, _CHUNK):
         index = np.arange(start, min(start + _CHUNK, n))
-        rngs = [replicate_rng(config.seed, int(i)) for i in index]
-        pending = index
-        for attempt in range(_MAX_REDRAWS):
-            result = fit(sampler.draw([rngs[i - start] for i in pending]))
-            done = pending[result.ok]
-            draws[done] = result.values[result.ok]
-            success[done] = True
-            forced[done] = result.forced[result.ok]
-            pending = pending[~result.ok]
-            if pending.size == 0:
-                break
-            if attempt == 0:
-                redrawn[pending] = True
 
-    n_failed = int((~success).sum())
+        def accept(members: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+            result = fit(tensor)
+            done = index[members[result.ok]]
+            draws[done] = result.values[result.ok]
+            forced[done] = result.forced[result.ok]
+            return result.ok
+
+        rngs = [replicate_rng(config.seed, int(i)) for i in index]
+        tries[index] = _redraw([sampler] * len(rngs), rngs, 1, accept, _MAX_REDRAWS)
+
+    n_failed = int((tries == 0).sum())
     if n_failed > _MAX_FAILURE_FRACTION * n:
         raise InferenceError(
             f"{n_failed} of {n} bootstrap replicates failed; "
             "the dataset is too fragile for resampling inference"
         )
-    kept = draws[success]
+    kept = draws[tries > 0]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         se = np.sqrt(np.nanvar(kept, axis=0, ddof=1))
@@ -270,7 +293,7 @@ def bootstrap(
         replicates=kept,
         n_failed=n_failed,
         n_forced=int(forced.sum()),
-        n_redrawn=int(redrawn.sum()),
+        n_redrawn=int((tries != 1).sum()),
     )
 
 

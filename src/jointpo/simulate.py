@@ -18,11 +18,12 @@ stack of count matrices fed to the package's least-squares kernel
 :func:`~jointpo.principal.method1_arrays` for the four-step estimator),
 so the studies measure the solver and rank rule the CLI applies.
 
-Replicate ``i`` of a study draws its dataset and its bootstrap resamples
-from ``replicate_rng(seed, i)``, so studies are reproducible. Replicates
-are drawn and fitted in chunks, each chunk's points and resamples as one
-stack, and the chunks run on a pool of ``workers`` threads (by default the
-usable CPUs): the multinomial draws and the QR factorizations release the
+Replicate ``i`` of a study draws its dataset and, through the resampler
+and redraw loop of :mod:`jointpo.inference`, its bootstrap resamples from
+``replicate_rng(seed, i)``, so studies are reproducible. Replicates are
+drawn and fitted in chunks, each chunk's points and resamples as one stack,
+and the chunks run on a pool of ``workers`` threads (by default the usable
+CPUs): the multinomial draws and the QR factorizations release the
 interpreter lock. Every kernel works member by member and results land by
 replicate index, so studies are bit-identical for any ``workers`` and
 chunk size. Coverage uses normal intervals ``point +- 1.96 * se`` with
@@ -46,7 +47,6 @@ from .special import chi2_sf, expit
 from .transition import least_squares
 
 Z95 = 1.96
-_MAX_REDRAWS = 100
 
 CASES = ("c1", "c2", "c3", "c4")
 #: Largest trial count of the built-in cases: their control success
@@ -239,7 +239,6 @@ def simulate_dataset(spec: DgpSpec, seed: int) -> MultiTrialDataset:
     pop = dgp_population(spec)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     counts = _draw_counts(pop.cell_probs, spec.n_g, rng)
-    half = counts.shape[1] // 2
     trials = []
     for g in range(counts.shape[0]):
         if pop.has_surrogate:
@@ -248,15 +247,6 @@ def simulate_dataset(spec: DgpSpec, seed: int) -> MultiTrialDataset:
             arr = counts[g].reshape(2, pop.outcome_cardinality)
         trials.append(TrialCellCounts(trial_id=str(g + 1), counts=arr))
     return MultiTrialDataset(trials=tuple(trials))
-
-
-def _resample(counts: np.ndarray, n_draws: int, rng: np.random.Generator) -> np.ndarray:
-    """``(n_draws, m, cells)`` stratified multinomial resamples of a count
-    matrix, drawn in one call: all of trial 0's, then trial 1's, ..."""
-    totals = counts.sum(axis=1)
-    probs = counts / totals[:, None]
-    draws = rng.multinomial(totals[:, None], probs[:, None, :], size=(len(counts), n_draws))
-    return draws.swapaxes(0, 1)
 
 
 def _resample_stacks(
@@ -268,21 +258,18 @@ def _resample_stacks(
     stratified resamples of its member 0, each stack from its own generator.
 
     Returns the ``(len(stacks), B)`` keep mask: resamples failing ``valid``
-    are redrawn, up to 100 rounds, and dropped after.
+    are redrawn up to 100 rounds after the first draw (one draw more than a
+    CLI replicate gets) and dropped after.
     """
-    draws = stacks[:, 1:]
-    for stack, rng in zip(stacks, rngs):
-        stack[1:] = _resample(stack[0], draws.shape[1], rng)
-    keep = valid(draws)
-    for _ in range(_MAX_REDRAWS):
-        bad = ~keep
-        if not bad.any():
-            break
-        for stack, rng, redo in zip(stacks, rngs, bad):
-            if redo.any():
-                stack[1:][redo] = _resample(stack[0], int(redo.sum()), rng)
-        keep[bad] = valid(draws[bad])
-    return keep
+    n = stacks.shape[1] - 1
+
+    def accept(members: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        stacks[members // n, 1 + members % n] = draws
+        return valid(draws)
+
+    samplers = [inference._Draws(stack[0]) for stack in stacks]
+    tries = inference._redraw(samplers, rngs, n, accept, 1 + inference._MAX_REDRAWS)
+    return (tries > 0).reshape(len(stacks), n)
 
 
 def _arms_positive(batch: np.ndarray) -> np.ndarray:
@@ -430,6 +417,13 @@ class StudyResult:
     metrics: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+def _check_sizes(replicates: int, bootstrap_replicates: int) -> None:
+    if replicates < 2:
+        raise ValidationError("a study needs at least 2 replicates")
+    if bootstrap_replicates < 2:
+        raise ValidationError("bootstrap needs at least 2 replicates")
+
+
 def _thread_count(workers: int | None) -> int:
     """Threads a study may use: ``workers``, or by default the CPUs this
     process may run on."""
@@ -475,8 +469,6 @@ def _run_chunks(
 
     size = max(1, inference._CHUNK // (1 + n_draws))
     chunks = [np.arange(i, min(i + size, replicates)) for i in range(0, replicates, size)]
-    if not chunks:
-        return
     with ThreadPoolExecutor(min(threads, len(chunks))) as pool:
         for _ in pool.map(work, chunks):
             pass
@@ -502,19 +494,16 @@ def run_study(
     Per replicate: draw a dataset, estimate the case parameters, and
     attach bootstrap standard errors from ``bootstrap_replicates``
     stratified resamples. Replicate ``i`` draws everything from
-    ``replicate_rng(seed, i)``. A :class:`Pipeline` fits the points and
-    resamples of a chunk of replicates as one stack, chunks spread over
-    ``workers`` threads (default: the usable CPUs); the result is
-    bit-identical for any ``workers``. Any other ``pipeline`` needs
-    ``point(counts)`` and ``bootstrap(counts, n_draws, rng)`` and runs one
-    replicate at a time in the calling thread. A replicate fails when its
-    point is undefined or fewer than 90% of its resamples are kept; more
-    than 5% failed replicates abort the study.
+    ``replicate_rng(seed, i)``. The points and resamples of a chunk of
+    replicates are fitted as one stack, chunks spread over ``workers``
+    threads (default: the usable CPUs); the result is bit-identical for any
+    ``workers``. ``pipeline`` (default: the case's :class:`Pipeline`) needs
+    what a :class:`Pipeline` has: ``name``, ``param_names``, ``truth``,
+    ``valid`` (the resamples it accepts, redrawn otherwise) and ``fit``. A
+    replicate fails when its point is undefined or fewer than 90% of its
+    resamples are kept; more than 5% failed replicates abort the study.
     """
-    if replicates < 2:
-        raise ValidationError("a study needs at least 2 replicates")
-    if bootstrap_replicates < 2:
-        raise ValidationError("bootstrap needs at least 2 replicates")
+    _check_sizes(replicates, bootstrap_replicates)
     threads = _thread_count(workers)
     population = dgp_population(spec)
     pipe = pipeline if pipeline is not None else default_pipeline(spec, population)
@@ -522,33 +511,19 @@ def run_study(
     estimates = np.full((replicates, width), np.nan)
     ses = np.full((replicates, width), np.nan)
 
-    def record(i, point, draws, keep):
-        if keep.sum() >= 0.9 * bootstrap_replicates:
-            estimates[i], ses[i] = point, draws[keep].std(axis=0, ddof=1)
-
     def finish(index, stacks, keep):
         values, ok = pipe.fit(_members(stacks))
         values = values.reshape(stacks.shape[:2] + (width,))
         ok = ok.reshape(stacks.shape[:2])
         for i, v, o, k in zip(index, values, ok, keep):
-            if o[0]:
-                record(i, v[0], v[1:], k & o[1:])
+            k = k & o[1:]
+            if o[0] and k.sum() >= 0.9 * bootstrap_replicates:
+                estimates[i], ses[i] = v[0], v[1:][k].std(axis=0, ddof=1)
 
-    if isinstance(pipe, Pipeline):
-        _run_chunks(
-            population.cell_probs, spec.n_g, replicates, bootstrap_replicates, seed,
-            pipe.valid, finish, threads,
-        )
-    else:
-        for i in range(replicates):
-            rng = replicate_rng(seed, i)
-            counts = _draw_counts(population.cell_probs, spec.n_g, rng)
-            try:
-                point = pipe.point(counts)
-                draws, keep = pipe.bootstrap(counts, bootstrap_replicates, rng)
-            except InferenceError:
-                continue
-            record(i, point, draws, keep)
+    _run_chunks(
+        population.cell_probs, spec.n_g, replicates, bootstrap_replicates, seed,
+        pipe.valid, finish, threads,
+    )
 
     failed = np.isnan(estimates).any(axis=1) | np.isnan(ses).any(axis=1)
     n_failed = int(failed.sum())
@@ -587,8 +562,9 @@ def overid_size_study(
     the spread, across resamples, of each trial's deviation from the
     point fit. Replicates are drawn and fitted in chunks over ``workers``
     threads as in :func:`run_study`, with bit-identical p-values for any
-    ``workers``.
+    ``workers``. A replicate with fewer than 2 kept resamples gets NaN.
     """
+    _check_sizes(replicates, bootstrap_replicates)
     threads = _thread_count(workers)
     population = dgp_population(spec)
     if population.has_surrogate:

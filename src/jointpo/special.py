@@ -73,9 +73,14 @@ def regularized_gamma_q(a: float, x: float) -> float:
 
 
 def chi2_sf(x: float, df: float) -> float:
-    """Upper tail probability of a chi-square distribution with ``df`` d.o.f."""
+    """Upper tail probability of a chi-square distribution with ``df`` d.o.f.;
+    NaN for a NaN statistic and 0 for an infinite one."""
     if df <= 0:
         raise ValueError(f"degrees of freedom must be positive, got {df}")
+    if math.isnan(x):
+        return math.nan
+    if x == math.inf:
+        return 0.0
     if x <= 0.0:
         return 1.0
     return regularized_gamma_q(df / 2.0, x / 2.0)

@@ -226,7 +226,14 @@ def check_rank(system: DesignSystem, tol_ratio: float = _DEFAULT_RANK_TOL) -> Ra
     allowed source states; the terminal column, obtained by row
     completion, is always satisfiable.
     """
-    M = system.design
+    return _rank_diagnostics(system, system.design, tol_ratio)
+
+
+def _rank_diagnostics(
+    system: DesignSystem, M: np.ndarray, tol_ratio: float = _DEFAULT_RANK_TOL
+) -> RankDiagnostics:
+    """:func:`check_rank` of ``system`` on the design ``M`` (the system's own,
+    or its trial-weighted rows)."""
     m, k = M.shape
     sv, ratio = _svd_ratio(M)
     if not system.is_masked:
@@ -519,16 +526,18 @@ def solve_transitions(
     those of :func:`check_rank`, taken on the weighted design when weights
     are given.
     """
-    diagnostics = check_rank(system)
     M = system.design
     R = system.response
-    if trial_weights is not None:
+    if trial_weights is None:
+        diagnostics = check_rank(system)
+    else:
         w = np.asarray(trial_weights, dtype=float)
         if w.shape != (system.m,) or (w <= 0).any():
             raise ValidationError("trial_weights must be positive with one entry per trial")
         scale = np.sqrt(w / w.sum())[:, None]
         M = M * scale
         R = R * scale
+        diagnostics = _rank_diagnostics(system, M)
     mask = system.support_mask
     k = system.k
 

@@ -361,6 +361,18 @@ def reference_joint_cells(space: str):
     return statistic
 
 
+def reference_resample(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One stratified resample of an ``(n_trials, cells)`` count matrix as the
+    CLI bootstrap drew it before it shared a resampler with the Monte Carlo
+    studies: one ``multinomial(totals, probs)`` call over the trials with
+    units; empty trials stay zero."""
+    totals = counts.sum(axis=1)
+    live = totals > 0
+    out = np.zeros(counts.shape, dtype=np.int64)
+    out[live] = rng.multinomial(totals[live], counts[live] / totals[live][:, None])
+    return out
+
+
 # Reference Monte Carlo studies: one replicate at a time, drawing trial by
 # trial as ``simulate`` did before it drew each replicate's counts in one
 # ``multinomial`` call and fitted replicates in chunks over threads.

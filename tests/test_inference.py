@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from jointpo.data import summarize
+import jointpo.inference
+from jointpo.data import MultiTrialDataset, TrialCellCounts, summarize
 from jointpo.errors import EstimationError, InferenceError, ValidationError
 from jointpo.inference import (
+    BatchEstimator,
+    BatchFit,
     BootstrapConfig,
     bootstrap,
     overid_test,
@@ -21,7 +24,7 @@ from jointpo.simulate import (
 )
 from jointpo.transition import binary_transition_params, build_system, solve_transitions
 
-from helpers import binary_dataset, binary_summaries
+from helpers import binary_dataset, binary_summaries, reference_resample
 
 
 def theta_estimator(ds):
@@ -39,13 +42,6 @@ class TestBootstrap:
         np.testing.assert_array_equal(a.replicates, b.replicates)
         np.testing.assert_array_equal(a.se, b.se)
         np.testing.assert_array_equal(a.ci_lower, b.ci_lower)
-
-    def test_independent_of_worker_count(self):
-        ds = simulate_dataset(DgpSpec(case="c1", n_g=200), seed=4)
-        cfg = BootstrapConfig(replicates=40, seed=9)
-        a = bootstrap(ds, theta_estimator, cfg, workers=1)
-        b = bootstrap(ds, theta_estimator, cfg, workers=4)
-        np.testing.assert_array_equal(a.replicates, b.replicates)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -119,6 +115,86 @@ class TestBootstrap:
             rng_values.append(var.se[0])
         mean_se = float(np.mean(rng_values))
         assert 0.05 < mean_se < 0.09
+
+
+def _table_with_empty_trial():
+    return binary_dataset([(10, 12, 9, 13), (0, 0, 0, 0), (5, 6, 7, 8)])
+
+
+def _table_with_target():
+    ds = simulate_dataset(DgpSpec(case="c1", n_g=150), seed=3)
+    counts = np.zeros_like(ds.trials[0].counts)
+    counts[0] = [40, 55]
+    target = TrialCellCounts(trial_id="0", counts=counts, is_target=True)
+    return MultiTrialDataset(trials=ds.trials, target=target)
+
+
+def _wide_table():
+    # The wide-ingest shape: 500 trials, three outcome states.
+    counts = np.random.default_rng(500).integers(1, 60, size=(500, 2, 3))
+    return MultiTrialDataset(
+        trials=tuple(TrialCellCounts(str(g + 1), c) for g, c in enumerate(counts))
+    )
+
+
+TABLES = {
+    "empty-trial": _table_with_empty_trial,
+    "target": _table_with_target,
+    "wide": _wide_table,
+}
+
+
+def _counts_estimator(tensor):
+    # Every member is defined; its value is its resampled counts.
+    n = len(tensor)
+    return BatchFit(tensor.reshape(n, -1).astype(float), np.ones(n, bool), np.zeros(n, bool))
+
+
+class TestCliResampleStream:
+    """The CLI draws replicate ``i`` from ``replicate_rng(seed, i)``, one
+    ``multinomial(totals, probs)`` call per draw, as ``reference_resample``
+    does without the shared resampler."""
+
+    @pytest.mark.parametrize("table", sorted(TABLES))
+    def test_resample_dataset_matches_reference(self, table):
+        ds = TABLES[table]()
+        counts = ds.counts_tensor()
+        for i in range(4):
+            rng, ref = replicate_rng(9, i), replicate_rng(9, i)
+            for _ in range(2):  # a second draw continues the same stream
+                np.testing.assert_array_equal(
+                    resample_dataset(ds, rng).counts_tensor(), reference_resample(counts, ref)
+                )
+
+    @pytest.mark.parametrize("chunk", (7, 256))
+    @pytest.mark.parametrize("table", sorted(TABLES))
+    def test_every_replicate_matches_reference(self, monkeypatch, table, chunk):
+        monkeypatch.setattr(jointpo.inference, "_CHUNK", chunk)
+        ds = TABLES[table]()
+        counts = ds.counts_tensor()
+        var = bootstrap(ds, BatchEstimator(_counts_estimator), BootstrapConfig(20, 5))
+        expected = [reference_resample(counts, replicate_rng(5, i)).reshape(-1) for i in range(20)]
+        np.testing.assert_array_equal(var.replicates, np.stack(expected))
+
+    def test_never_ok_replicate_is_fitted_100_times_from_its_own_stream(self):
+        ds = _table_with_empty_trial()
+        batches = []
+
+        def fit(tensor):
+            # Only the observed counts (the first call) are accepted.
+            batches.append(tensor)
+            n = len(tensor)
+            return BatchFit(np.zeros((n, 1)), np.full(n, len(batches) == 1), np.zeros(n, bool))
+
+        with pytest.raises(InferenceError, match="^6 of 6 bootstrap replicates failed"):
+            bootstrap(ds, BatchEstimator(fit), BootstrapConfig(6, 8))
+        draws = batches[1:]
+        assert [len(b) for b in draws] == [6] * 100
+        counts = ds.counts_tensor()
+        for i in range(6):
+            rng = replicate_rng(8, i)
+            for batch in draws:
+                np.testing.assert_array_equal(batch[i], reference_resample(counts, rng))
 
 
 class TestPluginVariance:
@@ -221,6 +297,20 @@ class TestOveridTest:
         sigma[3] = 0.0
         with pytest.raises(InferenceError, match="zero residual"):
             overid_test(s, theta, sigma)
+
+    @pytest.mark.parametrize(
+        "replicates, boot, message",
+        [
+            (0, 10, "a study needs at least 2 replicates"),
+            (1, 10, "a study needs at least 2 replicates"),
+            (5, 1, "bootstrap needs at least 2 replicates"),
+            (5, 0, "bootstrap needs at least 2 replicates"),
+            (5, -1, "bootstrap needs at least 2 replicates"),
+        ],
+    )
+    def test_size_study_rejects_too_few_replicates(self, replicates, boot, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            overid_size_study(DgpSpec(case="c1", n_g=100), replicates, boot, seed=1)
 
     def test_power_exceeds_size_under_misspecification(self):
         # Trial 10's transition differs by +0.3 in the success-to-success

@@ -171,6 +171,12 @@ class _TruthPipeline:
         draws = np.tile(self.truth, (n_draws, 1))
         return draws, np.ones(n_draws, dtype=bool)
 
+    def valid(self, batch):
+        return np.ones(batch.shape[:-2], dtype=bool)
+
+    def fit(self, counts):
+        return np.tile(self.truth, (len(counts), 1)), np.ones(len(counts), dtype=bool)
+
 
 class TestRunStudy:
     def test_replicate_count_validation(self):
@@ -352,6 +358,26 @@ class TestChunkedStudy:
         expected, ok = pipe.fit(batch)
         np.testing.assert_array_equal(values, expected)
         np.testing.assert_array_equal(kept, keep & ok)
+
+
+    def test_rejecting_pipeline_sees_a_first_draw_and_100_rounds(self):
+        spec = DgpSpec(case="c1", n_g=50)
+        pipe = Pipeline(dgp_population(spec))
+        sizes = []
+
+        def reject(batch):
+            sizes.append(len(batch))
+            return np.zeros(len(batch), dtype=bool)
+
+        pipe.valid = reject
+        counts = simulate_dataset(spec, seed=1).counts_tensor()
+        _, kept = pipe.bootstrap(counts, 6, replicate_rng(1, 0))
+        assert sizes == [6] * 101 and not kept.any()
+        sizes.clear()
+        # One chunk of three replicates: every round redraws all 18 resamples.
+        with pytest.raises(InferenceError, match="^3 of 3 study replicates failed"):
+            run_study(spec, 3, 6, 1, pipeline=pipe, workers=1)
+        assert sizes == [18] * 101
 
 
 class TestChunkedOveridSize:

@@ -43,6 +43,11 @@ class TestChiSquareTail:
     def test_matches_scipy_everywhere(self, x, df):
         assert chi2_sf(x, df) == pytest.approx(stats.chi2.sf(x, df), abs=1e-10)
 
+    @pytest.mark.parametrize("df", (1, 8, 40))
+    def test_nan_and_infinite_statistics(self, df):
+        assert np.isnan(chi2_sf(float("nan"), df))
+        assert chi2_sf(float("inf"), df) == 0.0 == stats.chi2.sf(np.inf, df)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             chi2_sf(1.0, 0)

@@ -205,6 +205,23 @@ class TestSolveTransitions:
         weighted = solve_transitions(system, trial_weights=np.arange(1, 7, dtype=float))
         assert not np.allclose(plain.probs, weighted.probs)
 
+    def test_weighted_rank_gate_uses_the_weighted_design(self):
+        # Full rank unweighted, but a vanishing weight leaves only the y=0
+        # rows: the gate and its reason must come from the weighted design.
+        M = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        system = make_system(M, M)
+        weights = np.array([1.0, 1e-30, 1.0])
+        assert check_rank(system).satisfied
+        with pytest.raises(
+            IdentificationError, match=r"^design matrix is not full column rank: condition ratio"
+        ):
+            solve_transitions(system, trial_weights=weights)
+        with pytest.warns(
+            ForcedSolveWarning, match=r"^solving despite rank failure \(condition ratio .*<= 1.0e-08\)"
+        ):
+            trans = solve_transitions(system, trial_weights=weights, force=True)
+        assert trans.forced and not trans.diagnostics.satisfied
+
     def test_masked_terminal_row_is_forced_to_one(self):
         cc = np.array([[0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]])
         s = composite_summaries(cc, cc)
