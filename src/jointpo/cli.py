@@ -14,12 +14,13 @@ every other command runs in one thread and ignores it.
 Exit codes: 0 success, 2 validation, 3 identification, 4 inference
 failure. Errors are mirrored as a JSON object on stderr.
 
-Each command builds its report fields, and their warnings, once through
-the object path (``summarize`` -> ``build_system`` ->
-``solve_transitions``). Its bootstrap statistic exists only in batch form,
-a :class:`~jointpo.inference.BatchEstimator` from one of the
-``*_estimator`` functions below: the bootstrap fits the observed counts as
-member 0 for the point estimate and the resamples as one stack.
+Each command's statistic exists only in batch form, a
+:class:`~jointpo.inference.BatchEstimator` from one of the ``*_estimator``
+functions below. Its member 0, a fit of the observed counts, is the
+report's point (``parameters.point`` and the estimands); the bootstrap fits
+the resamples as one stack. The object path (``summarize`` ->
+``build_system`` -> ``solve_transitions``) supplies the rank diagnostics,
+the transition block, the joint tables and the warnings.
 ``psace --plot-data`` bootstraps a single statistic, the psace table
 followed by the surrogate and outcome joint harm cells.
 """
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -47,12 +49,13 @@ from .errors import (
 )
 from .inference import BatchEstimator, BatchFit, BootstrapConfig, bootstrap, overid_test
 from .principal import (
+    PSACE_ORDERINGS,
     STRATA,
     clip_score_tables,
     fourway_tables,
     method1_arrays,
     method1_effects,
-    method1_estimate,
+    method1_from_scores,
     method4_estimate,
     monotone_variant_estimate,
     principal_scores,
@@ -73,7 +76,6 @@ from .transition import (
     binary_transition_params,
     build_system,
     check_rank,
-    derived_estimands,
     estimand_vectors,
     fit_transitions,
     joint_from_transitions,
@@ -82,6 +84,10 @@ from .transition import (
     project_rows,
     solve_transitions,
 )
+
+# Unused here, but perfbench/tracing.py times them through this module's names.
+from .principal import method1_estimate  # noqa: F401
+from .transition import derived_estimands  # noqa: F401
 
 _EXIT_FOR = (
     (ValidationError, 2),
@@ -137,33 +143,6 @@ def _load(args):
     return dataset, info
 
 
-def _rank_dict(diag) -> dict:
-    out = {
-        "singular_values": list(diag.singular_values),
-        "condition_ratio": diag.condition_ratio,
-        "satisfied": diag.satisfied,
-        "feasible": diag.feasible,
-        "reason": diag.reason,
-        "tol_ratio": diag.tol_ratio,
-    }
-    if diag.columns is not None:
-        out["columns"] = [
-            {
-                "target": c.target,
-                "sources": list(c.sources),
-                "singular_values": list(c.singular_values),
-                "condition_ratio": c.condition_ratio,
-                "satisfied": c.satisfied,
-                "mode": c.mode,
-                "reason": c.reason,
-            }
-            for c in diag.columns
-        ]
-    else:
-        out["columns"] = None
-    return out
-
-
 def _params_dict(names, point, variance, ci_level) -> dict:
     out = {
         "names": list(names),
@@ -182,30 +161,11 @@ def _params_dict(names, point, variance, ci_level) -> dict:
     return out
 
 
-def _estimands_dict(est) -> dict:
-    return {
-        "thr": est.treatment_harm_rate,
-        "tbr": est.treatment_benefit_rate,
-        "persuasion_rate": est.persuasion_rate,
-        "ps": est.prob_sufficient_causation,
-        "pn": est.prob_necessary_causation,
-    }
-
-
-def _control_marginal(summary, space):
-    if space == "outcome":
-        return summary.control_outcome
-    if space == "surrogate":
-        return summary.control_surrogate
-    return summary.control_composite
-
-
-def _treated_marginal(summary, space):
-    if space == "outcome":
-        return summary.treated_outcome
-    if space == "surrogate":
-        return summary.treated_surrogate
-    return summary.treated_composite
+def _estimands_dict(vector) -> dict:
+    """THR, TBR, persuasion rate (also PS) and PN from an
+    :func:`~jointpo.transition.estimand_vectors` row; NaN reports null."""
+    thr, tbr, persuasion, pn = vector
+    return {"thr": thr, "tbr": tbr, "persuasion_rate": persuasion, "ps": persuasion, "pn": pn}
 
 
 def _transition_dict(trans) -> dict:
@@ -220,12 +180,23 @@ def _transition_dict(trans) -> dict:
     }
 
 
-def _bootstrap(args, dataset, estimator, names=None, ci_method="normal"):
-    """Bootstrap a command's statistic at ``--boot``, ``--seed`` and ``--ci``."""
+def _bootstrap(args, dataset, estimator, names):
+    """Bootstrap a command's statistic at ``--boot``, ``--seed``, ``--ci`` and
+    ``--ci-method``."""
     config = BootstrapConfig(
-        replicates=args.boot, seed=args.seed, ci_level=args.ci, ci_method=ci_method
+        replicates=args.boot, seed=args.seed, ci_level=args.ci, ci_method=args.ci_method
     )
     return bootstrap(dataset, estimator, config, names=names)
+
+
+def _point_and_variance(args, dataset, estimator, names):
+    """Member 0 of ``estimator`` on the observed counts, and its bootstrap
+    (None under ``--boot 0``)."""
+    if args.boot <= 0:
+        return estimator.fit(dataset.counts_tensor()[None]).values[0], None
+    _require_seed(args)
+    variance = _bootstrap(args, dataset, estimator, names)
+    return variance.point, variance
 
 
 def _batch_fit(dataset, width: int, fit_live):
@@ -252,9 +223,7 @@ def _stack_transitions(freqs, m: int, space: str, mask, project: bool = False):
     return TransitionFit(project_rows(fit.probs, mask), fit.forced) if project else fit
 
 
-def estimate_estimator(
-    dataset, space: str, mask, *, mono_s=False, mono_y=False, project=False
-) -> BatchEstimator:
+def estimate_estimator(dataset, space: str, mask, *, project=False) -> BatchEstimator:
     """Transition parameters, then per-trial THR, TBR, persuasion rate and
     PN when the space has two states."""
     m = dataset.m
@@ -308,10 +277,6 @@ def target_estimator(dataset, space: str, k: int, *, project=False) -> BatchEsti
     return BatchEstimator(_batch_fit(dataset, width, fit_live))
 
 
-#: (mono_s, mono_y) of the composite psace methods.
-_PSACE_ORDERINGS = {2: (True, True), 3: (False, True), 4: (False, False)}
-
-
 def psace_estimator(
     dataset, method: int, *, clip_scores=False, project=False
 ) -> BatchEstimator:
@@ -330,7 +295,7 @@ def psace_estimator(
             )
             effects = method1_effects(treated, control, m)
             return effects.reshape(n, -1), status == 0, False
-        mono_s, mono_y = _PSACE_ORDERINGS[method]
+        mono_s, mono_y = PSACE_ORDERINGS[method]
         mask = monotone_mask("composite", mono_s, mono_y)
         fit = _stack_transitions(freqs, m, "composite", mask, project)
         fourway = fourway_tables(fit.probs, freqs.composite[:, :m, 0])
@@ -379,43 +344,31 @@ def cmd_estimate(args) -> dict:
     trans = solve_transitions(
         system, project_simplex=args.project, force=args.force
     )
-    two_state = len(trans.state_labels) == 2
-
-    per_trial = []
-    for summary in summaries.trials:
-        marginal = _control_marginal(summary, args.space)
-        joint = joint_from_transitions(trans, marginal, summary.trial_id)
-        entry = {
-            "trial": summary.trial_id,
-            "control_marginal": marginal,
-            "treated_marginal": _treated_marginal(summary, args.space),
-            "joint": joint.table,
-            "negative_mass": joint.negative_mass,
-            "estimands": _estimands_dict(derived_estimands(joint)) if two_state else None,
-        }
-        per_trial.append(entry)
+    two_state = trans.k == 2
 
     names = list(trans.parameter_labels())
-    point = list(trans.parameter_values())
     if two_state:
-        for summary in summaries.trials:
-            for label in ("THR", "TBR", "persuasion", "PN"):
-                names.append(f"{label}[{summary.trial_id}]")
-        for entry in per_trial:
-            point.extend(estimand_vectors(entry["joint"]))
+        for tid in system.trial_ids:
+            names += [f"{label}[{tid}]" for label in ("THR", "TBR", "persuasion", "PN")]
+    estimator = estimate_estimator(
+        dataset, args.space, system.support_mask, project=args.project
+    )
+    point, variance = _point_and_variance(args, dataset, estimator, names)
+    estimands = point[int(system.support_mask.sum()):].reshape(-1, 4)
 
-    variance = None
-    if args.boot > 0:
-        _require_seed(args)
-        estimator = estimate_estimator(
-            dataset,
-            args.space,
-            system.support_mask,
-            mono_s=args.mono_s,
-            mono_y=args.mono_y,
-            project=args.project,
+    per_trial = []
+    for g, tid in enumerate(system.trial_ids):
+        joint = joint_from_transitions(trans, system.design[g], tid)
+        per_trial.append(
+            {
+                "trial": tid,
+                "control_marginal": system.design[g],
+                "treated_marginal": system.response[g],
+                "joint": joint.table,
+                "negative_mass": joint.negative_mass,
+                "estimands": _estimands_dict(estimands[g]) if two_state else None,
+            }
         )
-        variance = _bootstrap(args, dataset, estimator, names, args.ci_method)
 
     return {
         "command": "estimate",
@@ -431,7 +384,7 @@ def cmd_estimate(args) -> dict:
             "ci": args.ci,
             "ci_method": args.ci_method,
         },
-        "diagnostics": {"rank": _rank_dict(diag)},
+        "diagnostics": {"rank": dataclasses.asdict(diag)},
         "results": {
             "space": args.space,
             "transition": _transition_dict(trans),
@@ -468,7 +421,7 @@ def cmd_test(args) -> dict:
     result = overid_test(summaries, theta, sigma, space=args.space)
 
     if args.plot_data:
-        _write_test_plot_data(Path(args.plot_data), summaries, theta, args.space)
+        _write_test_plot_data(Path(args.plot_data), system, theta)
 
     theta_names = list(trans.parameter_labels())
     theta_var_point = trans.parameter_values()
@@ -477,7 +430,7 @@ def cmd_test(args) -> dict:
         "input": info,
         "seed": args.seed,
         "flags": {"space": args.space, "boot": args.boot, "ci": args.ci},
-        "diagnostics": {"rank": _rank_dict(diag)},
+        "diagnostics": {"rank": dataclasses.asdict(diag)},
         "results": {
             "space": args.space,
             "m": summaries.m,
@@ -519,22 +472,18 @@ def cmd_psace(args) -> dict:
     stratum_probs = None
     fourway = None
     if method == 1:
-        params, table = method1_estimate(summaries, clip_scores=args.clip_scores)
         scores = principal_scores(summaries, clip_negative=args.clip_scores)
-        stratum_probs = params
-    elif method == 2:
-        fourway, table = monotone_variant_estimate(
-            summaries, "method2", force=args.force, project=args.project
-        )
-        scores = principal_scores(summaries, clip_negative=args.clip_scores)
-    elif method == 3:
-        fourway, table = monotone_variant_estimate(
-            summaries, "method3", force=args.force, project=args.project
-        )
-    else:
+        stratum_probs, table = method1_from_scores(summaries, scores)
+    elif method == 4:
         fourway, table = method4_estimate(
             summaries, "none", force=args.force, project=args.project
         )
+    else:
+        fourway, table = monotone_variant_estimate(
+            summaries, f"method{method}", force=args.force, project=args.project
+        )
+        if method == 2:
+            scores = principal_scores(summaries, clip_negative=args.clip_scores)
 
     # With --plot-data the statistic is the psace table followed by each
     # space's joint harm cells, bootstrapped once.
@@ -547,16 +496,8 @@ def cmd_psace(args) -> dict:
         estimator = BatchEstimator(lambda t: _concat_fits([p.fit(t) for p in parts]))
         names += [f"joint_cell[{sp}]@{tid}" for sp in _CELL_SPACES for tid in summaries.trial_ids]
 
-    variance = None
-    if args.boot > 0:
-        _require_seed(args)
-        variance = _bootstrap(args, dataset, estimator, names, args.ci_method)
-
+    point, variance = _point_and_variance(args, dataset, estimator, names)
     if args.plot_data:
-        if variance is None:
-            point = estimator.fit(dataset.counts_tensor()[None]).values[0]
-        else:
-            point = variance.point
         _write_psace_plot_data(Path(args.plot_data), table, point, variance)
 
     size = table.estimates.size
@@ -631,26 +572,19 @@ def cmd_target(args) -> dict:
     system = build_system(summaries, args.space)
     diag = check_rank(system)
     trans = solve_transitions(system, project_simplex=args.project, force=args.force)
-    marginal = _control_marginal(summaries.target, args.space)
+    marginal = getattr(summaries.target, f"control_{args.space}")
     joint = joint_from_transitions(trans, marginal, summaries.target.trial_id)
-    two_state = len(trans.state_labels) == 2
-    est = derived_estimands(joint) if two_state else None
+    two_state = trans.k == 2
 
     names = list(trans.parameter_labels()) + [
         f"target_joint[{a},{b}]"
         for a in range(trans.k)
         for b in range(trans.k)
     ]
-    point = list(trans.parameter_values()) + list(joint.table.reshape(-1))
     if two_state:
         names += ["target_THR", "target_TBR", "target_persuasion", "target_PN"]
-        point += list(estimand_vectors(joint.table))
-
-    variance = None
-    if args.boot > 0:
-        _require_seed(args)
-        estimator = target_estimator(dataset, args.space, trans.k, project=args.project)
-        variance = _bootstrap(args, dataset, estimator, names, args.ci_method)
+    estimator = target_estimator(dataset, args.space, trans.k, project=args.project)
+    point, variance = _point_and_variance(args, dataset, estimator, names)
 
     return {
         "command": "target",
@@ -664,7 +598,7 @@ def cmd_target(args) -> dict:
             "ci": args.ci,
             "ci_method": args.ci_method,
         },
-        "diagnostics": {"rank": _rank_dict(diag)},
+        "diagnostics": {"rank": dataclasses.asdict(diag)},
         "results": {
             "space": args.space,
             "target_trial": dataset.target.trial_id,
@@ -672,7 +606,7 @@ def cmd_target(args) -> dict:
             "target_marginal": marginal,
             "joint": joint.table,
             "negative_mass": joint.negative_mass,
-            "estimands": None if est is None else _estimands_dict(est),
+            "estimands": _estimands_dict(point[-4:]) if two_state else None,
             "parameters": _params_dict(names, point, variance, args.ci),
         },
     }
@@ -744,16 +678,14 @@ def _write_tsv(path: Path, header: list[str], rows) -> None:
             writer.writerow(row)
 
 
-def _write_test_plot_data(directory: Path, summaries, theta, space) -> None:
+def _write_test_plot_data(directory: Path, system, theta) -> None:
     rows = []
     ate_rows = []
-    for summary in summaries.trials:
-        control = _control_marginal(summary, space)
-        treated = _treated_marginal(summary, space)
+    for tid, control, treated in zip(system.trial_ids, system.design, system.response):
         fitted = float(control @ theta)
         rows.append(
             [
-                summary.trial_id,
+                tid,
                 repr(float(control[0])),
                 repr(float(control[1])),
                 repr(float(treated[1])),
@@ -761,9 +693,7 @@ def _write_test_plot_data(directory: Path, summaries, theta, space) -> None:
                 repr(float(treated[1]) - fitted),
             ]
         )
-        ate_rows.append(
-            [summary.trial_id, repr(float(treated[1]) - float(control[1]))]
-        )
+        ate_rows.append([tid, repr(float(treated[1]) - float(control[1]))])
     _write_tsv(
         directory / "linearity.tsv",
         [

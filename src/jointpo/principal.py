@@ -171,16 +171,6 @@ class FourWayJoint:
     mask_used: tuple[str, ...]
     negative_mass: bool
 
-    def marginal_scores(self) -> np.ndarray:
-        """Stratum masses per trial, columns ordered like :data:`STRATA`."""
-        mass = np.nansum(self.probs, axis=(3, 4))
-        out = np.empty((self.probs.shape[0], 4))
-        for j, s in enumerate(STRATA):
-            a, b = int(s[0]), int(s[1])
-            undetermined = np.isnan(self.probs[:, a, b]).any(axis=(1, 2))
-            out[:, j] = np.where(undetermined, np.nan, mass[:, a, b])
-        return out
-
 
 def _check_binary_outcome(summaries: Summaries):
     if not summaries.has_surrogate:
@@ -268,7 +258,16 @@ def method1_estimate(
     differences treated and control probabilities per stratum.
     """
     _check_binary_outcome(summaries)
-    scores = principal_scores(summaries, clip_negative=clip_scores)
+    return method1_from_scores(
+        summaries, principal_scores(summaries, clip_negative=clip_scores)
+    )
+
+
+def method1_from_scores(
+    summaries: Summaries, scores: PrincipalScores
+) -> tuple[StratumOutcomeParams, PsaceTable]:
+    """Steps 2 to 4 of :func:`method1_estimate` on given step-1 scores."""
+    _check_binary_outcome(summaries)
     trials = summaries.trials
     outcome = np.array([[t.control_outcome, t.treated_outcome] for t in trials])
     composite = np.array([[t.control_composite, t.treated_composite] for t in trials])
@@ -400,17 +399,22 @@ def _psace_from_fourway(
 
 _MONOTONICITY_CHOICES = ("none", "mono_y", "mono_s", "both")
 
+#: (mono_s, mono_y) of each composite psace method.
+PSACE_ORDERINGS = {2: (True, True), 3: (False, True), 4: (False, False)}
+
 
 def _composite_estimate(
     summaries: Summaries,
+    method: int,
     mono_s: bool,
     mono_y: bool,
     *,
-    method: int,
-    allow_partial: bool,
     force: bool,
     project: bool,
 ) -> tuple[FourWayJoint, PsaceTable]:
+    # Method 3 reports what its masked system identifies; the others need
+    # the whole joint law.
+    allow_partial = method == 3
     _check_binary_outcome(summaries)
     if not (mono_s and mono_y) and summaries.m < 4 and not allow_partial:
         need = "m >= 4" if not (mono_s or mono_y) else "m >= 4 (single ordering)"
@@ -447,15 +451,7 @@ def method4_estimate(
         raise ValidationError(f"unknown monotonicity setting {monotonicity!r}")
     mono_s = monotonicity in ("mono_s", "both")
     mono_y = monotonicity in ("mono_y", "both")
-    return _composite_estimate(
-        summaries,
-        mono_s,
-        mono_y,
-        method=4,
-        allow_partial=False,
-        force=force,
-        project=project,
-    )
+    return _composite_estimate(summaries, 4, mono_s, mono_y, force=force, project=project)
 
 
 def monotone_variant_estimate(
@@ -473,24 +469,9 @@ def monotone_variant_estimate(
     derivable from the masked system are produced and the rest are
     marked unavailable.
     """
-    if which == "method2":
-        return _composite_estimate(
-            summaries,
-            mono_s=True,
-            mono_y=True,
-            method=2,
-            allow_partial=False,
-            force=force,
-            project=project,
-        )
-    if which == "method3":
-        return _composite_estimate(
-            summaries,
-            mono_s=False,
-            mono_y=True,
-            method=3,
-            allow_partial=True,
-            force=force,
-            project=project,
-        )
-    raise ValidationError(f"unknown variant {which!r}; use 'method2' or 'method3'")
+    method = {"method2": 2, "method3": 3}.get(which)
+    if method is None:
+        raise ValidationError(f"unknown variant {which!r}; use 'method2' or 'method3'")
+    return _composite_estimate(
+        summaries, method, *PSACE_ORDERINGS[method], force=force, project=project
+    )

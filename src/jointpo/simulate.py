@@ -562,7 +562,8 @@ def overid_size_study(
     the spread, across resamples, of each trial's deviation from the
     point fit. Replicates are drawn and fitted in chunks over ``workers``
     threads as in :func:`run_study`, with bit-identical p-values for any
-    ``workers``. A replicate with fewer than 2 kept resamples gets NaN.
+    ``workers``. A replicate whose point fit is singular, or with fewer
+    than 2 kept resamples, gets NaN.
     """
     _check_sizes(replicates, bootstrap_replicates)
     threads = _thread_count(workers)
@@ -581,7 +582,9 @@ def overid_size_study(
         )
         for i, d, r, c, o, k in zip(index, *per_replicate, keep):
             if not o[0]:
-                raise InferenceError("singular design in point estimation")
+                # A singular point fit fails its replicate, as in run_study.
+                p_values[i] = np.nan
+                continue
             # Residuals of the point fit, and each resample's deviation from it.
             residuals = r - (d @ c[0])[..., 0]
             kept = residuals[1:][k & o[1:]]

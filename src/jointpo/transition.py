@@ -218,7 +218,7 @@ def _svd_ratio(matrix: np.ndarray) -> tuple[tuple[float, ...], float]:
     return tuple(float(s) for s in sv), float(ratio)
 
 
-def check_rank(system: DesignSystem, tol_ratio: float = _DEFAULT_RANK_TOL) -> RankDiagnostics:
+def check_rank(system: DesignSystem) -> RankDiagnostics:
     """Diagnose whether the design identifies the transition parameters.
 
     Unmasked systems need the full (m, k) design to have rank k. Masked
@@ -226,29 +226,27 @@ def check_rank(system: DesignSystem, tol_ratio: float = _DEFAULT_RANK_TOL) -> Ra
     allowed source states; the terminal column, obtained by row
     completion, is always satisfiable.
     """
-    return _rank_diagnostics(system, system.design, tol_ratio)
+    return _rank_diagnostics(system, system.design)
 
 
-def _rank_diagnostics(
-    system: DesignSystem, M: np.ndarray, tol_ratio: float = _DEFAULT_RANK_TOL
-) -> RankDiagnostics:
+def _rank_diagnostics(system: DesignSystem, M: np.ndarray) -> RankDiagnostics:
     """:func:`check_rank` of ``system`` on the design ``M`` (the system's own,
-    or its trial-weighted rows)."""
+    or its trial-weighted rows), at the tolerance of :func:`least_squares`."""
     m, k = M.shape
     sv, ratio = _svd_ratio(M)
     if not system.is_masked:
         feasible = m >= k
         reason = None if feasible else f"m < k (m={m}, k={k})"
-        satisfied = feasible and ratio > tol_ratio
+        satisfied = feasible and ratio > _DEFAULT_RANK_TOL
         if feasible and not satisfied:
-            reason = f"condition ratio {ratio:.3e} <= {tol_ratio:.1e}"
+            reason = f"condition ratio {ratio:.3e} <= {_DEFAULT_RANK_TOL:.1e}"
         return RankDiagnostics(
             singular_values=sv,
             condition_ratio=ratio,
             satisfied=satisfied,
             feasible=feasible,
             reason=reason,
-            tol_ratio=tol_ratio,
+            tol_ratio=_DEFAULT_RANK_TOL,
         )
 
     columns: list[ColumnRank] = []
@@ -278,12 +276,12 @@ def _rank_diagnostics(
             continue
         sub_sv, sub_ratio = _svd_ratio(M[:, idx])
         feasible = m >= idx.size
-        ok = feasible and sub_ratio > tol_ratio
+        ok = feasible and sub_ratio > _DEFAULT_RANK_TOL
         reason = None
         if not feasible:
             reason = f"m < sources (m={m}, sources={idx.size})"
         elif not ok:
-            reason = f"condition ratio {sub_ratio:.3e} <= {tol_ratio:.1e}"
+            reason = f"condition ratio {sub_ratio:.3e} <= {_DEFAULT_RANK_TOL:.1e}"
         all_ok = all_ok and ok
         columns.append(
             ColumnRank(
@@ -306,7 +304,7 @@ def _rank_diagnostics(
         satisfied=all_ok,
         feasible=all(c.satisfied or c.mode == "completed" for c in columns),
         reason=reason,
-        tol_ratio=tol_ratio,
+        tol_ratio=_DEFAULT_RANK_TOL,
         columns=tuple(columns),
     )
 

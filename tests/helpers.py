@@ -439,7 +439,9 @@ def reference_overid_size_study(spec, replicates: int, n_draws: int, seed: int):
         )
         design, response = _binary_arms(np.concatenate([counts[None], batch]))
         coef, ok = least_squares(design, response[..., None])
-        assert ok[0]
+        if not ok[0]:
+            p_values[i] = np.nan
+            continue
         residuals = response - (design @ coef[0])[..., 0]
         sigma = residuals[1:][keep & ok[1:]].std(axis=0, ddof=1)
         if (sigma == 0).any():

@@ -146,7 +146,7 @@ def test_estimate_surrogate_projected(seed):
 def test_estimate_masked_composite_projected(seed):
     ds = _dataset("c3", 100, seed=seed)
     mask = _mask(ds, "composite", mono_s=True, mono_y=True)
-    est = estimate_estimator(ds, "composite", mask, mono_s=True, mono_y=True, project=True)
+    est = estimate_estimator(ds, "composite", mask, project=True)
     ref = reference_estimate("composite", mono_s=True, mono_y=True, project=True)
     var = check_equivalent(ds, est, ref, seed, 40)
     assert np.isfinite(var.replicates).all()

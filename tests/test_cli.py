@@ -9,8 +9,9 @@ import pytest
 from jsonschema import validate
 
 import jointpo.cli
+from helpers import reference_estimate, reference_target
 from jointpo.cli import joint_cell_estimator, main
-from jointpo.data import parse_dataset, serialize_dataset
+from jointpo.data import MultiTrialDataset, TrialCellCounts, parse_dataset, serialize_dataset
 from jointpo.inference import BootstrapConfig, bootstrap
 from jointpo.report import load_report_schema
 from jointpo.simulate import DgpSpec, simulate_dataset
@@ -30,6 +31,24 @@ TOY_TWO_TRIAL = """trial,arm,s,y,count
 TOY_TARGET = TOY_TWO_TRIAL + """0,0,NA,0,60
 0,0,NA,1,60
 """
+
+# Four trials; trial 1's treated surrogate rate (0.4) is below its control
+# rate (0.6), so the monotone ordering S1 >= S0 looks violated there.
+VIOLATION = "trial,arm,s,y,count\n" + "".join(
+    f"{g},{a},{s},{y},{arms[a][2 * s + y]}\n"
+    for g, arms in enumerate(
+        [
+            ((20, 20, 20, 40), (40, 20, 20, 20)),
+            ((40, 20, 10, 30), (20, 20, 20, 40)),
+            ((30, 30, 20, 20), (15, 25, 25, 35)),
+            ((45, 25, 15, 15), (25, 25, 20, 30)),
+        ],
+        1,
+    )
+    for a in (0, 1)
+    for s in (0, 1)
+    for y in (0, 1)
+)
 
 TEN_TRIAL_SURROGATE = "trial,arm,s,y,count\n" + "".join(
     f"{g},{a},{s},{y},{40 + 7 * g + 11 * a + 3 * s + 5 * y + (g * a) % 5}\n"
@@ -280,6 +299,17 @@ class TestPsace:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("method", ["1", "2"])
+    def test_monotonicity_violation_is_listed_once(self, capsys, tmp_path, method):
+        p = tmp_path / "violation.csv"
+        p.write_text(VIOLATION)
+        report, _ = run_json(
+            capsys, "psace", "--input", str(p), "--method", method, "--boot", "0"
+        )
+        assert report["results"]["principal_scores"]["violations"] == ["1"]
+        categories = [w["category"] for w in report["diagnostics"]["warnings"]]
+        assert categories.count("MonotonicityWarning") == 1
+
     def test_plot_data_intervals(self, capsys, c4_csv, tmp_path):
         plot_dir = tmp_path / "plots"
         run_json(
@@ -504,6 +534,104 @@ class TestSimulate:
             main(["simulate", "--case", "c7", "--ng", "10", "--reps", "5",
                   "--boot", "5", "--seed", "0"])
         assert exc.value.code == 2
+
+
+def _with_target(ds, control):
+    counts = np.zeros_like(ds.trials[0].counts)
+    counts[0] = control
+    return MultiTrialDataset(
+        trials=ds.trials, target=TrialCellCounts(trial_id="0", counts=counts, is_target=True)
+    )
+
+
+def _collinear_table():
+    # Every trial has the same control arm: the design has rank 1.
+    treated = ([30, 70], [45, 55], [60, 40])
+    trials = tuple(
+        TrialCellCounts(trial_id=str(g + 1), counts=np.array([[50, 50], t]))
+        for g, t in enumerate(treated)
+    )
+    return _with_target(MultiTrialDataset(trials=trials), [40, 60])
+
+
+def _k3_table():
+    rng = np.random.default_rng(3)
+    transition = np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.1, 0.2, 0.7]])
+    trials = []
+    for g in range(5):
+        control = rng.dirichlet(np.ones(3))
+        counts = np.array([rng.multinomial(400, control), rng.multinomial(400, control @ transition)])
+        trials.append(TrialCellCounts(trial_id=str(g + 1), counts=counts))
+    return _with_target(MultiTrialDataset(trials=tuple(trials)), [100, 200, 100])
+
+
+POINT_TABLES = {
+    "c1": lambda: _with_target(simulate_dataset(DgpSpec(case="c1", n_g=500), seed=99), [300, 200]),
+    "c4": lambda: _with_target(
+        simulate_dataset(DgpSpec(case="c4", n_g=500), seed=31), [[100, 80], [60, 160]]
+    ),
+    "collinear": _collinear_table,
+    "k3": _k3_table,
+}
+
+BOOTS = [["--boot", "0"], ["--boot", "40", "--seed", "3"]]
+
+
+@pytest.mark.filterwarnings("ignore::jointpo.errors.JointpoWarning")
+class TestReportPoints:
+    """A report's ``parameters.point`` is member 0 of the command's batch
+    statistic; it must equal the object-path reference on the same data."""
+
+    def _point(self, capsys, tmp_path, table, *argv):
+        p = tmp_path / f"{table}.csv"
+        p.write_text(serialize_dataset(POINT_TABLES[table]()))
+        report, _ = run_json(capsys, argv[0], "--input", str(p), *argv[1:])
+        point = np.array(report["results"]["parameters"]["point"], dtype=float)
+        return report, point, parse_dataset(p)
+
+    @pytest.mark.parametrize("boot", BOOTS)
+    @pytest.mark.parametrize(
+        "table, flags, options",
+        [
+            ("c1", [], {"space": "outcome"}),
+            ("c4", ["--space", "surrogate", "--project"], {"space": "surrogate", "project": True}),
+            (
+                "c4",
+                ["--space", "composite", "--mono-s", "--mono-y"],
+                {"space": "composite", "mono_s": True, "mono_y": True},
+            ),
+            ("collinear", ["--force"], {"space": "outcome"}),
+            ("k3", [], {"space": "outcome"}),
+        ],
+    )
+    def test_estimate(self, capsys, tmp_path, table, flags, options, boot):
+        report, point, ds = self._point(capsys, tmp_path, table, "estimate", *flags, *boot)
+        assert np.array_equal(point, reference_estimate(**options)(ds), equal_nan=True)
+        per_trial = report["results"]["per_trial"]
+        if len(report["results"]["transition"]["state_labels"]) == 2:
+            thr = [entry["estimands"]["thr"] for entry in per_trial]
+            assert np.array_equal(thr, point[-4 * len(per_trial) :: 4])
+        else:
+            assert all(entry["estimands"] is None for entry in per_trial)
+
+    @pytest.mark.parametrize("boot", BOOTS)
+    @pytest.mark.parametrize(
+        "table, flags, options",
+        [
+            ("c1", [], {"space": "outcome"}),
+            ("c4", ["--space", "surrogate", "--project"], {"space": "surrogate", "project": True}),
+            ("collinear", ["--force"], {"space": "outcome"}),
+            ("k3", [], {"space": "outcome"}),
+        ],
+    )
+    def test_target(self, capsys, tmp_path, table, flags, options, boot):
+        report, point, ds = self._point(capsys, tmp_path, table, "target", *flags, *boot)
+        assert np.array_equal(point, reference_target(**options)(ds), equal_nan=True)
+        estimands = report["results"]["estimands"]
+        if estimands is None:
+            assert len(report["results"]["transition"]["state_labels"]) == 3
+        else:
+            assert [estimands["thr"], estimands["tbr"]] == point[-4:-2].tolist()
 
 
 class TestSchemaAndErrors:

@@ -390,3 +390,14 @@ class TestChunkedOveridSize:
         monkeypatch.setattr(jointpo.inference, "_CHUNK", chunk)
         p_values = overid_size_study(spec, 29, 9, 4, workers=workers)
         np.testing.assert_array_equal(p_values, _REFERENCES["overid"])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_singular_point_fit_fails_only_its_replicate(self, workers):
+        # At n_g=10 some replicates' point designs are singular: run_study
+        # counts them as failed, and the size study gives them NaN p-values.
+        spec = DgpSpec(case="c1", n_g=10)
+        assert run_study(spec, 60, 10, 1, workers=workers).n_failed == 3
+        p_values = overid_size_study(spec, 60, 10, 1, workers=workers)
+        np.testing.assert_array_equal(p_values, reference_overid_size_study(spec, 60, 10, 1))
+        assert 3 <= np.isnan(p_values).sum() < 60
