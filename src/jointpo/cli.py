@@ -96,7 +96,7 @@ _EXIT_FOR = (
 )
 
 
-def _exit_code(exc: JointpoError) -> int:
+def _exit_code(exc: Exception) -> int:
     for cls, code in _EXIT_FOR:
         if isinstance(exc, cls):
             return code
@@ -492,6 +492,12 @@ def cmd_psace(args) -> dict:
     )
     names = _psace_names(summaries.trial_ids)
     if args.plot_data:
+        # The joint cells' object-path solves, for their warnings only.
+        for space in _CELL_SPACES:
+            trans = solve_transitions(build_system(summaries, space), force=True)
+            for summary in summaries.trials:
+                control = getattr(summary, f"control_{space}")
+                joint_from_transitions(trans, control, summary.trial_id)
         parts = [estimator] + [joint_cell_estimator(dataset, sp) for sp in _CELL_SPACES]
         estimator = BatchEstimator(lambda t: _concat_fits([p.fit(t) for p in parts]))
         names += [f"joint_cell[{sp}]@{tid}" for sp in _CELL_SPACES for tid in summaries.trial_ids]
@@ -612,13 +618,28 @@ def cmd_target(args) -> dict:
     }
 
 
+#: ``simulate --config`` keys whose values must be JSON integers.
+_CONFIG_INTEGERS = ("n_g", "m", "replicates", "bootstrap_replicates", "seed")
+
+
+def _read_config(path: str) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            values = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"--config is not valid JSON: {exc}") from None
+    if not isinstance(values, dict):
+        raise ValidationError("--config must contain a JSON object")
+    for key, value in values.items():
+        if key in _CONFIG_INTEGERS and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ValidationError(
+                f"config {key!r} must be an integer, got {json.dumps(value)}"
+            )
+    return values
+
+
 def cmd_simulate(args) -> dict:
-    config_values = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config_values = json.load(fh)
-        if not isinstance(config_values, dict):
-            raise ValidationError("--config must contain a JSON object")
+    config_values = _read_config(args.config) if args.config else {}
 
     def pick(flag, key, default=None):
         if flag is not None:
@@ -642,8 +663,8 @@ def cmd_simulate(args) -> dict:
         )
     m = pick(args.m, "m", 10)
 
-    spec = DgpSpec(case=str(case).lower(), n_g=int(n_g), m=int(m))
-    result = run_study(spec, int(reps), int(boot), int(seed), workers=args.workers)
+    spec = DgpSpec(case=str(case).lower(), n_g=n_g, m=m)
+    result = run_study(spec, reps, boot, seed, workers=args.workers)
     if args.table:
         sys.stderr.write(format_study_table(result))
     if args.replicates_csv:
@@ -655,14 +676,14 @@ def cmd_simulate(args) -> dict:
         "case": spec.case,
         "n_g": spec.n_g,
         "m": spec.m,
-        "replicates": int(reps),
-        "bootstrap_replicates": int(boot),
+        "replicates": reps,
+        "bootstrap_replicates": boot,
     }
     digest_source = json.dumps(flags, sort_keys=True) + f"|seed={seed}"
     return {
         "command": "simulate",
         "input": {"path": None, "sha256": text_digest(digest_source)},
-        "seed": int(seed),
+        "seed": seed,
         "flags": flags,
         "diagnostics": {},
         "results": payload,
@@ -865,7 +886,9 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
         return 0
-    except JointpoError as exc:
+    except (JointpoError, OSError, UnicodeDecodeError) as exc:
+        # A file that cannot be read or written is a usage error, like a
+        # malformed one.
         code = _exit_code(exc)
         sys.stderr.write(
             json.dumps(

@@ -17,6 +17,11 @@ dataset at a time. Either way replicate ``i`` comes from
 ``replicate_rng(seed, i)``, so a seed always gives the same resamples
 however replicates are grouped. The bootstrap runs in one thread;
 :data:`_CHUNK` bounds the members fitted together, here and in the studies.
+
+The overidentification test's statistic exists once, in batch form:
+:func:`_j_statistics` serves :func:`overid_test` (one dataset, the ``test``
+command) and :func:`jointpo.simulate.overid_size_study` (a chunk of study
+replicates), so the size study measures the test that ships.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .errors import (
     ValidationError,
 )
 from .special import chi2_sf, normal_quantile
+from .transition import build_system
 
 _MAX_REDRAWS = 100
 _MAX_FAILURE_FRACTION = 0.10
@@ -45,7 +51,9 @@ _MAX_FAILURE_FRACTION = 0.10
 #: memory (a Monte Carlo study chunk holds ``_CHUNK // (1 + B)`` replicates).
 _CHUNK = 256
 #: Residuals below this magnitude count as an exact fit (a just-identified
-#: solve is exact up to rounding, so its test statistic must vanish).
+#: solve is exact up to rounding, so its test statistic must vanish), and a
+#: residual standard error below it as zero (a trial whose residual is the same
+#: in every resample has no noise scale, whatever rounding leaves of its spread).
 _EXACT_FIT_TOL = 1e-12
 
 
@@ -297,24 +305,13 @@ def bootstrap(
     )
 
 
-def _binary_margins(
-    summaries: Summaries, space: str
-) -> tuple[np.ndarray, np.ndarray]:
-    if space == "outcome":
-        if summaries.outcome_cardinality != 2:
-            raise ValidationError(
-                "this operation is defined for two-state systems only"
-            )
-        M = np.stack([t.control_outcome for t in summaries.trials])
-        y = np.array([t.treated_outcome[1] for t in summaries.trials])
-    elif space == "surrogate":
-        if not summaries.has_surrogate:
-            raise ValidationError("no surrogate data present")
-        M = np.stack([t.control_surrogate for t in summaries.trials])
-        y = np.array([t.treated_surrogate[1] for t in summaries.trials])
-    else:
-        raise ValidationError(f"unsupported space {space!r} for this operation")
-    return M, y
+def _two_state_margins(summaries: Summaries, space: str) -> tuple[np.ndarray, np.ndarray]:
+    """The control frequencies ``(m, 2)`` and treated success rates ``(m,)``
+    of :func:`~jointpo.transition.build_system`'s two-state system."""
+    system = build_system(summaries, space)
+    if system.k != 2:
+        raise ValidationError("this operation is defined for two-state systems only")
+    return system.design, system.response[:, 1]
 
 
 def plugin_variance(
@@ -336,7 +333,7 @@ def plugin_variance(
     trial weights taken as ``n_g / n``.
     """
     theta = np.asarray(theta, dtype=float)
-    M, y = _binary_margins(summaries, space)
+    M, y = _two_state_margins(summaries, space)
     m = M.shape[0]
     sizes = summaries.arm_sizes().astype(float)
     if n is None:
@@ -399,12 +396,24 @@ class OveridTestResult:
         )
 
 
+def _j_statistics(residuals: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The J statistic ``sum((r / sigma) ** 2)`` over the trials (last axis) of
+    ``(..., m)`` residuals and their standard errors, and the residuals it
+    used: those below :data:`_EXACT_FIT_TOL` count as an exact fit (zero). A
+    member with a standard error below it has no residual scale and gets NaN.
+    """
+    effective = np.where(np.abs(residuals) < _EXACT_FIT_TOL, 0.0, residuals)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stat = ((effective / sigma) ** 2).sum(axis=-1)
+    return np.where((sigma < _EXACT_FIT_TOL).any(axis=-1), np.nan, stat), effective
+
+
 def transition_residuals(
     summaries: Summaries, theta: np.ndarray, *, space: str = "outcome"
 ) -> np.ndarray:
     """Per-trial residuals of the treated frequency against its fitted
     mixture of control frequencies."""
-    M, y = _binary_margins(summaries, space)
+    M, y = _two_state_margins(summaries, space)
     return y - M @ np.asarray(theta, dtype=float)
 
 
@@ -422,49 +431,35 @@ def overid_test(
     replicates that produced ``theta``, of the replicate frequencies'
     deviation from the point fit (the raw noise scale; the reference
     distribution's m - k degrees of freedom already account for the
-    fitted parameters). Requires more trials than states for a p-value;
+    fitted parameters). A ``sigma_g`` below :data:`_EXACT_FIT_TOL` raises
+    :class:`InferenceError`. Requires more trials than states for a p-value;
     with m == k the statistic is reported (it vanishes up to rounding)
     and the p-value is marked inapplicable.
     """
     residuals = transition_residuals(summaries, theta, space=space)
-    m = residuals.size
-    k = 2
     sigma = np.asarray(sigma_g, dtype=float)
     if sigma.shape != residuals.shape:
         raise ValidationError("sigma_g must provide one value per trial")
     ids = summaries.trial_ids
-
-    if m == k:
+    df = residuals.size - 2
+    if df == 0:
         # Just identified: the fit is exact by construction, so no residual
         # scale exists. Record unit sigmas to keep the statistic reproducible
         # from the residual list.
         sigma = np.ones_like(residuals)
-        stat = float(np.sum(residuals**2))
-        per_trial = tuple(
-            (tid, float(r), float(s)) for tid, r, s in zip(ids, residuals, sigma)
-        )
-        return OveridTestResult(
-            statistic=stat, df=0, p_value=None, per_trial_residuals=per_trial
-        )
-    if m < k:
-        raise IdentificationError(
-            f"the test needs at least as many trials as states (m={m}, k={k})"
-        )
-    if (sigma == 0).any():
-        bad = [tid for tid, s in zip(ids, sigma) if s == 0]
+    elif (sigma < _EXACT_FIT_TOL).any():
+        bad = [tid for tid, s in zip(ids, sigma) if s < _EXACT_FIT_TOL]
         raise InferenceError(
             f"zero residual standard error for trial(s) {', '.join(bad)}; "
             "the test statistic is undefined"
         )
-    effective = np.where(np.abs(residuals) < _EXACT_FIT_TOL, 0.0, residuals)
-    stat = float(np.sum((effective / sigma) ** 2))
+    stat, effective = _j_statistics(residuals, sigma)
     per_trial = tuple(
         (tid, float(r), float(s)) for tid, r, s in zip(ids, effective, sigma)
     )
-    df = m - k
     return OveridTestResult(
-        statistic=stat,
+        statistic=float(stat),
         df=df,
-        p_value=chi2_sf(stat, df),
+        p_value=chi2_sf(float(stat), df) if df else None,
         per_trial_residuals=per_trial,
     )

@@ -556,14 +556,19 @@ def overid_size_study(
     *,
     workers: int | None = None,
 ) -> np.ndarray:
-    """P-values of the overidentification test across simulated replicates.
+    """P-values of the overidentification test across simulated replicates,
+    each computed as ``test`` computes it: the statistic of
+    :func:`~jointpo.inference.overid_test` on the replicate's point fit.
 
-    Each replicate bootstraps the per-trial residual standard errors:
-    the spread, across resamples, of each trial's deviation from the
-    point fit. Replicates are drawn and fitted in chunks over ``workers``
+    Each replicate bootstraps the per-trial residual standard errors: the
+    spread, across every kept resample, of each trial's deviation from the
+    point fit. A standard error below ``inference._EXACT_FIT_TOL`` counts
+    as zero. Replicates are drawn and fitted in chunks over ``workers``
     threads as in :func:`run_study`, with bit-identical p-values for any
-    ``workers``. A replicate whose point fit is singular, or with fewer
-    than 2 kept resamples, gets NaN.
+    ``workers``. A replicate gets NaN when its point fit is singular, it has
+    fewer than 2 kept resamples, or a standard error is zero; every replicate
+    gets NaN when the system is just identified (``m = 2``, no degrees of
+    freedom).
     """
     _check_sizes(replicates, bootstrap_replicates)
     threads = _thread_count(workers)
@@ -572,32 +577,27 @@ def overid_size_study(
         raise ValidationError("the size study runs on binary-outcome cases")
     m = population.cell_probs.shape[0]
     df = m - 2
-    p_values = np.empty(replicates)
+    p_values = np.full(replicates, np.nan)
 
     def finish(index, stacks, keep):
-        design, response = _binary_arms(_members(stacks))
-        coef, ok = least_squares(design, response[..., None])
-        per_replicate = (
-            a.reshape(stacks.shape[:2] + a.shape[1:]) for a in (design, response, coef, ok)
-        )
-        for i, d, r, c, o, k in zip(index, *per_replicate, keep):
-            if not o[0]:
-                # A singular point fit fails its replicate, as in run_study.
-                p_values[i] = np.nan
-                continue
-            # Residuals of the point fit, and each resample's deviation from it.
-            residuals = r - (d @ c[0])[..., 0]
-            kept = residuals[1:][k & o[1:]]
-            # With fewer than two kept resamples the spread is undefined (and
-            # ``std`` would warn).
-            sigma = kept.std(axis=0, ddof=1) if len(kept) > 1 else np.full(m, np.nan)
-            if (sigma == 0).any():
-                p_values[i] = np.nan
-            else:
-                p_values[i] = chi2_sf(float(np.sum((residuals[0] / sigma) ** 2)), df)
+        # Only the points are fitted, on the whole treated distribution as
+        # solve_transitions fits it (one column rounds differently); each
+        # resample's residual is its deviation from its replicate's point fit.
+        control, treated = stacks[..., :2], stacks[..., 2:]
+        design = control / control.sum(axis=-1, keepdims=True)
+        freqs = treated / treated.sum(axis=-1, keepdims=True)
+        theta = least_squares(design[:, 0], freqs[:, 0])[0][..., 1]
+        residuals = freqs[..., 1] - (design @ theta[:, None, :, None])[..., 0]
+        sigma = np.full((len(index), m), np.nan)
+        for s, r, k in zip(sigma, residuals, keep):
+            if k.sum() > 1:
+                s[:] = r[1:][k].std(axis=0, ddof=1)
+        for i, j in zip(index, inference._j_statistics(residuals[:, 0], sigma)[0]):
+            p_values[i] = chi2_sf(float(j), df)
 
-    _run_chunks(
-        population.cell_probs, spec.n_g, replicates, bootstrap_replicates, seed,
-        _arms_positive, finish, threads,
-    )
+    if df > 0:
+        _run_chunks(
+            population.cell_probs, spec.n_g, replicates, bootstrap_replicates, seed,
+            _arms_positive, finish, threads,
+        )
     return p_values

@@ -22,22 +22,26 @@ from jointpo.data import (
     _parse_int,
     summarize,
 )
-from jointpo.errors import ParseError, SchemaError, ValidationError
-from jointpo.inference import replicate_rng, transition_residuals
+from jointpo.errors import (
+    EstimationError,
+    IdentificationError,
+    InferenceError,
+    ParseError,
+    SchemaError,
+    ValidationError,
+)
+from jointpo.inference import overid_test, replicate_rng, transition_residuals
 from jointpo.principal import method1_estimate, method4_estimate, monotone_variant_estimate
 from jointpo.simulate import (
     Pipeline,
     _arms_positive,
-    _binary_arms,
     dgp_population,
 )
-from jointpo.special import chi2_sf
 from jointpo.transition import (
     binary_transition_params,
     build_system,
     estimand_vectors,
     joint_from_transitions,
-    least_squares,
     solve_transitions,
 )
 
@@ -428,24 +432,32 @@ def reference_run_study(spec, replicates: int, n_draws: int, seed: int):
 
 
 def reference_overid_size_study(spec, replicates: int, n_draws: int, seed: int):
-    """``simulate.overid_size_study``, one replicate at a time."""
+    """``simulate.overid_size_study`` as the shipped test, one replicate at a
+    time: the point fit of ``solve_transitions``, the residual standard
+    errors from ``transition_residuals`` over the kept resamples, and the
+    p-value of ``overid_test``."""
     pop = dgp_population(spec)
-    df = pop.cell_probs.shape[0] - 2
-    p_values = np.empty(replicates)
+    p_values = np.full(replicates, np.nan)
     for i in range(replicates):
         rng = replicate_rng(seed, i)
         counts, batch, keep, _ = _reference_draws(
             pop.cell_probs, spec.n_g, n_draws, rng, _arms_positive
         )
-        design, response = _binary_arms(np.concatenate([counts[None], batch]))
-        coef, ok = least_squares(design, response[..., None])
-        if not ok[0]:
-            p_values[i] = np.nan
+        ds = binary_dataset(counts)
+        try:
+            summaries = summarize(ds)
+            theta = binary_transition_params(solve_transitions(build_system(summaries)))
+        except (EstimationError, IdentificationError):
             continue
-        residuals = response - (design @ coef[0])[..., 0]
-        sigma = residuals[1:][keep & ok[1:]].std(axis=0, ddof=1)
-        if (sigma == 0).any():
-            p_values[i] = np.nan
-        else:
-            p_values[i] = chi2_sf(float(np.sum((residuals[0] / sigma) ** 2)), df)
+        if keep.sum() < 2:
+            continue
+        residuals = np.array(
+            [transition_residuals(summarize(ds.with_counts(b)), theta) for b in batch[keep]]
+        )
+        try:
+            result = overid_test(summaries, theta, residuals.std(axis=0, ddof=1))
+        except InferenceError:
+            continue
+        if result.df > 0:
+            p_values[i] = result.p_value
     return p_values

@@ -1,11 +1,15 @@
+import contextlib
 import csv
 import io
 import json
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from jsonschema import validate
 
 import jointpo.cli
@@ -48,6 +52,18 @@ VIOLATION = "trial,arm,s,y,count\n" + "".join(
     for a in (0, 1)
     for s in (0, 1)
     for y in (0, 1)
+)
+
+# Seven ordinary trials, then trial 8 whose arms hold only y=1.
+DETERMINISTIC_TRIAL = "trial,arm,s,y,count\n" + "".join(
+    f"{g},{a},NA,{y},{n}\n"
+    for g, arms in enumerate(
+        [(60, 40, 45, 55), (50, 50, 38, 62), (40, 60, 33, 67), (30, 70, 25, 75),
+         (55, 45, 40, 60), (45, 55, 36, 64), (35, 65, 30, 70), (0, 37, 0, 41)],
+        1,
+    )
+    for a in (0, 1)
+    for y, n in enumerate(arms[2 * a : 2 * a + 2])
 )
 
 TEN_TRIAL_SURROGATE = "trial,arm,s,y,count\n" + "".join(
@@ -208,6 +224,21 @@ class TestTest:
         assert code == 3
         assert "just-identified" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("seed", ["1", "2", "3"])
+    def test_deterministic_trial_exits_4(self, capsys, tmp_path, seed):
+        # Trial 8's arms hold only y=1, so its residual is the same in every
+        # resample: its standard error is zero up to rounding, and the test
+        # statistic has no scale.
+        p = tmp_path / "deterministic.csv"
+        p.write_text(DETERMINISTIC_TRIAL)
+        code, out, err = run_cli(
+            capsys, "test", "--input", str(p), "--boot", "200", "--seed", seed
+        )
+        assert code == 4 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "InferenceError"
+        assert error["message"].startswith("zero residual standard error for trial(s) 8;")
+
     def test_surrogate_space_df(self, capsys, registry_csv):
         report, _ = run_json(
             capsys,
@@ -326,6 +357,24 @@ class TestPsace:
             "space", "cell", "trial", "estimate", "lower", "upper",
         ]
         assert len(cells) == 1 + 2 * 10
+
+    @pytest.mark.parametrize("method", ["1", "4"])
+    def test_plot_data_lists_the_joint_cell_warnings(self, capsys, c4_csv, tmp_path, method):
+        # The joint cells of --plot-data come from forced solves of the
+        # surrogate and outcome systems: their warnings follow the method's
+        # own, as `estimate --force` lists them for each space.
+        def warnings_of(command, *argv):
+            report, _ = run_json(capsys, command, "--input", str(c4_csv), "--boot", "0", *argv)
+            return report["diagnostics"]["warnings"]
+
+        listed = warnings_of("psace", "--method", method, "--plot-data", str(tmp_path / "p"))
+        expected = warnings_of("psace", "--method", method) + [
+            w
+            for space in ("surrogate", "outcome")
+            for w in warnings_of("estimate", "--space", space, "--force")
+        ]
+        assert listed == expected
+        assert len(listed) > len(warnings_of("psace", "--method", method))
 
     @pytest.mark.parametrize("ci_method", ["normal", "percentile"])
     def test_plot_data_bootstraps_once(self, capsys, c4_csv, tmp_path, monkeypatch, ci_method):
@@ -679,6 +728,65 @@ class TestSchemaAndErrors:
         assert error["type"] == "ValidationError" and error["exit_code"] == 2
         assert error["message"].startswith(message)
 
+    @pytest.mark.parametrize(
+        "argv, error_type",
+        [
+            (["estimate", "--input", "{directory}", "--boot", "0"], "IsADirectoryError"),
+            (["estimate", "--input", "{latin1}", "--boot", "0"], "UnicodeDecodeError"),
+            (
+                ["estimate", "--input", "{toy}", "--boot", "0", "--output", "{missing}/r.json"],
+                "FileNotFoundError",
+            ),
+            (
+                ["simulate", "--case", "c1", "--ng", "40", "--reps", "3", "--boot", "4",
+                 "--seed", "1", "--replicates-csv", "{missing}/r.csv"],
+                "FileNotFoundError",
+            ),
+            (
+                ["test", "--input", "{registry}", "--boot", "20", "--seed", "1",
+                 "--plot-data", "{toy}"],
+                "FileExistsError",
+            ),
+            (["simulate", "--config", "{missing}/study.json"], "FileNotFoundError"),
+        ],
+    )
+    def test_unusable_file_exits_2(self, capsys, tmp_path, argv, error_type):
+        paths = {
+            "directory": tmp_path,
+            "latin1": tmp_path / "latin1.csv",
+            "toy": tmp_path / "toy.csv",
+            "registry": tmp_path / "registry.csv",
+            "missing": tmp_path / "missing",
+        }
+        paths["latin1"].write_bytes(TOY_TWO_TRIAL.replace("NA", "N\xc0").encode("latin-1"))
+        paths["toy"].write_text(TOY_TWO_TRIAL)
+        paths["registry"].write_text(TEN_TRIAL_SURROGATE)
+        code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == error_type and error["exit_code"] == 2
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            # A trailing comma.
+            ('"n_g": 90,', "--config is not valid JSON"),
+            ('"n_g": "abc"', 'config \'n_g\' must be an integer, got "abc"'),
+            ('"n_g": 50.7', "config 'n_g' must be an integer, got 50.7"),
+            ('"n_g": 90, "seed": true', "config 'seed' must be an integer, got true"),
+        ],
+    )
+    def test_malformed_config_exits_2(self, capsys, tmp_path, field, message):
+        cfg = tmp_path / "study.json"
+        cfg.write_text(
+            '{"case": "c1", "replicates": 5, "bootstrap_replicates": 8, "seed": 21, %s}' % field
+        )
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValidationError" and error["message"].startswith(message)
+
     def test_inference_failure_exit_code(self, capsys, tmp_path):
         # One treated unit total in trial 2 makes most resamples drop the
         # arm entirely; with a tiny redraw budget unavailable, failures
@@ -696,3 +804,73 @@ class TestSchemaAndErrors:
         # The redraw loop usually rescues these; accept either a clean run
         # or an accounted inference failure, never a crash.
         assert code in (0, 4)
+
+
+@st.composite
+def cell_tables(draw):
+    """A small cell-count CSV: 1-5 trials, 2-3 outcome states, a binary or
+    absent surrogate, zero cells (at most one per arm), at most one empty
+    arm and an optional target trial with or without control units."""
+    m = draw(st.integers(1, 5))
+    k = draw(st.integers(2, 3))
+    surrogates = draw(st.sampled_from([("NA",), (0, 1)]))
+    target = draw(st.sampled_from([None, "units", "empty"]))
+    arms = [(str(g), a) for g in range(1, m + 1) for a in (0, 1)]
+    # About one table in five has an empty arm.
+    emptied = draw(st.sampled_from(arms)) if draw(st.integers(0, 4)) == 0 else None
+    if target is not None:
+        arms.append(("0", 0))
+    states = [(s, y) for s in surrogates for y in range(k)]
+    rows = ["trial,arm,s,y,count"]
+    for trial, a in arms:
+        empty = (trial, a) == emptied or (trial == "0" and target == "empty")
+        zero = draw(st.sampled_from([None, *states]))
+        for s, y in states:
+            count = 0 if empty or (s, y) == zero else draw(st.integers(1, 30))
+            rows.append(f"{trial},{a},{s},{y},{count}")
+    return "\n".join(rows) + "\n"
+
+
+EXIT_CONTRACT_COMMANDS = [
+    ["estimate"],
+    ["estimate", "--space", "surrogate"],
+    ["estimate", "--space", "composite"],
+    ["estimate", "--space", "composite", "--mono-s", "--mono-y"],
+    ["estimate", "--force"],
+    ["estimate", "--project"],
+    ["test"],
+    ["test", "--space", "surrogate"],
+    ["target"],
+    ["target", "--space", "surrogate", "--force"],
+    ["psace", "--method", "1", "--plot-data", "{plots}"],
+    ["psace", "--method", "2", "--plot-data", "{plots}"],
+    ["psace", "--method", "3", "--plot-data", "{plots}"],
+    ["psace", "--method", "4", "--plot-data", "{plots}"],
+]
+
+
+class TestExitCodeContract:
+    """Whatever the table, a command exits 0, 2, 3 or 4; a nonzero exit
+    writes one JSON error line to stderr and nothing to stdout."""
+
+    @given(table=cell_tables())
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_exit_codes(self, table):
+        with tempfile.TemporaryDirectory() as work:
+            path = f"{work}/table.csv"
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(table)
+            for command in EXIT_CONTRACT_COMMANDS:
+                for boot in BOOTS:
+                    argv = [arg.format(plots=f"{work}/plots") for arg in command]
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = main([*argv, "--input", path, *boot])
+                    assert code in (0, 2, 3, 4), argv
+                    if code == 0:
+                        assert err.getvalue() == ""
+                        json.loads(out.getvalue())
+                    else:
+                        assert out.getvalue() == ""
+                        [line] = err.getvalue().splitlines()
+                        assert json.loads(line)["error"]["exit_code"] == code

@@ -298,6 +298,17 @@ class TestOveridTest:
         with pytest.raises(InferenceError, match="zero residual"):
             overid_test(s, theta, sigma)
 
+    def test_rounding_sized_sigma_is_a_test_error(self):
+        # A trial whose residual is the same in every resample gets a
+        # standard error of rounding size, not exactly zero.
+        ds = simulate_dataset(DgpSpec(case="c1", n_g=300), seed=14)
+        s = summarize(ds)
+        theta = binary_transition_params(solve_transitions(build_system(s, "outcome")))
+        sigma = np.full(10, 0.05)
+        sigma[[3, 6]] = [9.04e-17, 1e-13]
+        with pytest.raises(InferenceError, match=r"trial\(s\) 4, 7;"):
+            overid_test(s, theta, sigma)
+
     @pytest.mark.parametrize(
         "replicates, boot, message",
         [

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import os
 import sys
 import warnings
@@ -401,3 +402,36 @@ class TestChunkedOveridSize:
         p_values = overid_size_study(spec, 60, 10, 1, workers=workers)
         np.testing.assert_array_equal(p_values, reference_overid_size_study(spec, 60, 10, 1))
         assert 3 <= np.isnan(p_values).sum() < 60
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rounding_sized_sigma_gives_nan(self):
+        # Replicate 9 draws trial 9 as 0 5 0 5: its residual is the same in
+        # every resample, and rounding leaves its spread near 1e-16.
+        counts, *_ = _reference_draws(
+            dgp_population(DgpSpec(case="c1", n_g=10)).cell_probs, 10, 10,
+            replicate_rng(1, 9), lambda batch: np.ones(len(batch), dtype=bool),
+        )
+        assert counts[8].tolist() == [0, 5, 0, 5]
+        assert np.isnan(overid_size_study(DgpSpec(case="c1", n_g=10), 60, 10, 1)[9])
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_deterministic_trial_gives_nan(self, workers):
+        # Trial 8 holds only y=1 in both arms, so no replicate's statistic
+        # has a scale.
+        base = dgp_population(DgpSpec(case="c1", n_g=200))
+        cells = base.cell_probs.copy()
+        cells[7] = [0.0, 0.5, 0.0, 0.5]
+        spec = DgpSpec(case="custom", n_g=200, custom=dataclasses.replace(base, cell_probs=cells))
+        p_values = overid_size_study(spec, 6, 20, 3, workers=workers)
+        np.testing.assert_array_equal(p_values, reference_overid_size_study(spec, 6, 20, 3))
+        assert np.isnan(p_values).all()
+
+    def test_just_identified_gives_nan(self):
+        # With m = 2 the test has no degrees of freedom (overid_test reports
+        # df 0 and no p-value).
+        p_values = overid_size_study(DgpSpec(case="c1", n_g=100, m=2), 5, 8, 1)
+        np.testing.assert_array_equal(p_values, np.full(5, np.nan))
+        np.testing.assert_array_equal(
+            p_values, reference_overid_size_study(DgpSpec(case="c1", n_g=100, m=2), 5, 8, 1)
+        )
+
