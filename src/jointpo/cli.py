@@ -51,16 +51,14 @@ from .inference import BatchEstimator, BatchFit, BootstrapConfig, bootstrap, ove
 from .principal import (
     PSACE_ORDERINGS,
     STRATA,
-    clip_score_tables,
     fourway_tables,
-    method1_arrays,
     method1_effects,
     method1_from_scores,
+    method1_stack,
     method4_estimate,
     monotone_variant_estimate,
     principal_scores,
     psace_tables,
-    score_tables,
 )
 from .report import (
     canonical_json,
@@ -286,15 +284,8 @@ def psace_estimator(
     def fit_live(freqs):
         n = len(freqs.empty)
         if method == 1:
-            rates = freqs.surrogate[:, :m, :, 1]
-            scores = score_tables(rates[:, :, 0], rates[:, :, 1])
-            if clip_scores:
-                scores = clip_score_tables(scores)
-            treated, control, status = method1_arrays(
-                scores, freqs.outcome[:, :m], freqs.composite[:, :m], freqs.sizes[:, :m]
-            )
-            effects = method1_effects(treated, control, m)
-            return effects.reshape(n, -1), status == 0, False
+            treated, control, status = method1_stack(freqs, m, clip_scores=clip_scores)
+            return method1_effects(treated, control, m).reshape(n, -1), status == 0, False
         mono_s, mono_y = PSACE_ORDERINGS[method]
         mask = monotone_mask("composite", mono_s, mono_y)
         fit = _stack_transitions(freqs, m, "composite", mask, project)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import COMPOSITE_STATES, Summaries
+from .data import COMPOSITE_STATES, FrequencyStack, Summaries
 from .errors import (
     EstimationError,
     IdentificationError,
@@ -230,6 +230,16 @@ def method1_arrays(
     treated = np.stack([treated_00, coef_t[..., 0, 0], coef_t[..., 1, 0]], axis=-1)
     control = np.stack([coef_c[..., 0, 0], coef_c[..., 1, 0], control_11], axis=-1)
     return treated, control, status
+
+
+def method1_stack(freqs: FrequencyStack, m: int, *, clip_scores: bool = False):
+    """:func:`method1_arrays` on the first ``m`` trials of a frequency stack,
+    scored from its surrogate rates (clipped under ``clip_scores``)."""
+    rates = freqs.surrogate[:, :m, :, 1]
+    scores = score_tables(rates[:, :, 0], rates[:, :, 1])
+    if clip_scores:
+        scores = clip_score_tables(scores)
+    return method1_arrays(scores, freqs.outcome[:, :m], freqs.composite[:, :m], freqs.sizes[:, :m])
 
 
 def method1_effects(treated: np.ndarray, control: np.ndarray, m: int) -> np.ndarray:

@@ -12,11 +12,11 @@ fair coin treatment:
 * ``c4``: monotone surrogate strata with logistic stratum outcome
   probabilities, estimated through the four-step stratum estimator.
 
-Every case is estimated by a :class:`Pipeline`: arm frequencies of a
-stack of count matrices fed to the package's least-squares kernel
-(:func:`~jointpo.transition.least_squares`, or through
-:func:`~jointpo.principal.method1_arrays` for the four-step estimator),
-so the studies measure the solver and rank rule the CLI applies.
+Every case is estimated by a :class:`Pipeline`: the arm frequencies of
+:func:`~jointpo.data.frequency_stack` fitted by
+:func:`~jointpo.transition.least_squares` as ``estimate`` fits them, or by
+:func:`~jointpo.principal.method1_stack` as ``psace --method 1`` does, so a
+study point is member 0 of the CLI statistic on the same counts, bit for bit.
 
 Replicate ``i`` of a study draws its dataset and, through the resampler
 and redraw loop of :mod:`jointpo.inference`, its bootstrap resamples from
@@ -39,10 +39,10 @@ from typing import Callable
 import numpy as np
 
 from . import inference
-from .data import MultiTrialDataset, TrialCellCounts
+from .data import _MAX_COUNT, MultiTrialDataset, TrialCellCounts, frequency_stack
 from .errors import InferenceError, ValidationError
 from .inference import replicate_rng
-from .principal import method1_arrays, score_tables
+from .principal import method1_stack
 from .special import chi2_sf, expit
 from .transition import least_squares
 
@@ -93,6 +93,8 @@ class DgpSpec:
             raise ValidationError("a custom case needs a Population")
         if self.n_g <= 0:
             raise ValidationError(f"per-trial size must be positive, got {self.n_g}")
+        if self.n_g > _MAX_COUNT:
+            raise ValidationError(f"per-trial size {self.n_g} exceeds 2**63 - 1")
         if self.m < 2:
             raise ValidationError("at least two trials are required")
         if self.case in CASES and self.m > MAX_CASE_M:
@@ -232,21 +234,20 @@ def _draw_counts(
     return rng.multinomial(n_g, cell_probs)
 
 
+def _wrap_counts(population: Population, counts: np.ndarray) -> MultiTrialDataset:
+    """The dataset of an ``(m, cells)`` count matrix laid out like ``cell_probs``."""
+    shape = (2, 2, -1) if population.has_surrogate else (2, -1)
+    trials = (TrialCellCounts(str(g + 1), row.reshape(shape)) for g, row in enumerate(counts))
+    return MultiTrialDataset(trials=tuple(trials))
+
+
 def simulate_dataset(spec: DgpSpec, seed: int) -> MultiTrialDataset:
     """Draw one dataset from the process: per trial, n_g units assigned
     by a coin flip, outcomes drawn from the population law of the
     observed cells. Deterministic per seed."""
     pop = dgp_population(spec)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    counts = _draw_counts(pop.cell_probs, spec.n_g, rng)
-    trials = []
-    for g in range(counts.shape[0]):
-        if pop.has_surrogate:
-            arr = counts[g].reshape(2, 2, pop.outcome_cardinality)
-        else:
-            arr = counts[g].reshape(2, pop.outcome_cardinality)
-        trials.append(TrialCellCounts(trial_id=str(g + 1), counts=arr))
-    return MultiTrialDataset(trials=tuple(trials))
+    return _wrap_counts(pop, _draw_counts(pop.cell_probs, spec.n_g, rng))
 
 
 def _resample_stacks(
@@ -287,52 +288,31 @@ def _four_step_valid(batch: np.ndarray) -> np.ndarray:
     return _arms_positive(batch) & (treated_s0 > 0) & (control_s1 > 0)
 
 
-def _binary_arms(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Control outcome frequencies ``(..., m, 2)`` and treated success rates
-    ``(..., m)`` of binary-outcome cell counts."""
-    control = counts[..., :2]
-    treated = counts[..., 2:]
-    design = control / control.sum(axis=-1, keepdims=True)
-    return design, treated[..., 1] / treated.sum(axis=-1)
+def _binary_fit(freqs) -> tuple[np.ndarray, np.ndarray]:
+    # The whole treated distribution, as ``estimate`` solves it; keep P(Y1=1|Y0=j).
+    trans, ok = least_squares(freqs.outcome[:, :, 0], freqs.outcome[:, :, 1])
+    return trans[..., 1], ok
 
 
-def _binary_fit(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    design, response = _binary_arms(counts)
-    coef, ok = least_squares(design, response[..., None])
-    return coef[..., 0], ok
-
-
-def _composite_fit(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _composite_fit(freqs) -> tuple[np.ndarray, np.ndarray]:
     # The unconstrained 16-entry composite transition, reported as the
     # per-source-state rates of the surrogate, then of the outcome. Rows
     # are source states (s, y): sum target columns with s=1, then y=1.
-    control = counts[..., :4]
-    treated = counts[..., 4:]
-    trans, ok = least_squares(
-        control / control.sum(axis=-1, keepdims=True),
-        treated / treated.sum(axis=-1, keepdims=True),
-    )
+    trans, ok = least_squares(freqs.composite[:, :, 0], freqs.composite[:, :, 1])
     s_rate = trans[..., :, 2] + trans[..., :, 3]
     y_rate = trans[..., :, 1] + trans[..., :, 3]
     return np.concatenate([s_rate, y_rate], axis=-1), ok
 
 
-def _four_step_fit(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _four_step_fit(freqs) -> tuple[np.ndarray, np.ndarray]:
     # Method 1: the six stratum outcome probabilities, then the three
     # stratum effects (their pairwise differences).
-    arms = counts.reshape(counts.shape[:-1] + (2, 4))  # (..., m, arm, (s, y))
-    sizes = arms.sum(axis=-1)
-    composite = arms / sizes[..., None]
-    outcome = composite[..., :2] + composite[..., 2:]
-    surrogate = composite[..., 2] + composite[..., 3]
-    treated, control, status = method1_arrays(
-        score_tables(surrogate[..., 0], surrogate[..., 1]), outcome, composite, sizes
-    )
+    treated, control, status = method1_stack(freqs, freqs.sizes.shape[1])
     return np.concatenate([treated, control, treated - control], axis=-1), status == 0
 
 
 #: Per estimator name: the predicate a resample must pass (others are
-#: redrawn) and the batch fit.
+#: redrawn) and the fit of a :class:`~jointpo.data.FrequencyStack`.
 _ESTIMATORS = {
     "binary-transition": (_arms_positive, _binary_fit),
     "composite-transition": (_arms_positive, _composite_fit),
@@ -345,7 +325,7 @@ class Pipeline:
 
     ``fit`` maps a ``(B, m, cells)`` stack of count matrices, laid out like
     ``Population.cell_probs``, to ``(B, len(param_names))`` values and a
-    ``(B,)`` flag of members that pass the rank check of
+    ``(B,)`` flag of members with no empty arm that pass the rank check of
     :func:`~jointpo.transition.least_squares`; ``valid`` flags the resamples
     the statistic accepts at all.
     """
@@ -354,9 +334,18 @@ class Pipeline:
         self.name = population.estimator or (
             "composite-transition" if population.has_surrogate else "binary-transition"
         )
+        binary_pair = population.has_surrogate and population.outcome_cardinality == 2
+        if self.name != "binary-transition" and not binary_pair:
+            raise ValidationError(f"{self.name} requires a surrogate and a binary outcome")
         self.param_names = population.param_names
         self.truth = population.truth
-        self.valid, self.fit = _ESTIMATORS[self.name]
+        self.valid, self._fit = _ESTIMATORS[self.name]
+        self.layout = _wrap_counts(population, np.zeros(population.cell_probs.shape, int))
+
+    def fit(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        freqs = frequency_stack(self.layout, counts)
+        values, ok = self._fit(freqs)
+        return values, ok & ~freqs.empty
 
     def point(self, counts: np.ndarray) -> np.ndarray:
         values, ok = self.fit(counts[None])
@@ -575,18 +564,18 @@ def overid_size_study(
     population = dgp_population(spec)
     if population.has_surrogate:
         raise ValidationError("the size study runs on binary-outcome cases")
+    pipe = Pipeline(population)
     m = population.cell_probs.shape[0]
     df = m - 2
     p_values = np.full(replicates, np.nan)
 
     def finish(index, stacks, keep):
-        # Only the points are fitted, on the whole treated distribution as
-        # solve_transitions fits it (one column rounds differently); each
-        # resample's residual is its deviation from its replicate's point fit.
-        control, treated = stacks[..., :2], stacks[..., 2:]
-        design = control / control.sum(axis=-1, keepdims=True)
-        freqs = treated / treated.sum(axis=-1, keepdims=True)
-        theta = least_squares(design[:, 0], freqs[:, 0])[0][..., 1]
+        # Only the points are fitted; each resample's residual is its
+        # deviation from its replicate's point fit.
+        theta = pipe.fit(stacks[:, 0])[0]
+        outcome = frequency_stack(pipe.layout, _members(stacks)).outcome
+        outcome = outcome.reshape(stacks.shape[:2] + outcome.shape[1:])
+        design, freqs = outcome[..., 0, :], outcome[..., 1, :]
         residuals = freqs[..., 1] - (design @ theta[:, None, :, None])[..., 0]
         sigma = np.full((len(index), m), np.nan)
         for s, r, k in zip(sigma, residuals, keep):

@@ -787,6 +787,23 @@ class TestSchemaAndErrors:
         error = json.loads(err)["error"]
         assert error["type"] == "ValidationError" and error["message"].startswith(message)
 
+    @pytest.mark.parametrize("use_config", (False, True))
+    def test_per_trial_size_beyond_int64_exits_2(self, capsys, tmp_path, use_config):
+        n_g = "100000000000000000000000000000"
+        if use_config:
+            cfg = tmp_path / "study.json"
+            cfg.write_text('{"case": "c1", "n_g": %s}' % n_g)
+            argv = ("--config", str(cfg))
+        else:
+            argv = ("--case", "c1", "--ng", n_g)
+        code, out, err = run_cli(
+            capsys, "simulate", *argv, "--reps", "2", "--boot", "2", "--seed", "1"
+        )
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValidationError"
+        assert error["message"] == f"per-trial size {n_g} exceeds 2**63 - 1"
+
     def test_inference_failure_exit_code(self, capsys, tmp_path):
         # One treated unit total in trial 2 makes most resamples drop the
         # arm entirely; with a tiny redraw budget unavailable, failures

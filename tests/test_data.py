@@ -11,6 +11,7 @@ from jointpo.data import (
     MultiTrialDataset,
     TrialCellCounts,
     _parse_int,
+    frequency_stack,
     parse_dataset,
     parse_unit_rows,
     serialize_dataset,
@@ -432,3 +433,67 @@ class TestProperties:
         tensor = ds.counts_tensor()
         rebuilt = ds.with_counts(tensor)
         _summaries_equal(summarize(ds), summarize(rebuilt))
+
+
+def _layout(m, k, surrogate, target):
+    shape = (2, 2, k) if surrogate else (2, k)
+    trials = tuple(TrialCellCounts(str(g + 1), np.ones(shape, dtype=int)) for g in range(m))
+    if not target:
+        return MultiTrialDataset(trials=trials)
+    control = np.zeros(shape, dtype=int)
+    control[0] = 1
+    return MultiTrialDataset(trials=trials, target=TrialCellCounts("0", control, is_target=True))
+
+
+def _reference_frequencies(dataset, tensor):
+    """Sizes, empty flags and outcome, surrogate and composite frequencies
+    by plain ``sum`` reductions over the cell axes."""
+    k, m = dataset.outcome_cardinality, dataset.m
+    if not dataset.has_surrogate:
+        arms = tensor.reshape(tensor.shape[:2] + (2, k))
+        sizes = arms.sum(axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            outcome, surrogate, composite = arms / sizes[..., None], None, None
+    else:
+        cells = tensor.reshape(tensor.shape[:2] + (2, 2, k))
+        sizes = cells.sum(axis=(-2, -1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            outcome = cells.sum(axis=-2) / sizes[..., None]
+            surrogate = cells.sum(axis=-1) / sizes[..., None]
+            composite = cells.reshape(cells.shape[:3] + (2 * k,)) / sizes[..., None]
+    empty = (sizes[:, :m] == 0).any(axis=(1, 2))
+    if dataset.target is not None:
+        empty |= sizes[:, m, 0] == 0
+    return sizes, empty, outcome, surrogate, composite
+
+
+class TestFrequencyStack:
+    @pytest.mark.parametrize("target", (False, True))
+    @pytest.mark.parametrize("surrogate", (False, True))
+    @pytest.mark.parametrize("k", (2, 3))
+    def test_equals_plain_reductions_bit_for_bit(self, k, surrogate, target):
+        m = 4
+        dataset = _layout(m, k, surrogate, target)
+        cells = (4 if surrogate else 2) * k
+        half = cells // 2
+        tensor = np.random.default_rng(k).integers(1, 4, size=(8, m + target, cells))
+        tensor[1, 0, half:] = 0  # an empty treated arm
+        tensor[2, 3, :half] = 0  # an empty control arm
+        tensor[3, :m, 1] = 0  # a zero cell in every trial
+        if target:
+            tensor[:, m, half:] = 0  # the target has no treated units
+            tensor[4, m, :half] = 0  # nor, here, control units
+        got = frequency_stack(dataset, tensor)
+        want = _reference_frequencies(dataset, tensor)
+        for name, a, b in zip(
+            ("sizes", "empty", "outcome", "surrogate", "composite"),
+            (got.sizes, got.empty, got.outcome, got.surrogate, got.composite),
+            want,
+        ):
+            if b is None:
+                assert a is None, name
+            else:
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                np.testing.assert_array_equal(a, b, err_msg=name)
+        assert got.empty.tolist() == [False, True, True, False, target, False, False, False]
+        assert np.isnan(got.outcome[1, 0, 1]).all()
