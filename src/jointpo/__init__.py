@@ -82,7 +82,6 @@ from .transition import (
     DesignSystem,
     JointTable,
     RankDiagnostics,
-    TransitionFit,
     TransitionMatrix,
     binary_transition_params,
     build_system,

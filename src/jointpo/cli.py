@@ -47,7 +47,14 @@ from .errors import (
     JointpoWarning,
     ValidationError,
 )
-from .inference import BatchEstimator, BatchFit, BootstrapConfig, bootstrap, overid_test
+from .inference import (
+    BatchEstimator,
+    BatchFit,
+    BootstrapConfig,
+    bootstrap,
+    check_seed,
+    overid_test,
+)
 from .principal import (
     PSACE_ORDERINGS,
     STRATA,
@@ -70,7 +77,6 @@ from .report import (
 )
 from .simulate import DgpSpec, run_study
 from .transition import (
-    TransitionFit,
     binary_transition_params,
     build_system,
     check_rank,
@@ -129,6 +135,18 @@ def _require_seed(args) -> None:
         raise ValidationError(
             "--seed is required for stochastic commands (no silent entropy)"
         )
+
+
+def _check_flags(args) -> None:
+    """The rules of the flags every command shares."""
+    if args.seed is not None:
+        check_seed(args.seed)
+    if args.boot is not None and args.boot < 0:
+        raise ValidationError(f"--boot must be at least 0, got {args.boot}")
+    if not 0.0 < args.ci < 1.0:
+        raise ValidationError(f"--ci must lie strictly between 0 and 1, got {args.ci}")
+    if args.workers is not None and args.workers < 1:
+        raise ValidationError(f"workers must be at least 1, got {args.workers}")
 
 
 def _load(args):
@@ -216,9 +234,12 @@ def _batch_fit(dataset, width: int, fit_live):
 
 
 def _stack_transitions(freqs, m: int, space: str, mask, project: bool = False):
+    """Transition matrices of the experimental trials, every column solved
+    (minimum-norm where the rank check fails), and the flag of members with a
+    forced column."""
     arms = freqs.space(space)[:, :m]
-    fit = fit_transitions(arms[:, :, 0], arms[:, :, 1], mask, force=True)
-    return TransitionFit(project_rows(fit.probs, mask), fit.forced) if project else fit
+    probs, identified = fit_transitions(arms[:, :, 0], arms[:, :, 1], mask, force=True)
+    return (project_rows(probs, mask) if project else probs), ~identified
 
 
 def estimate_estimator(dataset, space: str, mask, *, project=False) -> BatchEstimator:
@@ -228,13 +249,13 @@ def estimate_estimator(dataset, space: str, mask, *, project=False) -> BatchEsti
     two_state = mask.shape[0] == 2
 
     def fit_live(freqs):
-        fit = _stack_transitions(freqs, m, space, mask, project)
-        values = [fit.probs[:, mask]]
+        probs, forced = _stack_transitions(freqs, m, space, mask, project)
+        values = [probs[:, mask]]
         if two_state:
-            joints = joint_tables(fit.probs[:, None], freqs.space(space)[:, :m, 0])
+            joints = joint_tables(probs[:, None], freqs.space(space)[:, :m, 0])
             values.append(estimand_vectors(joints).reshape(len(joints), -1))
-        ok = ~np.isnan(fit.probs).any(axis=(1, 2))
-        return np.concatenate(values, axis=1), ok, fit.forced
+        ok = ~np.isnan(probs).any(axis=(1, 2))
+        return np.concatenate(values, axis=1), ok, forced
 
     width = int(mask.sum()) + (4 * m if two_state else 0)
     return BatchEstimator(_batch_fit(dataset, width, fit_live))
@@ -248,10 +269,10 @@ def overid_estimator(dataset, space: str, theta: np.ndarray) -> BatchEstimator:
     mask = np.ones((2, 2), dtype=bool)
 
     def fit_live(freqs):
-        fit = _stack_transitions(freqs, m, space, mask)
+        probs, forced = _stack_transitions(freqs, m, space, mask)
         arms = freqs.space(space)[:, :m]
         residuals = arms[:, :, 1, 1] - arms[:, :, 0] @ theta
-        return np.concatenate([fit.probs[:, :, 1], residuals], axis=1), True, fit.forced
+        return np.concatenate([probs[:, :, 1], residuals], axis=1), True, forced
 
     return BatchEstimator(_batch_fit(dataset, 2 + m, fit_live))
 
@@ -263,13 +284,13 @@ def target_estimator(dataset, space: str, k: int, *, project=False) -> BatchEsti
     mask = np.ones((k, k), dtype=bool)
 
     def fit_live(freqs):
-        fit = _stack_transitions(freqs, m, space, mask, project)
-        joint = joint_tables(fit.probs, freqs.space(space)[:, m, 0])
+        probs, forced = _stack_transitions(freqs, m, space, mask, project)
+        joint = joint_tables(probs, freqs.space(space)[:, m, 0])
         n = len(joint)
-        values = [fit.probs.reshape(n, -1), joint.reshape(n, -1)]
+        values = [probs.reshape(n, -1), joint.reshape(n, -1)]
         if k == 2:
             values.append(estimand_vectors(joint))
-        return np.concatenate(values, axis=1), True, fit.forced
+        return np.concatenate(values, axis=1), True, forced
 
     width = 2 * k * k + (4 if k == 2 else 0)
     return BatchEstimator(_batch_fit(dataset, width, fit_live))
@@ -288,13 +309,13 @@ def psace_estimator(
             return method1_effects(treated, control, m).reshape(n, -1), status == 0, False
         mono_s, mono_y = PSACE_ORDERINGS[method]
         mask = monotone_mask("composite", mono_s, mono_y)
-        fit = _stack_transitions(freqs, m, "composite", mask, project)
-        fourway = fourway_tables(fit.probs, freqs.composite[:, :m, 0])
+        probs, forced = _stack_transitions(freqs, m, "composite", mask, project)
+        fourway = fourway_tables(probs, freqs.composite[:, :m, 0])
         effects, _, _ = psace_tables(fourway, mono_s)
         # Method 3 reports what the masked system identifies; the others
         # need every column.
-        ok = method == 3 or ~np.isnan(fit.probs).any(axis=(1, 2))
-        return effects.reshape(n, -1), ok, fit.forced
+        ok = method == 3 or ~np.isnan(probs).any(axis=(1, 2))
+        return effects.reshape(n, -1), ok, forced
 
     return BatchEstimator(_batch_fit(dataset, 4 * m, fit_live))
 
@@ -305,8 +326,8 @@ def joint_cell_estimator(dataset, space: str) -> BatchEstimator:
     mask = np.ones((2, 2), dtype=bool)
 
     def fit_live(freqs):
-        fit = _stack_transitions(freqs, m, space, mask)
-        return fit.probs[:, None, 1, 0] * freqs.space(space)[:, :m, 0, 1], True, fit.forced
+        probs, forced = _stack_transitions(freqs, m, space, mask)
+        return probs[:, None, 1, 0] * freqs.space(space)[:, :m, 0, 1], True, forced
 
     return BatchEstimator(_batch_fit(dataset, m, fit_live))
 
@@ -776,7 +797,13 @@ def _add_common(parser, *, needs_input=True):
             help="column remapping, e.g. trial=trial,arm=A,s=S,y=Y,count=N",
         )
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--boot", type=int, default=500, help="bootstrap replicates")
+    parser.add_argument(
+        "--boot",
+        type=int,
+        default=500 if needs_input else None,
+        help="bootstrap replicates (default: 500; simulate: config "
+        "'bootstrap_replicates', else 100)",
+    )
     parser.add_argument("--ci", type=float, default=0.95)
     parser.add_argument(
         "--ci-method",
@@ -856,6 +883,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        _check_flags(args)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", JointpoWarning)
             report = args.func(args)

@@ -63,6 +63,12 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
+def check_seed(seed: int) -> None:
+    """Reject a seed that :class:`numpy.random.SeedSequence` cannot take."""
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+
+
 @dataclass(frozen=True)
 class BootstrapConfig:
     """Settings for stratified multinomial bootstrap inference."""
@@ -73,6 +79,7 @@ class BootstrapConfig:
     ci_method: str = "normal"
 
     def __post_init__(self):
+        check_seed(self.seed)
         if self.replicates < 2:
             raise ValidationError("bootstrap needs at least 2 replicates")
         if not 0.0 < self.ci_level < 1.0:

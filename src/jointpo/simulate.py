@@ -14,7 +14,7 @@ fair coin treatment:
 
 Every case is estimated by a :class:`Pipeline`: the arm frequencies of
 :func:`~jointpo.data.frequency_stack` fitted by
-:func:`~jointpo.transition.least_squares` as ``estimate`` fits them, or by
+:func:`~jointpo.transition.fit_transitions` as ``estimate`` fits them, or by
 :func:`~jointpo.principal.method1_stack` as ``psace --method 1`` does, so a
 study point is member 0 of the CLI statistic on the same counts, bit for bit.
 
@@ -44,7 +44,7 @@ from .errors import InferenceError, ValidationError
 from .inference import replicate_rng
 from .principal import method1_stack
 from .special import chi2_sf, expit
-from .transition import least_squares
+from .transition import fit_transitions
 
 Z95 = 1.96
 
@@ -245,6 +245,7 @@ def simulate_dataset(spec: DgpSpec, seed: int) -> MultiTrialDataset:
     """Draw one dataset from the process: per trial, n_g units assigned
     by a coin flip, outcomes drawn from the population law of the
     observed cells. Deterministic per seed."""
+    inference.check_seed(seed)
     pop = dgp_population(spec)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return _wrap_counts(pop, _draw_counts(pop.cell_probs, spec.n_g, rng))
@@ -288,9 +289,15 @@ def _four_step_valid(batch: np.ndarray) -> np.ndarray:
     return _arms_positive(batch) & (treated_s0 > 0) & (control_s1 > 0)
 
 
+def _transitions(arms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Unmasked transitions of ``(B, m, 2, k)`` arm frequencies, as ``estimate`` fits them.
+    k = arms.shape[-1]
+    return fit_transitions(arms[:, :, 0], arms[:, :, 1], np.ones((k, k), dtype=bool))
+
+
 def _binary_fit(freqs) -> tuple[np.ndarray, np.ndarray]:
-    # The whole treated distribution, as ``estimate`` solves it; keep P(Y1=1|Y0=j).
-    trans, ok = least_squares(freqs.outcome[:, :, 0], freqs.outcome[:, :, 1])
+    # The whole treated distribution; keep P(Y1=1|Y0=j).
+    trans, ok = _transitions(freqs.outcome)
     return trans[..., 1], ok
 
 
@@ -298,7 +305,7 @@ def _composite_fit(freqs) -> tuple[np.ndarray, np.ndarray]:
     # The unconstrained 16-entry composite transition, reported as the
     # per-source-state rates of the surrogate, then of the outcome. Rows
     # are source states (s, y): sum target columns with s=1, then y=1.
-    trans, ok = least_squares(freqs.composite[:, :, 0], freqs.composite[:, :, 1])
+    trans, ok = _transitions(freqs.composite)
     s_rate = trans[..., :, 2] + trans[..., :, 3]
     y_rate = trans[..., :, 1] + trans[..., :, 3]
     return np.concatenate([s_rate, y_rate], axis=-1), ok
@@ -326,7 +333,7 @@ class Pipeline:
     ``fit`` maps a ``(B, m, cells)`` stack of count matrices, laid out like
     ``Population.cell_probs``, to ``(B, len(param_names))`` values and a
     ``(B,)`` flag of members with no empty arm that pass the rank check of
-    :func:`~jointpo.transition.least_squares`; ``valid`` flags the resamples
+    :func:`~jointpo.transition.fit_transitions`; ``valid`` flags the resamples
     the statistic accepts at all.
     """
 
@@ -406,7 +413,8 @@ class StudyResult:
     metrics: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def _check_sizes(replicates: int, bootstrap_replicates: int) -> None:
+def _check_study(replicates: int, bootstrap_replicates: int, seed: int) -> None:
+    inference.check_seed(seed)
     if replicates < 2:
         raise ValidationError("a study needs at least 2 replicates")
     if bootstrap_replicates < 2:
@@ -492,7 +500,7 @@ def run_study(
     replicate fails when its point is undefined or fewer than 90% of its
     resamples are kept; more than 5% failed replicates abort the study.
     """
-    _check_sizes(replicates, bootstrap_replicates)
+    _check_study(replicates, bootstrap_replicates, seed)
     threads = _thread_count(workers)
     population = dgp_population(spec)
     pipe = pipeline if pipeline is not None else default_pipeline(spec, population)
@@ -559,7 +567,7 @@ def overid_size_study(
     gets NaN when the system is just identified (``m = 2``, no degrees of
     freedom).
     """
-    _check_sizes(replicates, bootstrap_replicates)
+    _check_study(replicates, bootstrap_replicates, seed)
     threads = _thread_count(workers)
     population = dgp_population(spec)
     if population.has_surrogate:

@@ -32,7 +32,6 @@ from .errors import (
     ValidationError,
 )
 
-_ROW_SUM_TOL = 1e-10
 _DEFAULT_RANK_TOL = 1e-8
 
 STATE_SPACES = ("outcome", "surrogate", "composite")
@@ -428,68 +427,48 @@ def least_squares(
     return coef.reshape(batch + (p, q)), identified.reshape(batch)
 
 
-@dataclass(frozen=True)
-class TransitionFit:
-    """Transition estimates of a stack of systems.
-
-    ``probs`` is ``(B, k, k)``, NaN where a column was left unsolved;
-    ``forced`` marks members with a column solved despite a failed rank
-    check.
-    """
-
-    probs: np.ndarray
-    forced: np.ndarray
-
-
 def fit_transitions(
     design: np.ndarray,
     response: np.ndarray,
     mask: np.ndarray,
     *,
     force: bool = False,
-) -> TransitionFit:
-    """Least-squares transition matrices of a ``(B, m, k)`` stack of designs
-    and responses sharing one support mask.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares transition matrices ``(B, k, k)`` of a ``(B, m, k)``
+    stack of designs and responses sharing one support mask, and the
+    ``(B,)`` flag of members whose every solved column passed the rank check
+    of :func:`least_squares`.
 
     Unmasked members are solved on the full design; masked members column by
     column on reduced designs, with the terminal column completed per row.
-    A column that :func:`least_squares` finds unidentified is solved
-    minimum-norm under ``force`` and left NaN otherwise.
+    A column that fails the rank check is solved minimum-norm under
+    ``force`` and left NaN otherwise.
     """
     design = np.asarray(design, dtype=float)
     response = np.asarray(response, dtype=float)
     mask = np.asarray(mask, dtype=bool)
     n, _, k = design.shape
     if mask.all():
-        probs, identified = least_squares(design, response, force=force)
-        if identified.any():
-            row_err = np.abs(probs[identified].sum(axis=-1) - 1.0).max()
-            assert row_err <= _ROW_SUM_TOL, (
-                f"least-squares rows deviate from stochasticity by {row_err:.3e}"
-            )
-        unidentified = ~identified
-    else:
-        if not mask[:, k - 1].all():
-            raise ValidationError(
-                "masked solves require the terminal state to be reachable "
-                "from every source state"
-            )
-        probs = np.where(mask, np.nan, 0.0)[None].repeat(n, axis=0)
-        unidentified = np.zeros(n, dtype=bool)
-        for b in range(k - 1):
-            idx = np.flatnonzero(mask[:, b])
-            if idx.size:
-                coef, identified = least_squares(
-                    design[:, :, idx], response[:, :, b, None], force=force
-                )
-                probs[:, idx, b] = coef[..., 0]
-                unidentified |= ~identified
-        # Row completion: the terminal column absorbs the remaining mass.
-        partial = probs[:, :, : k - 1]
-        probs[:, :, k - 1] = np.where(
-            np.isnan(partial).any(axis=-1), np.nan, 1.0 - partial.sum(axis=-1)
+        return least_squares(design, response, force=force)
+    if not mask[:, k - 1].all():
+        raise ValidationError(
+            "masked solves require the terminal state to be reachable "
+            "from every source state"
         )
-    return TransitionFit(probs, unidentified & force)
+    probs = np.where(mask, np.nan, 0.0)[None].repeat(n, axis=0)
+    identified = np.ones(n, dtype=bool)
+    for b in range(k - 1):
+        idx = np.flatnonzero(mask[:, b])
+        if idx.size:
+            coef, ok = least_squares(design[:, :, idx], response[:, :, b, None], force=force)
+            probs[:, idx, b] = coef[..., 0]
+            identified &= ok
+    # Row completion: the terminal column absorbs the remaining mass.
+    partial = probs[:, :, : k - 1]
+    probs[:, :, k - 1] = np.where(
+        np.isnan(partial).any(axis=-1), np.nan, 1.0 - partial.sum(axis=-1)
+    )
+    return probs, identified
 
 
 def project_rows(probs: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -543,9 +522,9 @@ def solve_transitions(
         raise IdentificationError(
             f"design matrix is not full column rank: {diagnostics.reason}"
         )
-    fit = fit_transitions(M[None], R[None], mask, force=force)
-    probs = fit.probs[0]
-    forced = bool(fit.forced[0])
+    probs, identified = fit_transitions(M[None], R[None], mask, force=force)
+    probs = probs[0]
+    forced = force and not identified[0]
     if forced and not system.is_masked:
         warnings.warn(
             f"solving despite rank failure ({diagnostics.reason}); "

@@ -565,6 +565,17 @@ class TestSimulate:
         assert report["results"]["config"]["case"] == "c1"
         assert report["results"]["config"]["n_g"] == 90
 
+    def test_config_bootstrap_replicates_without_boot_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps({
+            "case": "c1", "n_g": 90, "replicates": 5,
+            "bootstrap_replicates": 8, "seed": 21,
+        }))
+        report, _ = run_json(capsys, "simulate", "--config", str(cfg))
+        assert report["flags"]["bootstrap_replicates"] == 8
+        report, _ = run_json(capsys, "simulate", "--config", str(cfg), "--boot", "6")
+        assert report["flags"]["bootstrap_replicates"] == 6
+
     def test_too_many_trials_for_builtin_case_exits_2(self):
         # Control success 0.5 + (m-1)/30 exceeds 1 beyond m = 16.
         proc = subprocess.run(
@@ -804,6 +815,46 @@ class TestSchemaAndErrors:
         assert error["type"] == "ValidationError"
         assert error["message"] == f"per-trial size {n_g} exceeds 2**63 - 1"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["estimate", "--boot", "10", "--seed", "-1"], "seed must be a non-negative integer"),
+            (["test", "--boot", "10", "--seed", "-1"], "seed must be a non-negative integer"),
+            (
+                ["psace", "--method", "1", "--boot", "10", "--seed", "-1"],
+                "seed must be a non-negative integer",
+            ),
+            (["estimate", "--boot", "0", "--seed", "-1"], "seed must be a non-negative integer"),
+            (["estimate", "--boot", "-5"], "--boot must be at least 0"),
+            (["psace", "--method", "1", "--boot", "-5"], "--boot must be at least 0"),
+            (["estimate", "--boot", "0", "--ci", "1.5"], "--ci must lie strictly between 0 and 1"),
+            (["estimate", "--boot", "0", "--workers", "0"], "workers must be at least 1"),
+            (["target", "--boot", "0", "--workers", "0"], "workers must be at least 1"),
+            (
+                ["simulate", "--case", "c1", "--ng", "50", "--reps", "2", "--boot", "2",
+                 "--seed", "-1"],
+                "seed must be a non-negative integer",
+            ),
+            (["simulate", "--config", "{config}"], "seed must be a non-negative integer"),
+        ],
+    )
+    def test_shared_flag_values_exit_2(self, capsys, tmp_path, argv, message):
+        table = tmp_path / "table.csv"
+        table.write_text(TOY_TARGET if "target" in argv else TEN_TRIAL_SURROGATE)
+        config = tmp_path / "study.json"
+        config.write_text(
+            '{"case": "c1", "n_g": 50, "replicates": 2, "bootstrap_replicates": 2, "seed": -2}'
+        )
+        argv = [arg.format(config=config) for arg in argv]
+        if argv[0] != "simulate":
+            argv += ["--input", str(table)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "ValidationError" and error["exit_code"] == 2
+        assert error["message"].startswith(message)
+
     def test_inference_failure_exit_code(self, capsys, tmp_path):
         # One treated unit total in trial 2 makes most resamples drop the
         # arm entirely; with a tiny redraw budget unavailable, failures
@@ -827,8 +878,14 @@ class TestSchemaAndErrors:
 def cell_tables(draw):
     """A small cell-count CSV: 1-5 trials, 2-3 outcome states, a binary or
     absent surrogate, zero cells (at most one per arm), at most one empty
-    arm and an optional target trial with or without control units."""
+    arm and an optional target trial with or without control units.
+
+    About one table in four is near-collinear instead: it has no zero cells,
+    and each arm holds about 10**7 units, split evenly over its cells up to
+    three units apart. The rank gate accepts most of these designs, whose
+    fits miss row stochasticity by about 1e-9."""
     m = draw(st.integers(1, 5))
+    near = draw(st.integers(0, 3)) == 0
     k = draw(st.integers(2, 3))
     surrogates = draw(st.sampled_from([("NA",), (0, 1)]))
     target = draw(st.sampled_from([None, "units", "empty"]))
@@ -841,9 +898,14 @@ def cell_tables(draw):
     rows = ["trial,arm,s,y,count"]
     for trial, a in arms:
         empty = (trial, a) == emptied or (trial == "0" and target == "empty")
-        zero = draw(st.sampled_from([None, *states]))
+        zero = None if near else draw(st.sampled_from([None, *states]))
         for s, y in states:
-            count = 0 if empty or (s, y) == zero else draw(st.integers(1, 30))
+            if empty or (s, y) == zero:
+                count = 0
+            elif near:
+                count = 10**7 // len(states) + draw(st.integers(0, 3))
+            else:
+                count = draw(st.integers(1, 30))
             rows.append(f"{trial},{a},{s},{y},{count}")
     return "\n".join(rows) + "\n"
 

@@ -11,7 +11,7 @@ import jointpo.inference
 from helpers import _reference_draws, reference_overid_size_study, reference_run_study
 from jointpo.data import summarize
 from jointpo.errors import InferenceError, ValidationError
-from jointpo.inference import replicate_rng
+from jointpo.inference import BootstrapConfig, replicate_rng
 from jointpo.principal import method1_estimate
 from jointpo.simulate import (
     BinaryTransitionPipeline,
@@ -336,6 +336,17 @@ class TestChunkedStudy:
         pop = dgp_population(spec)
         with pytest.raises(ValidationError, match="workers must be at least 1"):
             run_study(spec, 4, 4, 1, pipeline=_TruthPipeline(pop.truth), workers=0)
+
+    def test_negative_seed_rejected(self):
+        spec = DgpSpec(case="c1", n_g=120)
+        for call in (
+            lambda: run_study(spec, 4, 4, -1),
+            lambda: overid_size_study(spec, 4, 4, -2),
+            lambda: simulate_dataset(spec, -1),
+            lambda: BootstrapConfig(replicates=4, seed=-1),
+        ):
+            with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+                call()
 
     def test_default_workers_are_the_usable_cpus(self):
         if hasattr(os, "sched_getaffinity"):

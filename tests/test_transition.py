@@ -18,6 +18,7 @@ from jointpo.transition import (
     build_system,
     check_rank,
     derived_estimands,
+    fit_transitions,
     joint_from_transitions,
     project_to_simplex,
     solve_transitions,
@@ -263,6 +264,27 @@ class TestSolveTransitions:
         trans = solve_transitions(system, allow_partial=True)
         assert trans.determined.sum() == 8
         assert np.isnan(trans.probs[~trans.determined]).all()
+
+
+class TestFitTransitions:
+    def test_near_collinear_design_is_identified_and_finite(self):
+        # Four trials of 10**7 units per arm whose control y=1 counts differ
+        # by one or two units: the condition ratio 2.24e-7 passes the rank
+        # gate, and the rows of the fit miss stochasticity by about 5e-10.
+        n = 10**7
+        control = np.array([5_000_000, 5_000_001, 5_000_002, 5_000_003]) / n
+        treated = np.array([4_999_997, 5_000_001, 5_000_003, 5_000_000]) / n
+        design = np.stack([1 - control, control], axis=-1)
+        response = np.stack([1 - treated, treated], axis=-1)
+        assert check_rank(make_system(design, response)).condition_ratio == pytest.approx(
+            2.236e-7, rel=1e-3
+        )
+        probs, identified = fit_transitions(
+            design[None], response[None], np.ones((2, 2), dtype=bool)
+        )
+        assert probs.shape == (1, 2, 2) and identified.tolist() == [True]
+        assert np.isfinite(probs).all()
+        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-8)
 
 
 class TestSolverProperties:
