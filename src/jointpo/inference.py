@@ -43,7 +43,7 @@ from .errors import (
     ValidationError,
 )
 from .special import chi2_sf, normal_quantile
-from .transition import build_system
+from .transition import build_system, least_squares
 
 _MAX_REDRAWS = 100
 _MAX_FAILURE_FRACTION = 0.10
@@ -338,10 +338,14 @@ def plugin_variance(
     frequency and of the theta-weighted control frequencies; both pieces
     expand in closed form from the multinomial cell probabilities, with
     trial weights taken as ``n_g / n``.
+
+    With ``H`` the pseudo-inverse of the control design ``M`` (``C = M^T M
+    / m``), the sandwich is ``H diag(v) H^T`` for the per-trial variances
+    ``v``; ``H`` comes from :func:`~jointpo.transition.least_squares`, so the
+    rank decision is the estimator's and the Gram matrix is never formed.
     """
     theta = np.asarray(theta, dtype=float)
     M, y = _two_state_margins(summaries, space)
-    m = M.shape[0]
     sizes = summaries.arm_sizes().astype(float)
     if n is None:
         n = int(sizes.sum())
@@ -349,7 +353,6 @@ def plugin_variance(
     if (p_arm <= 0).any():
         raise ValidationError("every trial needs units in both arms")
 
-    C = (M[:, :, None] * M[:, None, :]).mean(axis=0)
     # Per-trial variance of the linearized residual:
     #   treated-frequency noise plus control-side noise of theta(Y).
     var_treated = y * (1.0 - y) / p_arm[:, 1]
@@ -357,21 +360,18 @@ def plugin_variance(
     theta_sq = M @ (theta**2)
     var_control = (theta_sq - theta_mean**2) / p_arm[:, 0]
     v = var_treated + var_control
-    V = (M[:, :, None] * M[:, None, :] * v[:, None, None]).sum(axis=0) / m**2
 
-    if (V == 0).all():
+    if (v == 0).all():
         # Fully deterministic cells: no sampling noise regardless of the
         # design's conditioning.
         se = np.zeros_like(theta)
     else:
-        sv = np.linalg.svd(C, compute_uv=False)
-        if sv[-1] <= sv[0] * 1e-12:
+        pinv, identified = least_squares(M, np.eye(len(M)))
+        if not identified:
             raise IdentificationError(
                 "plug-in variance is undefined: singular design"
             )
-        Cinv_V = np.linalg.solve(C, V)
-        sigma2 = np.linalg.solve(C, Cinv_V.T).T
-        se = np.sqrt(np.clip(np.diag(sigma2), 0.0, None) / n)
+        se = np.sqrt(np.clip(pinv**2 @ v, 0.0, None) / n)
     lower, upper = _normal_ci(theta, se, ci_level)
     return VarianceEstimate(
         point=theta,

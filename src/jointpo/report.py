@@ -3,50 +3,122 @@ persistence.
 
 Reports serialize with sorted keys, two-space indentation and ASCII
 escapes, so identical analyses produce byte-identical documents.
-Non-finite floats are mapped to null.
+Non-finite floats are mapped to null. :func:`canonical_json` writes a
+payload of dicts, lists, tuples, NumPy arrays and scalars in one pass,
+converting NumPy values where it meets them; its text is what
+``json.dumps(..., sort_keys=True, indent=2, ensure_ascii=True)`` gives
+for the payload's plain-Python copy.
+
+Digests are SHA-256 from the interpreter's built-in module
+(``_sha2``, or ``_sha256`` before Python 3.12), as ``random`` takes its
+SHA-512, so writing a report loads no OpenSSL; ``hashlib`` is the
+fallback.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import math
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
 
 from .simulate import StudyResult
 
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
-def sanitize(value):
-    """Recursively convert a report payload to plain JSON-safe types."""
+_CONTAINERS = (dict, list, tuple, np.ndarray)
+
+
+def _scalar(value) -> str:
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    if value is None:
+        return "null"
+    if value is True or value is False or isinstance(value, np.bool_):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return int.__repr__(int(value))
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write(value, indent: str, out: list) -> None:
+    # Appends the text of ``value`` to ``out``: each list of scalars is one
+    # piece, and a dict entry with a scalar value is one piece with its key.
     if isinstance(value, dict):
-        return {str(k): sanitize(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [sanitize(v) for v in value]
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        # Keys are compared after str(), so the last of colliding keys wins.
+        items = {str(k): v for k, v in value.items()}
+        sep = "{\n" + inner
+        for k in sorted(items):
+            v = items[k]
+            if isinstance(v, _CONTAINERS):
+                out.append(f"{sep}{_quote(k)}: ")
+                _write(v, inner, out)
+            else:
+                out.append(f"{sep}{_quote(k)}: {_scalar(v)}")
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+        return
     if isinstance(value, np.ndarray):
-        return [sanitize(v) for v in value.tolist()]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating, float)):
-        v = float(value)
-        return v if math.isfinite(v) else None
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
+        value = value.tolist()
+        if not isinstance(value, list):
+            raise TypeError("a zero-dimensional array is not a JSON array")
+    if isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        # Finite floats, the bulk of a report, map straight to their repr.
+        if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
+            tokens = map(float.__repr__, value)
+        elif any(isinstance(v, _CONTAINERS) for v in value):
+            out.append("[\n" + inner)
+            for i, v in enumerate(value):
+                if i:
+                    out.append(sep)
+                _write(v, inner, out)
+            out.append("\n" + indent + "]")
+            return
+        else:
+            tokens = map(_scalar, value)
+        out.append(f"[\n{inner}{sep.join(tokens)}\n{indent}]")
+        return
+    out.append(_scalar(value))
 
 
 def canonical_json(payload: dict) -> str:
-    """Key-sorted, indentation-stable JSON document with trailing newline."""
-    return json.dumps(sanitize(payload), sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """Key-sorted, indentation-stable JSON document with trailing newline.
+
+    Raises ``TypeError`` on a value JSON has no form for, as ``json.dumps``
+    does.
+    """
+    out: list[str] = []
+    _write(payload, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def file_digest(path: str | Path) -> str:
     """SHA-256 hex digest of a file's raw bytes."""
-    h = hashlib.sha256()
+    h = _sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
@@ -54,7 +126,7 @@ def file_digest(path: str | Path) -> str:
 
 
 def text_digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return _sha256(text.encode("utf-8")).hexdigest()
 
 
 def load_report_schema() -> dict:

@@ -8,6 +8,7 @@ so agreement is evidence, not tautology.
 from __future__ import annotations
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -461,3 +462,30 @@ def reference_overid_size_study(spec, replicates: int, n_draws: int, seed: int):
         if result.df > 0:
             p_values[i] = result.p_value
     return p_values
+
+
+# The report writer as it was before ``report.canonical_json`` wrote in one
+# pass: a plain-Python copy of the payload, then the standard library's
+# encoder.
+
+
+def sanitize(value):
+    """Recursively convert a report payload to plain JSON-safe types."""
+    if isinstance(value, dict):
+        return {str(k): sanitize(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [sanitize(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [sanitize(v) for v in value.tolist()]
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, (np.floating, float)):
+        v = float(value)
+        return v if math.isfinite(v) else None
+    if isinstance(value, (np.bool_,)):
+        return bool(value)
+    return value
+
+
+def reference_canonical_json(payload) -> str:
+    return json.dumps(sanitize(payload), sort_keys=True, indent=2, ensure_ascii=True) + "\n"

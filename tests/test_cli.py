@@ -883,7 +883,13 @@ def cell_tables(draw):
     About one table in four is near-collinear instead: it has no zero cells,
     and each arm holds about 10**7 units, split evenly over its cells up to
     three units apart. The rank gate accepts most of these designs, whose
-    fits miss row stochasticity by about 1e-9."""
+    fits miss row stochasticity by about 1e-9.
+
+    Three tables in eight are then made malformed, in one of three ways
+    that every command must reject with exit code 2: one row's surrogate
+    column switches between ``NA`` and 0/1, trial 1 holds two counts near
+    2**63 - 1 whose sum overflows int64, or the count column is dropped (a
+    unit-row file). Returns the CSV text and whether it is malformed."""
     m = draw(st.integers(1, 5))
     near = draw(st.integers(0, 3)) == 0
     k = draw(st.integers(2, 3))
@@ -907,7 +913,20 @@ def cell_tables(draw):
             else:
                 count = draw(st.integers(1, 30))
             rows.append(f"{trial},{a},{s},{y},{count}")
-    return "\n".join(rows) + "\n"
+    defect = draw(st.sampled_from([None] * 5 + ["mixed_na", "overflow", "unit_rows"]))
+    if defect == "mixed_na":
+        i = draw(st.integers(1, len(rows) - 1))
+        fields = rows[i].split(",")
+        fields[2] = "0" if fields[2] == "NA" else "NA"
+        rows[i] = ",".join(fields)
+    elif defect == "overflow":
+        for i in (1, 2):
+            fields = rows[i].split(",")
+            fields[4] = str(2**63 - 1 - draw(st.integers(0, 3)))
+            rows[i] = ",".join(fields)
+    elif defect == "unit_rows":
+        rows = [row.rsplit(",", 1)[0] for row in rows]
+    return "\n".join(rows) + "\n", defect is not None
 
 
 EXIT_CONTRACT_COMMANDS = [
@@ -929,12 +948,14 @@ EXIT_CONTRACT_COMMANDS = [
 
 
 class TestExitCodeContract:
-    """Whatever the table, a command exits 0, 2, 3 or 4; a nonzero exit
-    writes one JSON error line to stderr and nothing to stdout."""
+    """Whatever the table, a command exits 0, 2, 3 or 4, and 2 on a malformed
+    one; a nonzero exit writes one JSON error line to stderr and nothing to
+    stdout."""
 
-    @given(table=cell_tables())
-    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_exit_codes(self, table):
+    @given(case=cell_tables())
+    @settings(max_examples=64, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_exit_codes(self, case):
+        table, malformed = case
         with tempfile.TemporaryDirectory() as work:
             path = f"{work}/table.csv"
             with open(path, "w", encoding="utf-8") as fh:
@@ -945,7 +966,7 @@ class TestExitCodeContract:
                     out, err = io.StringIO(), io.StringIO()
                     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                         code = main([*argv, "--input", path, *boot])
-                    assert code in (0, 2, 3, 4), argv
+                    assert code in ((2,) if malformed else (0, 2, 3, 4)), argv
                     if code == 0:
                         assert err.getvalue() == ""
                         json.loads(out.getvalue())

@@ -235,6 +235,28 @@ class TestPluginVariance:
         with pytest.raises(IdentificationError):
             plugin_variance(s, np.array([0.4, 0.6]))
 
+    @pytest.mark.filterwarnings("ignore::jointpo.errors.OutOfRangeWarning")
+    def test_near_collinear_design_has_finite_se(self):
+        # Four trials of 10**7 units per arm whose control y=1 counts differ
+        # by one to three units: `estimate` fits this design (condition ratio
+        # 2.24e-7), so its plug-in variance exists too.
+        n = 10**7
+        control = [5_000_000, 5_000_001, 5_000_002, 5_000_003]
+        treated = [4_999_997, 5_000_001, 5_000_003, 5_000_000]
+        ds = binary_dataset([(n - c, c, n - t, t) for c, t in zip(control, treated)])
+        s = summarize(ds)
+        theta = theta_estimator(ds)
+        se = plugin_variance(s, theta).se
+        assert np.isfinite(se).all() and (se > 0).all()
+        # Oracle: the sandwich through the SVD pseudo-inverse of the design.
+        design = np.array([t.control_outcome for t in s.trials])
+        y = np.array([t.treated_outcome[1] for t in s.trials])
+        share = s.arm_sizes() / s.arm_sizes().sum()
+        v = y * (1 - y) / share[:, 1] + (design @ theta**2 - (design @ theta) ** 2) / share[:, 0]
+        pinv = np.linalg.pinv(design)
+        expected = np.sqrt(np.diag(pinv @ np.diag(v) @ pinv.T) / s.arm_sizes().sum())
+        np.testing.assert_allclose(se, expected, rtol=1e-6)
+
     def test_non_binary_rejected(self):
         rng = np.random.default_rng(0)
         control = rng.dirichlet(np.ones(3), size=4)
