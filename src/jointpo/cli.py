@@ -34,6 +34,7 @@ import json
 import sys
 import time
 import warnings
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,7 @@ from .transition import (
     check_rank,
     estimand_vectors,
     fit_transitions,
+    flag_negative_joints,
     joint_from_transitions,
     joint_tables,
     monotone_mask,
@@ -368,19 +370,19 @@ def cmd_estimate(args) -> dict:
     point, variance = _point_and_variance(args, dataset, estimator, names)
     estimands = point[int(system.support_mask.sum()):].reshape(-1, 4)
 
-    per_trial = []
-    for g, tid in enumerate(system.trial_ids):
-        joint = joint_from_transitions(trans, system.design[g], tid)
-        per_trial.append(
-            {
-                "trial": tid,
-                "control_marginal": system.design[g],
-                "treated_marginal": system.response[g],
-                "joint": joint.table,
-                "negative_mass": joint.negative_mass,
-                "estimands": _estimands_dict(estimands[g]) if two_state else None,
-            }
-        )
+    joints = joint_tables(trans.probs, system.design)
+    negative = flag_negative_joints(joints, system.trial_ids).tolist()
+    per_trial = [
+        {
+            "trial": tid,
+            "control_marginal": system.design[g],
+            "treated_marginal": system.response[g],
+            "joint": joints[g],
+            "negative_mass": negative[g],
+            "estimands": _estimands_dict(estimands[g]) if two_state else None,
+        }
+        for g, tid in enumerate(system.trial_ids)
+    ]
 
     return {
         "command": "estimate",
@@ -506,10 +508,10 @@ def cmd_psace(args) -> dict:
     if args.plot_data:
         # The joint cells' object-path solves, for their warnings only.
         for space in _CELL_SPACES:
-            trans = solve_transitions(build_system(summaries, space), force=True)
-            for summary in summaries.trials:
-                control = getattr(summary, f"control_{space}")
-                joint_from_transitions(trans, control, summary.trial_id)
+            system = build_system(summaries, space)
+            trans = solve_transitions(system, force=True)
+            joints = joint_tables(trans.probs, system.design)
+            flag_negative_joints(joints, system.trial_ids)
         parts = [estimator] + [joint_cell_estimator(dataset, sp) for sp in _CELL_SPACES]
         estimator = BatchEstimator(lambda t: _concat_fits([p.fit(t) for p in parts]))
         names += [f"joint_cell[{sp}]@{tid}" for sp in _CELL_SPACES for tid in summaries.trial_ids]
@@ -878,6 +880,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Characters per ``write`` of a report: each write encodes one slice, never
+#: a second copy of the whole document.
+_WRITE_SLICE = 1 << 16
+
+
+def _write_report(text: str, output: str | None) -> None:
+    """Write ``text`` to the ``output`` file, or to stdout without one."""
+    target = open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout)
+    with target as out:
+        for start in range(0, len(text), _WRITE_SLICE):
+            out.write(text[start : start + _WRITE_SLICE])
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -899,11 +914,7 @@ def main(argv=None) -> int:
         report["tool"] = {"name": "jointpo", "version": __version__}
         if args.timing:
             report["timing_seconds"] = time.perf_counter() - started
-        text = canonical_json(report)
-        if args.output:
-            Path(args.output).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
+        _write_report(canonical_json(report), args.output)
         return 0
     except (JointpoError, OSError, UnicodeDecodeError) as exc:
         # A file that cannot be read or written is a usage error, like a

@@ -14,9 +14,14 @@ summed. Counts are held as int64, so a count, and the sum of a trial's
 counts, may not exceed ``2**63 - 1``. Trials keep their order of first
 appearance.
 
-Parsing validates each distinct raw row once, at its first line, and only
-counts its repeats, so an error names the first line holding the offending
-row.
+Parsing validates each distinct raw line (or multi-line record) once, at
+its first appearance, and only counts its repeats in blocks, so its Python
+work grows with the number of distinct lines rather than of rows, and an
+error names the first line holding the offending row.
+
+The package exports its names lazily, and this module imports only
+``errors`` from it: ``jointpo.parse_dataset`` and ``jointpo.parse_unit_rows``
+load these two submodules and no other.
 
 A trial labeled ``0`` (configurable) designates a control-only target
 population: it may contain control rows only and is kept separate from
@@ -27,7 +32,9 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import TextIO
 
@@ -274,14 +281,14 @@ def _parse_int(text: str, what: str, line: int) -> int:
 
 
 def _rows_to_dataset(
-    parsed: dict[tuple[str, ...], tuple[str, int, int, int, int]],
-    tally: dict[tuple[str, ...], int],
+    parsed: dict[str, tuple[str, int, int, int, int]],
+    tally: dict[str, int],
     has_surrogate: bool,
     max_y: int,
     schema: ColumnSchema,
 ) -> MultiTrialDataset:
-    """Fold each distinct row's ``(trial, arm, s, y, count)`` (``s`` is 0
-    without a surrogate) times the number of lines it appeared on into one
+    """Fold each distinct record's ``(trial, arm, s, y, count)`` (``s`` is
+    0 without a surrogate) times the number of times it appeared into one
     count block per trial, whose sum must fit int64."""
     k = max_y + 1
     if k < 2:
@@ -318,21 +325,113 @@ def _rows_to_dataset(
     return MultiTrialDataset(trials=tuple(trials), target=target)
 
 
+#: Characters per block that the parser reads with ``readlines``: a block
+#: is tallied in one ``Counter`` call, and its lines are small strings.
+_BLOCK_HINT = 1 << 16
+
+
+def _check_row(
+    row: list[str],
+    line: int,
+    schema: ColumnSchema,
+    with_count: bool,
+    surrogate_seen: bool | None,
+) -> tuple[str, int, int, int, int, bool] | None:
+    """A row's ``(trial, arm, s, y, count, has_surrogate)``, or None for a
+    blank row; raises the first check the row fails, naming ``line``.
+
+    ``surrogate_seen`` is the surrogate presence that the first data row
+    fixed (None before it). The checks read nothing else and change
+    nothing, so running them again on a row raises the same error.
+    """
+    if not row or (len(row) == 1 and not row[0].strip()):
+        return None
+    width = 5 if with_count else 4
+    if len(row) != width:
+        raise ParseError(f"expected {width} fields, got {len(row)}", line)
+    trial = row[0].strip()
+    if not trial:
+        raise ParseError("empty trial label", line)
+    arm = _parse_int(row[1], "arm", line)
+    if arm not in (0, 1):
+        raise ParseError(f"arm must be 0 or 1, got {arm}", line)
+    has_s = row[2].strip() != schema.na_token
+    if has_s:
+        s = _parse_int(row[2], "surrogate", line)
+        if s not in (0, 1):
+            raise ParseError(f"surrogate must be 0, 1 or NA, got {s}", line)
+    else:
+        s = 0
+    if surrogate_seen is not None and surrogate_seen != has_s:
+        raise SchemaError(
+            f"line {line}: surrogate column mixes values and "
+            f"{schema.na_token!r}; presence must be uniform"
+        )
+    y = _parse_int(row[3], "outcome", line)
+    if y < 0:
+        raise ParseError(f"outcome must be nonnegative, got {y}", line)
+    count = _parse_int(row[4], "count", line) if with_count else 1
+    if count < 0:
+        raise ValidationError(
+            f"line {line}: negative count {count} for trial {trial!r}"
+        )
+    if count > _MAX_COUNT:
+        raise ValidationError(
+            f"line {line}: count {count} for trial {trial!r} exceeds 2**63 - 1"
+        )
+    return trial, arm, s, y, count, has_s
+
+
+def _quoted_records(stream: TextIO, block: list[str]):
+    """Each record of ``block`` as ``(raw text, number of its last line in
+    the block, row)``, for a block holding a quote character.
+
+    A quoted field still open at the block's end reads on from ``stream``,
+    appending the lines it takes to ``block``, which then ends at the first
+    record boundary after its old end.
+    """
+    end = 0
+
+    def read_on():
+        while end < len(block):
+            more = stream.readlines(_BLOCK_HINT)
+            if not more:
+                return
+            block.extend(more)
+            yield from more
+
+    start = 0
+    reader = csv.reader(chain(block, read_on()))
+    for row in reader:
+        end = reader.line_num
+        yield block[start] if end - start == 1 else "".join(block[start:end]), end, row
+        start = end
+
+
 def _parse_rows(
     source, schema: ColumnSchema, with_count: bool
 ) -> MultiTrialDataset:
-    """Validate each distinct raw row at its first line, tally the repeats.
+    """Validate each distinct record at its first line, tally the repeats.
+
+    The stream is read in blocks of lines. In the default dialect a line
+    without a quote character is exactly one record, and identical lines
+    are identical rows, so a block without one is tallied by raw line in
+    one ``Counter`` call, and only the first appearance of a line goes
+    through ``csv`` and the checks. A block with one goes record by record,
+    a multi-line record keyed by its joined lines. Different spellings of
+    one row (CRLF against LF, say) are checked apart and fold into one cell.
 
     Every check depends only on the row and on the surrogate presence the
     first data row fixes, so the first line that fails is the first
-    appearance of its row: a repeat needs no second check, and errors name
-    the same line as a row-by-row scan would.
+    appearance of its record: a repeat needs no second check, and errors
+    name the same line as a row-by-row scan would (a multi-line record's
+    last line, as ``csv`` counts it).
     """
     stream, owned = _open_source(source)
     try:
-        reader = csv.reader(stream)
+        header_reader = csv.reader(stream)
         try:
-            header = next(reader)
+            header = next(header_reader)
         except StopIteration:
             raise ParseError("input is empty", 1) from None
         expected = schema.header(with_count)
@@ -340,60 +439,47 @@ def _parse_rows(
             raise SchemaError(
                 f"expected header {','.join(expected)!r}, got {','.join(header)!r}"
             )
-        tally: dict[tuple[str, ...], int] = {}
-        parsed: dict[tuple[str, ...], tuple[str, int, int, int, int]] = {}
+        tally: dict[str, int] = {}
+        parsed: dict[str, tuple[str, int, int, int, int]] = {}
         surrogate_seen: bool | None = None
         max_y = -1
-        for row in reader:
-            key = tuple(row)
-            seen = tally.get(key)
-            if seen:
-                tally[key] = seen + 1
-                continue
-            tally[key] = 1
-            line = reader.line_num
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(expected):
-                raise ParseError(
-                    f"expected {len(expected)} fields, got {len(row)}", line
-                )
-            trial = row[0].strip()
-            if not trial:
-                raise ParseError("empty trial label", line)
-            arm = _parse_int(row[1], "arm", line)
-            if arm not in (0, 1):
-                raise ParseError(f"arm must be 0 or 1, got {arm}", line)
-            has_s = row[2].strip() != schema.na_token
-            if has_s:
-                s = _parse_int(row[2], "surrogate", line)
-                if s not in (0, 1):
-                    raise ParseError(f"surrogate must be 0, 1 or NA, got {s}", line)
+
+        def admit(key: str, row: list[str], line: int) -> None:
+            nonlocal surrogate_seen, max_y
+            checked = _check_row(row, line, schema, with_count, surrogate_seen)
+            if checked is not None:
+                *cell, surrogate_seen = checked
+                max_y = max(max_y, cell[3])
+                parsed[key] = tuple(cell)
+
+        # Lines before the current block.
+        offset = header_reader.line_num
+        while block := stream.readlines(_BLOCK_HINT):
+            counts = Counter(block)
+            if any('"' in raw for raw in counts):
+                for key, end, row in _quoted_records(stream, block):
+                    seen = tally.get(key)
+                    tally[key] = (seen or 0) + 1
+                    if seen is None:
+                        admit(key, row, offset + end)
             else:
-                s = 0
-            if surrogate_seen is None:
-                surrogate_seen = has_s
-            elif surrogate_seen != has_s:
-                raise SchemaError(
-                    f"line {line}: surrogate column mixes values and "
-                    f"{schema.na_token!r}; presence must be uniform"
-                )
-            y = _parse_int(row[3], "outcome", line)
-            if y < 0:
-                raise ParseError(f"outcome must be nonnegative, got {y}", line)
-            count = _parse_int(row[4], "count", line) if with_count else 1
-            if count < 0:
-                raise ValidationError(
-                    f"line {line}: negative count {count} for trial {trial!r}"
-                )
-            if count > _MAX_COUNT:
-                raise ValidationError(
-                    f"line {line}: count {count} for trial {trial!r} exceeds 2**63 - 1"
-                )
-            max_y = max(max_y, y)
-            parsed[key] = (trial, arm, s, y, count)
+                fresh = []
+                for raw, n in counts.items():
+                    seen = tally.get(raw)
+                    if seen is None:
+                        fresh.append(raw)
+                    tally[raw] = (seen or 0) + n
+                for raw, row in zip(fresh, csv.reader(fresh)):
+                    try:
+                        admit(raw, row, 0)
+                    except ValidationError:
+                        # The line number is looked up only here; checking
+                        # again names it in the same error.
+                        admit(raw, row, offset + block.index(raw) + 1)
+                        raise
+            offset += len(block)
         if not parsed:
-            raise ParseError("no data rows in input", reader.line_num)
+            raise ParseError("no data rows in input", offset)
         return _rows_to_dataset(parsed, tally, bool(surrogate_seen), max_y, schema)
     finally:
         if owned:
@@ -412,9 +498,9 @@ def parse_unit_rows(source, schema: ColumnSchema = DEFAULT_SCHEMA) -> MultiTrial
     """Parse long-format unit rows (one row per individual, no count column)
     and aggregate them into cell counts.
 
-    Identical rows are validated once and then only counted, so parsing
+    Identical lines are validated once and then only counted, so parsing
     costs little more than reading the CSV when units share few distinct
-    rows; an error names the first line holding the offending row.
+    lines; an error names the first line holding the offending row.
     """
     return _parse_rows(source, schema, with_count=False)
 

@@ -598,6 +598,25 @@ def joint_tables(probs: np.ndarray, control_marginals: np.ndarray) -> np.ndarray
     return probs * control_marginals[..., :, None]
 
 
+def flag_negative_joints(tables: np.ndarray, trial_ids) -> np.ndarray:
+    """Flag each ``(k, k)`` joint table of a ``(..., k, k)`` stack that has
+    a cell below ``-1e-12``, warning once per flagged table in trial order.
+
+    Such cells are possible for unprojected estimates; they are reported
+    raw, never clipped.
+    """
+    negative = np.nanmin(tables, axis=(-2, -1)) < -1e-12
+    for trial_id, flag in zip(trial_ids, negative.reshape(-1)):
+        if flag:
+            warnings.warn(
+                f"joint table for trial {trial_id!r} has negative cells; "
+                "values reported raw",
+                OutOfRangeWarning,
+                stacklevel=3,
+            )
+    return negative
+
+
 def joint_from_transitions(
     trans: TransitionMatrix, control_marginal: np.ndarray, trial_id: str = ""
 ) -> JointTable:
@@ -614,14 +633,7 @@ def joint_from_transitions(
             f"control marginal must have length {trans.k}, got {marginal.shape}"
         )
     table = joint_tables(trans.probs, marginal)
-    negative = bool(np.nanmin(table) < -1e-12)
-    if negative:
-        warnings.warn(
-            f"joint table for trial {trial_id!r} has negative cells; "
-            "values reported raw",
-            OutOfRangeWarning,
-            stacklevel=2,
-        )
+    negative = bool(flag_negative_joints(table, [trial_id]))
     return JointTable(trial_id=trial_id, table=table, negative_mass=negative)
 
 

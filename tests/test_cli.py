@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -15,11 +16,18 @@ from jsonschema import validate
 import jointpo.cli
 from helpers import reference_estimate, reference_target
 from jointpo.cli import joint_cell_estimator, main
-from jointpo.data import MultiTrialDataset, TrialCellCounts, parse_dataset, serialize_dataset
+from jointpo.data import (
+    MultiTrialDataset,
+    TrialCellCounts,
+    parse_dataset,
+    serialize_dataset,
+    summarize,
+)
 from jointpo.inference import BootstrapConfig, bootstrap
 from jointpo.report import load_report_schema
 from jointpo.simulate import DgpSpec, simulate_dataset
 from jointpo.special import chi2_sf
+from jointpo.transition import build_system, joint_from_transitions, solve_transitions
 
 TOY_TWO_TRIAL = """trial,arm,s,y,count
 1,0,NA,0,50
@@ -199,6 +207,19 @@ class TestEstimate:
         report = json.loads(out_path.read_text())
         validate(report, load_report_schema())
         assert "timing_seconds" in report
+
+    def test_report_written_in_slices_is_unchanged(
+        self, capsys, monkeypatch, c1_csv, tmp_path
+    ):
+        argv = ["estimate", "--input", str(c1_csv), "--boot", "0"]
+        _, whole = run_json(capsys, *argv)
+        monkeypatch.setattr(jointpo.cli, "_WRITE_SLICE", 7)
+        _, sliced = run_json(capsys, *argv)
+        out_path = tmp_path / "report.json"
+        code, out, _ = run_cli(capsys, *argv, "--output", str(out_path))
+        assert code == 0 and out == ""
+        assert sliced == whole
+        assert out_path.read_bytes() == whole.encode("utf-8")
 
 
 class TestTest:
@@ -452,6 +473,50 @@ class TestWarningsListedOnce:
         without, with_boot = self._warnings(capsys, "psace", "--input", str(p), "--method", "3")
         assert with_boot == without
         assert "ForcedSolveWarning" not in {w["category"] for w in with_boot}
+
+
+# Transitions [[1.1, -0.1], [0.3, 0.7]] fit all three trials exactly: the
+# joint tables of A and B have a negative cell, C's (all control units in
+# state 1) has none.
+NEGATIVE_JOINTS = "trial,arm,s,y,count\n" + "".join(
+    f"{g},{a},NA,{y},{n}\n"
+    for g, arms in (("A", (50, 50, 70, 30)), ("C", (0, 100, 30, 70)), ("B", (80, 20, 94, 6)))
+    for a in (0, 1)
+    for y, n in enumerate(arms[2 * a : 2 * a + 2])
+)
+
+
+class TestBatchedJointTables:
+    def test_estimate_matches_per_trial_joint_from_transitions(self, capsys, tmp_path):
+        p = tmp_path / "negative.csv"
+        p.write_text(NEGATIVE_JOINTS)
+        report, _ = run_json(capsys, "estimate", "--input", str(p), "--boot", "0")
+
+        summaries = summarize(parse_dataset(p))
+        system = build_system(summaries, "outcome")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            trans = solve_transitions(system)
+            joints = [
+                joint_from_transitions(trans, system.design[g], tid)
+                for g, tid in enumerate(system.trial_ids)
+            ]
+        expected = [
+            {"trial": j.trial_id, "joint": j.table.tolist(), "negative_mass": j.negative_mass}
+            for j in joints
+        ]
+        got = [
+            {key: row[key] for key in ("trial", "joint", "negative_mass")}
+            for row in report["results"]["per_trial"]
+        ]
+        assert got == expected
+        assert [j.negative_mass for j in joints] == [True, False, True]
+        messages = [
+            {"category": type(w.message).__name__, "message": str(w.message)}
+            for w in caught
+        ]
+        assert report["diagnostics"]["warnings"] == messages
+        assert len(messages) == 3
 
 
 class TestTarget:

@@ -1,5 +1,8 @@
+import csv
 import io
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jointpo.data import (
+    _BLOCK_HINT,
     ColumnSchema,
     MultiTrialDataset,
     TrialCellCounts,
@@ -321,6 +325,150 @@ class TestParserMatchesRowByRowReference:
     def test_unit_rows(self, text):
         reference = _outcome(lambda s: reference_parse_rows(s, with_count=False), text)
         assert _outcome(parse_unit_rows, text) == reference
+
+
+def _read_outcome(parse, source):
+    """What parsing ``source`` gives, as ``_outcome`` tells it; a
+    ``csv.Error`` (a lone ``\r`` inside a line of a ``StringIO``, say)
+    is an outcome too."""
+    try:
+        ds = parse(source)
+    except (JointpoError, csv.Error) as err:
+        return type(err), str(err), getattr(err, "line_number", None)
+    target = None if ds.target is None else ds.target.trial_id
+    counts = [t.counts.tolist() for t in ds.all_trials]
+    return [t.trial_id for t in ds.trials], target, counts
+
+
+def _both_outcomes(text: str, with_count: bool):
+    """The parser's and the row-by-row reference's outcome on ``text``."""
+    parse = parse_dataset if with_count else parse_unit_rows
+    mine = _read_outcome(parse, io.StringIO(text))
+    reference = _read_outcome(
+        lambda s: reference_parse_rows(s, with_count=with_count), io.StringIO(text)
+    )
+    return mine, reference
+
+
+def _raw_blocks(text: str, header_lines: int = 1) -> list[list[str]]:
+    """The blocks of lines that ``readlines(_BLOCK_HINT)`` gives after the
+    header, before the parser extends any of them."""
+    stream = io.StringIO(text)
+    for _ in range(header_lines):
+        stream.readline()
+    blocks = []
+    while block := stream.readlines(_BLOCK_HINT):
+        blocks.append(block)
+    return blocks
+
+
+@st.composite
+def terminated_texts(draw, with_count: bool):
+    """A ``csv_texts`` text with each line end redrawn as ``\n``, ``\r\n``
+    or a lone ``\r`` (inside quoted fields too), the last one possibly
+    dropped."""
+    lines = draw(csv_texts(with_count)).split("\n")[:-1]
+    ends = draw(
+        st.lists(
+            st.sampled_from(["\n", "\n", "\r\n", "\r\n", "\r"]),
+            min_size=len(lines),
+            max_size=len(lines),
+        )
+    )
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text[: -len(ends[-1])]
+    return text
+
+
+class TestBlockParserMatchesReference:
+    """Tallying raw lines block by block gives the row-by-row scan's
+    outcome: across line terminators, block edges and multi-line records."""
+
+    @pytest.mark.parametrize("with_count", [True, False])
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_line_terminators_from_a_stream_and_a_file(self, with_count, data):
+        text = data.draw(terminated_texts(with_count))
+        mine, reference = _both_outcomes(text, with_count)
+        assert mine == reference
+        parse = parse_dataset if with_count else parse_unit_rows
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            with open(path, encoding="utf-8", newline="") as stream:
+                reference = _read_outcome(
+                    lambda s: reference_parse_rows(s, with_count=with_count), stream
+                )
+            assert _read_outcome(parse, str(path)) == reference
+
+    @pytest.mark.parametrize("arm", ["1", "2"])
+    def test_quoted_record_across_a_block_edge(self, arm):
+        filler = "1,0,NA,0\n"
+        first = '"A' + "x" * len(filler) + "\n"
+        record = first + f'B",{arm},NA,1\n'
+        n = _BLOCK_HINT // len(filler)
+        text = (
+            UNIT_HEADER
+            + filler * n
+            + record
+            + "1,1,NA,1\n" * (2 * n)
+            + record
+            + GOOD_UNITS
+        )
+        blocks = _raw_blocks(text)
+        # The record's first line ends the first block; its repeat starts
+        # two or more blocks later.
+        assert blocks[0][-1] == first
+        assert first not in blocks[1]
+        assert any(first in block for block in blocks[2:])
+        mine, reference = _both_outcomes(text, with_count=False)
+        assert mine == reference
+        if arm == "2":
+            # Named at the record's last line.
+            assert mine[2] == 1 + n + 2
+        else:
+            assert mine[0] == ["1", "Ax" + "x" * (len(filler) - 1) + "\nB"]
+            assert mine[2][1] == [[0, 0], [0, 2]]
+
+    @pytest.mark.parametrize("tail", ["", "1,0,NA,x\n"])
+    def test_header_over_two_lines(self, tail):
+        text = '"trial\n",arm,s,y\n' + GOOD_UNITS * 2 + tail
+        mine, reference = _both_outcomes(text, with_count=False)
+        assert mine == reference
+        if tail:
+            assert mine[2] == 11
+
+    @pytest.mark.parametrize("tail", ["", "7,1,NA,-1,3\n"])
+    def test_all_distinct_table_longer_than_a_block(self, tail):
+        rows = "".join(
+            f"{g},{a},NA,{y},{g + 2 * a + y}\n"
+            for g in range(1, 4001)
+            for a in (0, 1)
+            for y in (0, 1)
+        )
+        text = "trial,arm,s,y,count\n" + rows + tail
+        assert len(_raw_blocks(text)) > 2
+        mine, reference = _both_outcomes(text, with_count=True)
+        assert mine == reference
+        if tail:
+            assert mine[2] == 16002
+        else:
+            assert len(mine[0]) == 4000
+
+    @pytest.mark.parametrize("bad, kind", [row[:2] for row in TestUnitRowErrors.BAD_ROWS])
+    def test_bad_row_first_seen_in_a_later_block(self, bad, kind):
+        good = GOOD_UNITS * (_BLOCK_HINT // len(GOOD_UNITS) + 1)
+        text = UNIT_HEADER + good + "1,1,NA,1\n" + (bad + "\n" + GOOD_UNITS) * 3
+        blocks = _raw_blocks(text)
+        first_bad = next(i for i, block in enumerate(blocks) if bad + "\n" in block)
+        assert first_bad >= 1
+        mine, reference = _both_outcomes(text, with_count=False)
+        assert mine == reference
+        # The header, the good lines and one more good line come before it.
+        line = 1 + len(good.splitlines()) + 1 + 1
+        assert mine[0] is kind
+        assert mine[1].startswith(f"line {line}: ")
 
 
 class TestSummarize:
