@@ -23,18 +23,28 @@ the resamples as one stack. The object path (``summarize`` ->
 the transition block, the joint tables and the warnings.
 ``psace --plot-data`` bootstraps a single statistic, the psace table
 followed by the surrogate and outcome joint harm cells.
+
+A command loads only the modules it uses: importing this module, and
+``estimate``, ``test``, ``target`` and ``--version``, load ``data``,
+``errors``, ``special``, ``transition``, ``inference`` and ``report``;
+``psace`` also loads ``principal``, and ``simulate`` also loads ``simulate``
+(which imports ``principal``).
+``method1_estimate``, ``method4_estimate``, ``monotone_variant_estimate``,
+``principal_scores`` and ``run_study`` are nonetheless bound here, as
+stand-ins that import their module at the first call, because the
+benchmark's tracer times them by wrapping this module's names.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 import time
 import warnings
 from contextlib import nullcontext
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
@@ -56,18 +66,6 @@ from .inference import (
     check_seed,
     overid_test,
 )
-from .principal import (
-    PSACE_ORDERINGS,
-    STRATA,
-    fourway_tables,
-    method1_effects,
-    method1_from_scores,
-    method1_stack,
-    method4_estimate,
-    monotone_variant_estimate,
-    principal_scores,
-    psace_tables,
-)
 from .report import (
     canonical_json,
     file_digest,
@@ -76,7 +74,6 @@ from .report import (
     study_to_dict,
     text_digest,
 )
-from .simulate import DgpSpec, run_study
 from .transition import (
     binary_transition_params,
     build_system,
@@ -91,9 +88,32 @@ from .transition import (
     solve_transitions,
 )
 
-# Unused here, but perfbench/tracing.py times them through this module's names.
-from .principal import method1_estimate  # noqa: F401
+# Unused here, but perfbench/tracing.py times it through this module's names.
 from .transition import derived_estimands  # noqa: F401
+
+
+def _deferred(module: str, name: str):
+    """A stand-in for ``jointpo.<module>.<name>`` that imports the module at
+    its first call and forwards every call to that function."""
+    fn = None
+
+    def call(*args, **kwargs):
+        nonlocal fn
+        if fn is None:
+            fn = getattr(import_module(f"{__package__}.{module}"), name)
+        return fn(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+# The commands call these through this module's globals, which
+# perfbench/tracing.py wraps.
+method1_estimate = _deferred("principal", "method1_estimate")
+method4_estimate = _deferred("principal", "method4_estimate")
+monotone_variant_estimate = _deferred("principal", "monotone_variant_estimate")
+principal_scores = _deferred("principal", "principal_scores")
+run_study = _deferred("simulate", "run_study")
 
 _EXIT_FOR = (
     (ValidationError, 2),
@@ -184,6 +204,14 @@ def _estimands_dict(vector) -> dict:
     :func:`~jointpo.transition.estimand_vectors` row; NaN reports null."""
     thr, tbr, persuasion, pn = vector
     return {"thr": thr, "tbr": tbr, "persuasion_rate": persuasion, "ps": persuasion, "pn": pn}
+
+
+def _rank_dict(diag) -> dict:
+    """``diagnostics.rank``: the rank diagnostics and each column's, as dicts."""
+    out = diag._asdict()
+    if diag.columns is not None:
+        out["columns"] = [column._asdict() for column in diag.columns]
+    return out
 
 
 def _transition_dict(trans) -> dict:
@@ -302,6 +330,14 @@ def psace_estimator(
     dataset, method: int, *, clip_scores=False, project=False
 ) -> BatchEstimator:
     """The per-trial stratum effect table of a psace method, flattened."""
+    from .principal import (
+        PSACE_ORDERINGS,
+        fourway_tables,
+        method1_effects,
+        method1_stack,
+        psace_tables,
+    )
+
     m = dataset.m
 
     def fit_live(freqs):
@@ -398,7 +434,7 @@ def cmd_estimate(args) -> dict:
             "ci": args.ci,
             "ci_method": args.ci_method,
         },
-        "diagnostics": {"rank": dataclasses.asdict(diag)},
+        "diagnostics": {"rank": _rank_dict(diag)},
         "results": {
             "space": args.space,
             "transition": _transition_dict(trans),
@@ -444,7 +480,7 @@ def cmd_test(args) -> dict:
         "input": info,
         "seed": args.seed,
         "flags": {"space": args.space, "boot": args.boot, "ci": args.ci},
-        "diagnostics": {"rank": dataclasses.asdict(diag)},
+        "diagnostics": {"rank": _rank_dict(diag)},
         "results": {
             "space": args.space,
             "m": summaries.m,
@@ -471,11 +507,9 @@ def cmd_test(args) -> dict:
     }
 
 
-def _psace_names(trial_ids) -> list[str]:
-    return [f"PSACE[{s}]@{tid}" for tid in trial_ids for s in STRATA]
-
-
 def cmd_psace(args) -> dict:
+    from .principal import STRATA, method1_from_scores
+
     dataset, info = _load(args)
     summaries = summarize(dataset)
     if not summaries.has_surrogate:
@@ -504,7 +538,7 @@ def cmd_psace(args) -> dict:
     estimator = psace_estimator(
         dataset, method, clip_scores=args.clip_scores, project=args.project
     )
-    names = _psace_names(summaries.trial_ids)
+    names = [f"PSACE[{s}]@{tid}" for tid in summaries.trial_ids for s in STRATA]
     if args.plot_data:
         # The joint cells' object-path solves, for their warnings only.
         for space in _CELL_SPACES:
@@ -618,7 +652,7 @@ def cmd_target(args) -> dict:
             "ci": args.ci,
             "ci_method": args.ci_method,
         },
-        "diagnostics": {"rank": dataclasses.asdict(diag)},
+        "diagnostics": {"rank": _rank_dict(diag)},
         "results": {
             "space": args.space,
             "target_trial": dataset.target.trial_id,
@@ -653,6 +687,8 @@ def _read_config(path: str) -> dict:
 
 
 def cmd_simulate(args) -> dict:
+    from .simulate import DgpSpec
+
     config_values = _read_config(args.config) if args.config else {}
 
     def pick(flag, key, default=None):
@@ -676,7 +712,6 @@ def cmd_simulate(args) -> dict:
             "--seed is required for stochastic commands (no silent entropy)"
         )
     m = pick(args.m, "m", 10)
-
     spec = DgpSpec(case=str(case).lower(), n_g=n_g, m=m)
     result = run_study(spec, reps, boot, seed, workers=args.workers)
     if args.table:
@@ -751,6 +786,7 @@ def _write_psace_plot_data(directory: Path, table, point, variance) -> None:
     table, then each space's per-trial joint harm cell
     P(state0=1, state1=0), in :data:`_CELL_SPACES` order.
     """
+    from .principal import STRATA
 
     def bounds(index, defined=True):
         if variance is None or not defined:

@@ -36,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -55,8 +55,7 @@ COMPOSITE_STATES: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
 _MAX_COUNT = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class ColumnSchema:
+class ColumnSchema(NamedTuple):
     """Column naming configuration for tabular inputs."""
 
     trial: str = "trial"
@@ -215,8 +214,7 @@ class MultiTrialDataset:
         return MultiTrialDataset(trials=tuple(new))
 
 
-@dataclass(frozen=True)
-class TrialSummary:
+class TrialSummary(NamedTuple):
     """Per-trial conditional frequency vectors.
 
     Each vector is the exact ratio ``cell count / arm total``. The
@@ -235,8 +233,7 @@ class TrialSummary:
     treated_composite: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class Summaries:
+class Summaries(NamedTuple):
     """Sufficient statistics of a dataset: one :class:`TrialSummary` per
     experimental trial, plus the target trial's control-side summary."""
 
@@ -382,9 +379,25 @@ def _check_row(
     return trial, arm, s, y, count, has_s
 
 
-def _quoted_records(stream: TextIO, block: list[str]):
-    """Each record of ``block`` as ``(raw text, number of its last line in
-    the block, row)``, for a block holding a quote character.
+def _csv_records(lines, offset: int = 0):
+    """``(number of its last line, row)`` of each record that ``csv.reader``
+    reads from ``lines``, counting lines after ``offset``.
+
+    A ``csv.Error`` (a lone ``\r`` inside a line of a text stream, say) is
+    raised as a :class:`ParseError` naming the line it was read from.
+    """
+    reader = csv.reader(lines)
+    try:
+        for row in reader:
+            yield offset + reader.line_num, row
+    except csv.Error as exc:
+        raise ParseError(str(exc), offset + reader.line_num) from None
+
+
+def _quoted_records(stream: TextIO, block: list[str], offset: int):
+    """Each record of ``block``, the block after ``offset`` lines, as ``(raw
+    text, number of its last line, row)``, for a block holding a quote
+    character.
 
     A quoted field still open at the block's end reads on from ``stream``,
     appending the lines it takes to ``block``, which then ends at the first
@@ -401,10 +414,9 @@ def _quoted_records(stream: TextIO, block: list[str]):
             yield from more
 
     start = 0
-    reader = csv.reader(chain(block, read_on()))
-    for row in reader:
-        end = reader.line_num
-        yield block[start] if end - start == 1 else "".join(block[start:end]), end, row
+    for line, row in _csv_records(chain(block, read_on()), offset):
+        end = line - offset
+        yield block[start] if end - start == 1 else "".join(block[start:end]), line, row
         start = end
 
 
@@ -429,9 +441,8 @@ def _parse_rows(
     """
     stream, owned = _open_source(source)
     try:
-        header_reader = csv.reader(stream)
         try:
-            header = next(header_reader)
+            offset, header = next(_csv_records(stream))
         except StopIteration:
             raise ParseError("input is empty", 1) from None
         expected = schema.header(with_count)
@@ -452,16 +463,15 @@ def _parse_rows(
                 max_y = max(max_y, cell[3])
                 parsed[key] = tuple(cell)
 
-        # Lines before the current block.
-        offset = header_reader.line_num
+        # ``offset`` counts the lines before the current block.
         while block := stream.readlines(_BLOCK_HINT):
             counts = Counter(block)
             if any('"' in raw for raw in counts):
-                for key, end, row in _quoted_records(stream, block):
+                for key, line, row in _quoted_records(stream, block, offset):
                     seen = tally.get(key)
                     tally[key] = (seen or 0) + 1
                     if seen is None:
-                        admit(key, row, offset + end)
+                        admit(key, row, line)
             else:
                 fresh = []
                 for raw, n in counts.items():
@@ -469,14 +479,21 @@ def _parse_rows(
                     if seen is None:
                         fresh.append(raw)
                     tally[raw] = (seen or 0) + n
-                for raw, row in zip(fresh, csv.reader(fresh)):
-                    try:
-                        admit(raw, row, 0)
-                    except ValidationError:
-                        # The line number is looked up only here; checking
-                        # again names it in the same error.
-                        admit(raw, row, offset + block.index(raw) + 1)
-                        raise
+                rows = csv.reader(fresh)
+                try:
+                    for raw, row in zip(fresh, rows):
+                        try:
+                            admit(raw, row, 0)
+                        except ValidationError:
+                            # The line number is looked up only here;
+                            # checking again names it in the same error.
+                            admit(raw, row, offset + block.index(raw) + 1)
+                            raise
+                except csv.Error as exc:
+                    # Each of these lines is one record: the reader failed
+                    # on line ``rows.line_num`` of ``fresh``.
+                    raw = fresh[rows.line_num - 1]
+                    raise ParseError(str(exc), offset + block.index(raw) + 1) from None
             offset += len(block)
         if not parsed:
             raise ParseError("no data rows in input", offset)
@@ -534,8 +551,7 @@ def serialize_dataset(
     return out.getvalue()
 
 
-@dataclass(frozen=True)
-class FrequencyStack:
+class FrequencyStack(NamedTuple):
     """Per-arm state frequencies of a stack of count tensors.
 
     Every array is indexed ``(member, trial, arm, ...)`` with trials in

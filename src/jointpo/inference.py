@@ -88,8 +88,7 @@ class BootstrapConfig:
             raise ValidationError("ci_method must be 'normal' or 'percentile'")
 
 
-@dataclass(frozen=True)
-class VarianceEstimate:
+class VarianceEstimate(NamedTuple):
     """Point estimates with standard errors and confidence intervals.
 
     For a bootstrap, ``n_failed`` counts replicates that failed every
@@ -121,8 +120,7 @@ class BatchFit(NamedTuple):
     forced: np.ndarray
 
 
-@dataclass(frozen=True)
-class BatchEstimator:
+class BatchEstimator(NamedTuple):
     """A statistic in batch form: ``fit`` evaluates it on a whole
     ``(B, n_trials, cells)`` stack of count tensors laid out like
     ``dataset.counts_tensor()``. Its point estimate is member 0 of ``fit``
@@ -382,8 +380,7 @@ def plugin_variance(
     )
 
 
-@dataclass(frozen=True)
-class OveridTestResult:
+class OveridTestResult(NamedTuple):
     """Result of the overidentification test of transportability.
 
     ``statistic`` is the sigma-normalized sum of squared per-trial

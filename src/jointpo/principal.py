@@ -16,7 +16,7 @@ post-treatment variable. Two estimation families are provided:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,7 @@ CELL_STRUCTURAL_ZERO = "structural_zero"
 CELL_UNAVAILABLE = "unavailable"
 
 
-@dataclass(frozen=True)
-class PrincipalScores:
+class PrincipalScores(NamedTuple):
     """Stratum membership probabilities per trial.
 
     Columns follow :data:`STRATA`; under the monotone ordering the
@@ -122,8 +121,7 @@ def clip_score_tables(table: np.ndarray) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class StratumOutcomeParams:
+class StratumOutcomeParams(NamedTuple):
     """Trial-invariant outcome probabilities per principal stratum.
 
     ``treated_prob[s]`` is P(Y1 = 1 | stratum s) and ``control_prob[s]``
@@ -136,8 +134,7 @@ class StratumOutcomeParams:
     out_of_range: bool
 
 
-@dataclass(frozen=True)
-class PsaceTable:
+class PsaceTable(NamedTuple):
     """Average causal effects per (trial, stratum).
 
     ``estimates`` is (m, 4) over :data:`STRATA` with NaN where
@@ -155,8 +152,7 @@ class PsaceTable:
         return self.estimates[:, STRATA.index(stratum)].copy()
 
 
-@dataclass(frozen=True)
-class FourWayJoint:
+class FourWayJoint(NamedTuple):
     """Per-trial joint law of (S0, S1, Y0, Y1).
 
     ``probs[g, a, b, c, d]`` estimates P(S0=a, S1=b, Y0=c, Y1=d | trial g).

@@ -21,13 +21,14 @@ import csv
 import io
 import json
 import math
-from importlib import resources
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .simulate import StudyResult
+if TYPE_CHECKING:
+    from .simulate import StudyResult
 
 try:
     from _sha2 import sha256 as _sha256
@@ -55,6 +56,18 @@ def _scalar(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _holds_scalar_array(value) -> bool:
+    """Whether a zero-dimensional array, which has no JSON form, sits
+    anywhere in ``value``."""
+    if isinstance(value, np.ndarray):
+        return value.ndim == 0
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return False
+    return any(map(_holds_scalar_array, value))
+
+
 def _write(value, indent: str, out: list) -> None:
     # Appends the text of ``value`` to ``out``: each list of scalars is one
     # piece, and a dict entry with a scalar value is one piece with its key.
@@ -63,8 +76,11 @@ def _write(value, indent: str, out: list) -> None:
             out.append("{}")
             return
         inner = indent + "  "
-        # Keys are compared after str(), so the last of colliding keys wins.
+        # Keys are compared after str(), so the last of colliding keys wins;
+        # the values it replaces must still have a plain-Python copy.
         items = {str(k): v for k, v in value.items()}
+        if len(items) < len(value) and any(map(_holds_scalar_array, value.values())):
+            raise TypeError("a zero-dimensional array is not a JSON array")
         sep = "{\n" + inner
         for k in sorted(items):
             v = items[k]
@@ -131,6 +147,8 @@ def text_digest(text: str) -> str:
 
 def load_report_schema() -> dict:
     """The published JSON schema every run report validates against."""
+    from importlib import resources
+
     with resources.files("jointpo.schemas").joinpath("report.schema.json").open(
         "r", encoding="utf-8"
     ) as fh:

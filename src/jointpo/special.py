@@ -10,7 +10,13 @@ run to a relative tolerance of ~1e-15, comfortably below the documented
 from __future__ import annotations
 
 import math
-from statistics import NormalDist
+
+try:
+    # The C routine behind ``statistics.NormalDist.inv_cdf``, without loading
+    # ``statistics`` and, with it, ``fractions`` and ``decimal``.
+    from _statistics import _normal_dist_inv_cdf
+except ImportError:
+    from statistics import _normal_dist_inv_cdf
 
 _MAX_ITER = 10_000
 _REL_EPS = 1e-15
@@ -87,8 +93,9 @@ def chi2_sf(x: float, df: float) -> float:
 
 
 def normal_quantile(p: float) -> float:
-    """Quantile of the standard normal distribution."""
-    return NormalDist().inv_cdf(p)
+    """Quantile of the standard normal distribution, bit for bit
+    ``statistics.NormalDist().inv_cdf(p)``; ``ValueError`` outside (0, 1)."""
+    return _normal_dist_inv_cdf(p, 0.0, 1.0)
 
 
 def expit(x):

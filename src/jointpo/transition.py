@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,8 +89,7 @@ class DesignSystem:
         return not bool(self.support_mask.all())
 
 
-@dataclass(frozen=True)
-class ColumnRank:
+class ColumnRank(NamedTuple):
     """Rank diagnostics for one target column of a masked system."""
 
     target: str
@@ -101,8 +101,7 @@ class ColumnRank:
     reason: str | None = None
 
 
-@dataclass(frozen=True)
-class RankDiagnostics:
+class RankDiagnostics(NamedTuple):
     """Singular-value diagnostics of the design matrix.
 
     ``satisfied`` reflects both the numerical condition ratio
@@ -308,8 +307,7 @@ def _rank_diagnostics(system: DesignSystem, M: np.ndarray) -> RankDiagnostics:
     )
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class TransitionMatrix(NamedTuple):
     """Estimated transition probabilities ``probs[i, b]``.
 
     Masked-out entries are exactly zero. ``determined`` is False for
@@ -582,8 +580,7 @@ def binary_transition_params(trans: TransitionMatrix) -> np.ndarray:
     return trans.probs[:, 1].copy()
 
 
-@dataclass(frozen=True)
-class JointTable:
+class JointTable(NamedTuple):
     """Joint distribution of the control-arm and treated-arm potential
     states for one trial: ``table[a, b] = P(state0 = a, state1 = b)``."""
 
@@ -637,8 +634,7 @@ def joint_from_transitions(
     return JointTable(trial_id=trial_id, table=table, negative_mass=negative)
 
 
-@dataclass(frozen=True)
-class DerivedEstimands:
+class DerivedEstimands(NamedTuple):
     """Scalar causal quantities derived from a binary joint table.
 
     ``None`` marks a quantity whose conditioning event has zero mass.

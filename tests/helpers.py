@@ -185,6 +185,14 @@ def well_conditioned_system(
     raise AssertionError("failed to draw a well-conditioned system")
 
 
+def _reference_rows(reader):
+    """The rows of ``reader``; a ``csv.Error`` is a ParseError at its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(str(exc), reader.line_num) from None
+
+
 def reference_parse_rows(
     stream, schema: ColumnSchema = DEFAULT_SCHEMA, with_count: bool = True
 ) -> MultiTrialDataset:
@@ -196,8 +204,9 @@ def reference_parse_rows(
     with the package.
     """
     reader = csv.reader(stream)
+    rows = _reference_rows(reader)
     try:
-        header = next(reader)
+        header = next(rows)
     except StopIteration:
         raise ParseError("input is empty", 1) from None
     expected = schema.header(with_count)
@@ -209,7 +218,7 @@ def reference_parse_rows(
     order: list[str] = []
     surrogate_seen: bool | None = None
     max_y = -1
-    for row in reader:
+    for row in rows:
         line = reader.line_num
         if not row or (len(row) == 1 and not row[0].strip()):
             continue

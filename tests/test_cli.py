@@ -27,7 +27,12 @@ from jointpo.inference import BootstrapConfig, bootstrap
 from jointpo.report import load_report_schema
 from jointpo.simulate import DgpSpec, simulate_dataset
 from jointpo.special import chi2_sf
-from jointpo.transition import build_system, joint_from_transitions, solve_transitions
+from jointpo.transition import (
+    build_system,
+    check_rank,
+    joint_from_transitions,
+    solve_transitions,
+)
 
 TOY_TWO_TRIAL = """trial,arm,s,y,count
 1,0,NA,0,50
@@ -162,6 +167,44 @@ class TestEstimate:
         assert len(report["results"]["per_trial"]) == 10
         se = report["results"]["parameters"]["se"]
         assert se is not None and all(v >= 0 for v in se)
+
+    @pytest.mark.parametrize(
+        "table, flags",
+        [("toy", ["--space", "outcome"]), ("registry", ["--space", "composite", "--mono-s", "--mono-y"])],
+    )
+    def test_rank_diagnostics_report(self, capsys, toy_csv, registry_csv, table, flags):
+        path = toy_csv if table == "toy" else registry_csv
+        report, _ = run_json(capsys, "estimate", "--input", str(path), *flags, "--boot", "0")
+        space = flags[1]
+        masked = "--mono-s" in flags
+        system = build_system(
+            summarize(parse_dataset(path)), space, mono_s=masked, mono_y=masked
+        )
+        diag = check_rank(system)
+        columns = None
+        if masked:
+            columns = [
+                {
+                    "target": c.target,
+                    "sources": list(c.sources),
+                    "singular_values": list(c.singular_values),
+                    "condition_ratio": c.condition_ratio,
+                    "satisfied": c.satisfied,
+                    "mode": c.mode,
+                    "reason": c.reason,
+                }
+                for c in diag.columns
+            ]
+            assert {c["mode"] for c in columns} == {"least_squares", "completed"}
+        assert report["diagnostics"]["rank"] == {
+            "singular_values": list(diag.singular_values),
+            "condition_ratio": diag.condition_ratio,
+            "satisfied": diag.satisfied,
+            "feasible": diag.feasible,
+            "reason": diag.reason,
+            "tol_ratio": diag.tol_ratio,
+            "columns": columns,
+        }
 
     def test_missing_seed_with_bootstrap_exits_2(self, capsys, toy_csv):
         code, _, err = run_cli(capsys, "estimate", "--input", str(toy_csv))

@@ -1,4 +1,3 @@
-import csv
 import io
 import re
 import tempfile
@@ -328,12 +327,10 @@ class TestParserMatchesRowByRowReference:
 
 
 def _read_outcome(parse, source):
-    """What parsing ``source`` gives, as ``_outcome`` tells it; a
-    ``csv.Error`` (a lone ``\r`` inside a line of a ``StringIO``, say)
-    is an outcome too."""
+    """What parsing ``source`` gives, as ``_outcome`` tells it."""
     try:
         ds = parse(source)
-    except (JointpoError, csv.Error) as err:
+    except JointpoError as err:
         return type(err), str(err), getattr(err, "line_number", None)
     target = None if ds.target is None else ds.target.trial_id
     counts = [t.counts.tolist() for t in ds.all_trials]
@@ -469,6 +466,41 @@ class TestBlockParserMatchesReference:
         line = 1 + len(good.splitlines()) + 1 + 1
         assert mine[0] is kind
         assert mine[1].startswith(f"line {line}: ")
+
+
+class TestLoneCarriageReturn:
+    """A lone ``\r`` before more fields of a line read from a text stream is
+    a ParseError naming that line; read from a file opened with
+    ``newline=""``, as the CLI opens it, the ``\r`` ends the line."""
+
+    def test_example_row(self):
+        with pytest.raises(ParseError, match="^line 2: new-line character seen"):
+            parse_dataset(io.StringIO("trial,arm,s,y,count\n1,0,NA,0,5\r1,0\n"))
+
+    def test_in_the_header(self):
+        with pytest.raises(ParseError, match="^line 1: "):
+            parse_unit_rows(io.StringIO("trial,arm\rs,y\n" + GOOD_UNITS))
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    @pytest.mark.parametrize("with_count", [True, False])
+    def test_names_its_line_in_both_parsers(self, with_count, quoted, tmp_path):
+        good = "1,0,NA,0,5\n" if with_count else "1,0,NA,0\n"
+        header = "trial,arm,s,y,count\n" if with_count else UNIT_HEADER
+        # A quote character sends the block through the record-by-record path.
+        first = '"1"' + good[1:] if quoted else good
+        text = header + first + good * 2 + good.rstrip("\n") + "\r1,0\n" + good
+        parse = parse_dataset if with_count else parse_unit_rows
+        with pytest.raises(ParseError) as err:
+            parse(io.StringIO(text))
+        assert err.value.line_number == 5
+        assert str(err.value).startswith("line 5: new-line character seen in unquoted field")
+        mine, reference = _both_outcomes(text, with_count)
+        assert mine == reference
+        path = tmp_path / "input.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        fields = 5 if with_count else 4
+        with pytest.raises(ParseError, match=f"^line 6: expected {fields} fields, got 2$"):
+            parse(path)
 
 
 class TestSummarize:

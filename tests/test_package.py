@@ -1,7 +1,14 @@
-"""The package resolves its exported names lazily (PEP 562)."""
+"""The package resolves its exported names lazily (PEP 562), each command
+loads only the modules it uses, and the result records keep their shape."""
 
+import io
+import json
 import subprocess
 import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
 
 import jointpo
 
@@ -104,3 +111,198 @@ def test_star_import_and_dir():
     assert set(jointpo.__all__) <= set(listed)
     assert "__version__" in listed
     assert listed == sorted(listed)
+
+
+#: What ``import jointpo.cli`` loads, and with it every command but ``psace``
+#: and ``simulate``.
+CLI_FLOOR = {
+    "jointpo", "jointpo.cli", "jointpo.data", "jointpo.errors", "jointpo.inference",
+    "jointpo.report", "jointpo.special", "jointpo.transition",
+}
+
+#: The names ``jointpo.cli`` binds to stand-ins that import their module at
+#: the first call.
+DEFERRED = (
+    "method1_estimate", "method4_estimate", "monotone_variant_estimate",
+    "principal_scores", "run_study",
+)
+
+#: A four-trial cell-count table with a surrogate.
+SURROGATE_TABLE = "trial,arm,s,y,count\n" + "".join(
+    f"{g},{a},{s},{y},{20 + 7 * g + 11 * a + 3 * s + 5 * y + (g * a * (s + 1)) % 7}\n"
+    for g in range(1, 5)
+    for a in (0, 1)
+    for s in (0, 1)
+    for y in (0, 1)
+)
+
+
+def _command_imports(*argv: str) -> set[str]:
+    """Every module a fresh ``python -m jointpo.cli <argv>`` imports, as
+    ``-X importtime`` lists them; the command runs as ``__main__``, so the
+    list names ``jointpo.cli`` only if something imports it."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "jointpo.cli", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in lines[1:]
+        if line.startswith("import time:")
+    }
+
+
+def _jointpo_modules(modules: set[str]) -> set[str]:
+    return {m for m in modules if m == "jointpo" or m.startswith("jointpo.")}
+
+
+def test_cli_import_loads_only_the_shared_floor():
+    loaded = _loaded_submodules(
+        "import jointpo.cli\nassert 'statistics' not in sys.modules"
+    )
+    assert {"jointpo", *loaded} == CLI_FLOOR
+
+
+def test_cli_import_without_site_loads_no_importlib_resources():
+    # ``site`` can load importlib.resources itself (from a .pth file), so the
+    # interpreter starts without it, on this interpreter's module path.
+    script = (
+        f"import sys\nsys.path[:] = {sys.path!r}\nimport jointpo.cli\n"
+        "sys.exit(sorted({'importlib.resources', 'statistics'} & set(sys.modules)) or None)"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_version_loads_only_the_shared_floor():
+    loaded = _command_imports("--version")
+    assert _jointpo_modules(loaded) == CLI_FLOOR - {"jointpo.cli"}
+    assert "statistics" not in loaded
+
+
+def test_estimate_and_psace_load_what_they_use(tmp_path):
+    table = tmp_path / "table.csv"
+    table.write_text(SURROGATE_TABLE, encoding="utf-8")
+    estimate = _command_imports("estimate", "--input", str(table), "--boot", "0")
+    assert _jointpo_modules(estimate) == CLI_FLOOR - {"jointpo.cli"}
+    psace = _command_imports("psace", "--input", str(table), "--method", "1", "--boot", "0")
+    assert _jointpo_modules(psace) == CLI_FLOOR - {"jointpo.cli"} | {"jointpo.principal"}
+
+
+def test_traced_cli_names_are_bound():
+    # perfbench/tracing.py wraps these names in jointpo.cli's namespace; read
+    # them in a fresh interpreter, before anything loads principal or simulate.
+    script = (
+        "import json, jointpo.cli\n"
+        "names = set(vars(jointpo.cli))\n"
+        "from perfbench.tracing import TARGETS\n"
+        "wanted = {a for owner, a, _, _ in TARGETS if owner is jointpo.cli}\n"
+        "print(json.dumps([sorted(wanted), sorted(wanted - names)]))\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=root
+    )
+    assert proc.returncode == 0, proc.stderr
+    wanted, missing = json.loads(proc.stdout)
+    assert set(DEFERRED) <= set(wanted)
+    assert missing == []
+
+
+@pytest.mark.filterwarnings("ignore::jointpo.errors.JointpoWarning")
+def test_deferred_stand_ins_forward_to_their_module():
+    import jointpo.cli
+    import jointpo.principal
+    import jointpo.simulate
+
+    summaries = jointpo.summarize(jointpo.parse_dataset(io.StringIO(SURROGATE_TABLE)))
+    calls = {
+        "principal_scores": ((summaries,), {"clip_negative": True}),
+        "method1_estimate": ((summaries,), {}),
+        "method4_estimate": ((summaries, "both"), {}),
+        "monotone_variant_estimate": ((summaries, "method3"), {}),
+    }
+    for name, (args, kwargs) in calls.items():
+        stand_in = getattr(jointpo.cli, name)
+        assert stand_in is not getattr(jointpo.principal, name)
+        np.testing.assert_equal(
+            stand_in(*args, **kwargs), getattr(jointpo.principal, name)(*args, **kwargs)
+        )
+    assert set(calls) | {"run_study"} == set(DEFERRED)
+    spec = jointpo.DgpSpec(case="c1", n_g=200, m=4)
+    mine = jointpo.cli.run_study(spec, 3, 5, 1, workers=1)
+    theirs = jointpo.simulate.run_study(spec, 3, 5, 1, workers=1)
+    np.testing.assert_equal(mine.estimates, theirs.estimates)
+    np.testing.assert_equal(mine.ses, theirs.ses)
+
+
+#: The records that are ``NamedTuple``s: their fields, in order, and defaults.
+RECORDS = {
+    "ColumnSchema": (
+        ("trial", "arm", "surrogate", "outcome", "count", "na_token", "target_label"),
+        {"trial": "trial", "arm": "arm", "surrogate": "s", "outcome": "y",
+         "count": "count", "na_token": "NA", "target_label": "0"},
+    ),
+    "TrialSummary": (
+        ("trial_id", "is_target", "arm_sizes", "control_outcome", "treated_outcome",
+         "control_surrogate", "treated_surrogate", "control_composite",
+         "treated_composite"),
+        {"control_surrogate": None, "treated_surrogate": None,
+         "control_composite": None, "treated_composite": None},
+    ),
+    "Summaries": (("trials", "target", "outcome_cardinality", "has_surrogate"), {}),
+    "FrequencyStack": (("sizes", "empty", "outcome", "surrogate", "composite"), {}),
+    "ColumnRank": (
+        ("target", "sources", "singular_values", "condition_ratio", "satisfied",
+         "mode", "reason"),
+        {"reason": None},
+    ),
+    "RankDiagnostics": (
+        ("singular_values", "condition_ratio", "satisfied", "feasible", "reason",
+         "tol_ratio", "columns"),
+        {"columns": None},
+    ),
+    "TransitionMatrix": (
+        ("probs", "support_mask", "state_labels", "projected", "determined",
+         "diagnostics", "forced", "out_of_range"),
+        {"forced": False, "out_of_range": False},
+    ),
+    "JointTable": (("trial_id", "table", "negative_mass"), {}),
+    "DerivedEstimands": (
+        ("treatment_harm_rate", "treatment_benefit_rate", "persuasion_rate",
+         "prob_sufficient_causation", "prob_necessary_causation"),
+        {},
+    ),
+    "VarianceEstimate": (
+        ("point", "se", "ci_lower", "ci_upper", "source", "names", "replicates",
+         "n_failed", "n_forced", "n_redrawn"),
+        {"names": None, "replicates": None, "n_failed": 0, "n_forced": 0, "n_redrawn": 0},
+    ),
+    "BatchEstimator": (("fit",), {}),
+    "OveridTestResult": (("statistic", "df", "p_value", "per_trial_residuals"), {}),
+    "PrincipalScores": (("trial_ids", "table", "clipped", "violations"), {}),
+    "StratumOutcomeParams": (("treated_prob", "control_prob", "out_of_range"), {}),
+    "PsaceTable": (("method", "trial_ids", "estimates", "defined", "mask_used"), {}),
+    "FourWayJoint": (
+        ("trial_ids", "probs", "cell_status", "mask_used", "negative_mass"), {}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_keep_fields_and_defaults_and_reject_assignment(name):
+    cls = getattr(jointpo, name)
+    fields, defaults = RECORDS[name]
+    assert issubclass(cls, tuple)
+    assert cls._fields == fields
+    assert cls._field_defaults == defaults
+    record = cls(*(f"value of {field}" for field in fields))
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.unknown = None
+    assert record._replace(**{fields[0]: 1})[0] == 1

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -52,6 +52,7 @@ def _outcome(write, payload):
 
 class TestCanonicalJson:
     @given(payload=PAYLOADS)
+    @example(payload={1: [np.array(0.0)], "1": None})
     @settings(max_examples=300, deadline=None)
     def test_matches_the_standard_library_encoder(self, payload):
         # A zero-dimensional array is not a JSON array: both writers raise.

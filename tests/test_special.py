@@ -1,10 +1,18 @@
+import statistics
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from jointpo.special import chi2_sf, expit, regularized_gamma_p, regularized_gamma_q
+from jointpo.special import (
+    chi2_sf,
+    expit,
+    normal_quantile,
+    regularized_gamma_p,
+    regularized_gamma_q,
+)
 
 from helpers import poisson_sum_chi2_sf
 
@@ -67,3 +75,16 @@ def test_expit_known_values():
     assert float(expit(0.0)) == pytest.approx(0.5)
     assert float(expit(-0.5)) == pytest.approx(0.3775406687981454, abs=1e-15)
     assert float(expit(0.5)) == pytest.approx(0.6224593312018546, abs=1e-15)
+
+
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+@settings(max_examples=2000)
+def test_normal_quantile_is_normal_dist_inv_cdf(p):
+    expected = statistics.NormalDist().inv_cdf(p)
+    assert normal_quantile(p).hex() == expected.hex()
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5])
+def test_normal_quantile_rejects_p_outside_the_unit_interval(p):
+    with pytest.raises(ValueError):
+        normal_quantile(p)
