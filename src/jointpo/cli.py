@@ -18,21 +18,22 @@ Each command's statistic exists only in batch form, a
 :class:`~jointpo.inference.BatchEstimator` from one of the ``*_estimator``
 functions below. Its member 0, a fit of the observed counts, is the
 report's point (``parameters.point`` and the estimands); the bootstrap fits
-the resamples as one stack. The object path (``summarize`` ->
-``build_system`` -> ``solve_transitions``) supplies the rank diagnostics,
-the transition block, the joint tables and the warnings.
-``psace --plot-data`` bootstraps a single statistic, the psace table
-followed by the surrogate and outcome joint harm cells.
+the resamples as one stack. The rest of the report, and every warning, comes
+from the same kernels on the observed frequencies
+(:func:`~jointpo.data.observed_frequencies`): :func:`~jointpo.transition.fit_system`
+of a :func:`~jointpo.transition.design_system` and the ``*_report``
+functions of :mod:`jointpo.principal`. ``psace --plot-data`` bootstraps a
+single statistic, the psace table followed by the surrogate and outcome
+joint harm cells.
 
 A command loads only the modules it uses: importing this module, and
 ``estimate``, ``test``, ``target`` and ``--version``, load ``data``,
 ``errors``, ``special``, ``transition``, ``inference`` and ``report``;
-``psace`` also loads ``principal``, and ``simulate`` also loads ``simulate``
-(which imports ``principal``).
-``method1_estimate``, ``method4_estimate``, ``monotone_variant_estimate``,
-``principal_scores`` and ``run_study`` are nonetheless bound here, as
-stand-ins that import their module at the first call, because the
-benchmark's tracer times them by wrapping this module's names.
+``psace`` also loads ``principal``, ``simulate`` also loads ``simulate``,
+and a ``c4`` study ``principal``. The names the benchmark's tracer wraps in
+this module stay bound although no command calls most of them, those of
+``principal`` and ``simulate`` as stand-ins that import their module at the
+first call.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import ColumnSchema, frequency_stack, parse_dataset, summarize
+from .data import ColumnSchema, frequency_stack, observed_frequencies, parse_dataset
 from .errors import (
     IdentificationError,
     InferenceError,
@@ -64,7 +65,7 @@ from .inference import (
     BootstrapConfig,
     bootstrap,
     check_seed,
-    overid_test,
+    overid_result,
 )
 from .report import (
     canonical_json,
@@ -76,39 +77,35 @@ from .report import (
 )
 from .transition import (
     binary_transition_params,
-    build_system,
-    check_rank,
+    design_system,
     estimand_vectors,
+    fit_system,
     fit_transitions,
     flag_negative_joints,
-    joint_from_transitions,
     joint_tables,
     monotone_mask,
     project_rows,
-    solve_transitions,
 )
 
-# Unused here, but perfbench/tracing.py times it through this module's names.
-from .transition import derived_estimands  # noqa: F401
+# Unused here, but perfbench/tracing.py times them through this module's names.
+from .data import summarize  # noqa: F401
+from .inference import overid_test  # noqa: F401
+from .transition import build_system, check_rank, derived_estimands  # noqa: F401
+from .transition import joint_from_transitions, solve_transitions  # noqa: F401
 
 
 def _deferred(module: str, name: str):
     """A stand-in for ``jointpo.<module>.<name>`` that imports the module at
     its first call and forwards every call to that function."""
-    fn = None
 
     def call(*args, **kwargs):
-        nonlocal fn
-        if fn is None:
-            fn = getattr(import_module(f"{__package__}.{module}"), name)
-        return fn(*args, **kwargs)
+        return getattr(import_module(f"{__package__}.{module}"), name)(*args, **kwargs)
 
     call.__name__ = call.__qualname__ = name
     return call
 
 
-# The commands call these through this module's globals, which
-# perfbench/tracing.py wraps.
+# perfbench/tracing.py wraps these names too; only ``simulate`` calls one.
 method1_estimate = _deferred("principal", "method1_estimate")
 method4_estimate = _deferred("principal", "method4_estimate")
 monotone_variant_estimate = _deferred("principal", "monotone_variant_estimate")
@@ -152,8 +149,8 @@ def _parse_columns(text: str | None) -> ColumnSchema:
     )
 
 
-def _require_seed(args) -> None:
-    if args.seed is None:
+def _require_seed(seed) -> None:
+    if seed is None:
         raise ValidationError(
             "--seed is required for stochastic commands (no silent entropy)"
         )
@@ -182,20 +179,10 @@ def _load(args):
 
 
 def _params_dict(names, point, variance, ci_level) -> dict:
-    out = {
-        "names": list(names),
-        "point": np.asarray(point, dtype=float),
-        "ci_level": ci_level,
-    }
-    if variance is None:
-        out.update(se=None, ci_lower=None, ci_upper=None, n_failed=None)
-    else:
-        out.update(
-            se=variance.se,
-            ci_lower=variance.ci_lower,
-            ci_upper=variance.ci_upper,
-            n_failed=variance.n_failed,
-        )
+    """``results.parameters``; the spread is null without a bootstrap."""
+    keys = ("se", "ci_lower", "ci_upper", "n_failed")
+    out = {key: getattr(variance, key, None) for key in keys}
+    out.update(names=list(names), point=np.asarray(point, dtype=float), ci_level=ci_level)
     return out
 
 
@@ -206,29 +193,39 @@ def _estimands_dict(vector) -> dict:
     return {"thr": thr, "tbr": tbr, "persuasion_rate": persuasion, "ps": persuasion, "pn": pn}
 
 
-def _rank_dict(diag) -> dict:
-    """``diagnostics.rank``: the rank diagnostics and each column's, as dicts."""
-    out = diag._asdict()
-    if diag.columns is not None:
-        out["columns"] = [column._asdict() for column in diag.columns]
-    return out
-
-
-def _transition_dict(trans) -> dict:
+def _report(args, info, flag_names, results: dict, trans=None) -> dict:
+    """A command's report of its ``results``, with the named flags and, given
+    its transition matrix ``trans``, the rank diagnostics and
+    ``results.transition``."""
+    rank = None
+    if trans is not None:
+        transition = trans._asdict()
+        rank = transition.pop("diagnostics")._asdict()
+        if rank["columns"] is not None:
+            rank["columns"] = [column._asdict() for column in rank["columns"]]
+        results["transition"] = transition
     return {
-        "state_labels": list(trans.state_labels),
-        "probs": trans.probs,
-        "support_mask": trans.support_mask,
-        "determined": trans.determined,
-        "projected": trans.projected,
-        "out_of_range": trans.out_of_range,
-        "forced": trans.forced,
+        "command": args.command,
+        "input": info,
+        "seed": args.seed,
+        "flags": {name: getattr(args, name) for name in flag_names},
+        "diagnostics": {"rank": rank},
+        "results": results,
     }
+
+
+def _joint_report(system, *, force=False, project=False):
+    """The transition matrix of a system of the observed trials, their joint
+    tables and the flags, which warn, of the tables with a negative cell."""
+    trans = fit_system(system, force=force, project_simplex=project)
+    joints = joint_tables(trans.probs, system.design)
+    return trans, joints, flag_negative_joints(joints, system.trial_ids)
 
 
 def _bootstrap(args, dataset, estimator, names):
     """Bootstrap a command's statistic at ``--boot``, ``--seed``, ``--ci`` and
     ``--ci-method``."""
+    _require_seed(args.seed)
     config = BootstrapConfig(
         replicates=args.boot, seed=args.seed, ci_level=args.ci, ci_method=args.ci_method
     )
@@ -240,15 +237,14 @@ def _point_and_variance(args, dataset, estimator, names):
     (None under ``--boot 0``)."""
     if args.boot <= 0:
         return estimator.fit(dataset.counts_tensor()[None]).values[0], None
-    _require_seed(args)
     variance = _bootstrap(args, dataset, estimator, names)
     return variance.point, variance
 
 
 def _batch_fit(dataset, width: int, fit_live):
-    """Batch form of a statistic that :func:`summarize` would reject on
-    members with an empty arm: those are undefined, and ``fit_live`` maps
-    the frequencies of the others to ``(values, ok, forced)``."""
+    """Batch form of a statistic that :func:`observed_frequencies` would
+    reject on members with an empty arm: those are undefined, and
+    ``fit_live`` maps the frequencies of the others to ``(values, ok, forced)``."""
 
     def fit(tensor: np.ndarray) -> BatchFit:
         freqs = frequency_stack(dataset, tensor)
@@ -386,19 +382,16 @@ _CELL_SPACES = ("surrogate", "outcome")
 
 def cmd_estimate(args) -> dict:
     dataset, info = _load(args)
-    summaries = summarize(dataset)
-    system = build_system(
-        summaries, args.space, mono_s=args.mono_s, mono_y=args.mono_y
+    ids = dataset.trial_ids
+    system = design_system(
+        observed_frequencies(dataset), ids, args.space, mono_s=args.mono_s, mono_y=args.mono_y
     )
-    diag = check_rank(system)
-    trans = solve_transitions(
-        system, project_simplex=args.project, force=args.force
-    )
+    trans, joints, negative = _joint_report(system, force=args.force, project=args.project)
     two_state = trans.k == 2
 
     names = list(trans.parameter_labels())
     if two_state:
-        for tid in system.trial_ids:
+        for tid in ids:
             names += [f"{label}[{tid}]" for label in ("THR", "TBR", "persuasion", "PN")]
     estimator = estimate_estimator(
         dataset, args.space, system.support_mask, project=args.project
@@ -406,42 +399,25 @@ def cmd_estimate(args) -> dict:
     point, variance = _point_and_variance(args, dataset, estimator, names)
     estimands = point[int(system.support_mask.sum()):].reshape(-1, 4)
 
-    joints = joint_tables(trans.probs, system.design)
-    negative = flag_negative_joints(joints, system.trial_ids).tolist()
     per_trial = [
         {
             "trial": tid,
             "control_marginal": system.design[g],
             "treated_marginal": system.response[g],
             "joint": joints[g],
-            "negative_mass": negative[g],
+            "negative_mass": bool(negative[g]),
             "estimands": _estimands_dict(estimands[g]) if two_state else None,
         }
-        for g, tid in enumerate(system.trial_ids)
+        for g, tid in enumerate(ids)
     ]
 
-    return {
-        "command": "estimate",
-        "input": info,
-        "seed": args.seed,
-        "flags": {
-            "space": args.space,
-            "mono_s": args.mono_s,
-            "mono_y": args.mono_y,
-            "project": args.project,
-            "force": args.force,
-            "boot": args.boot,
-            "ci": args.ci,
-            "ci_method": args.ci_method,
-        },
-        "diagnostics": {"rank": _rank_dict(diag)},
-        "results": {
-            "space": args.space,
-            "transition": _transition_dict(trans),
-            "parameters": _params_dict(names, point, variance, args.ci),
-            "per_trial": per_trial,
-        },
+    flags = ("space", "mono_s", "mono_y", "project", "force", "boot", "ci", "ci_method")
+    results = {
+        "space": args.space,
+        "parameters": _params_dict(names, point, variance, args.ci),
+        "per_trial": per_trial,
     }
+    return _report(args, info, flags, results, trans)
 
 
 def cmd_test(args) -> dict:
@@ -450,109 +426,98 @@ def cmd_test(args) -> dict:
             f"test reports normal intervals only; --ci-method {args.ci_method} is not supported"
         )
     dataset, info = _load(args)
-    summaries = summarize(dataset)
-    system = build_system(summaries, args.space)
+    ids = dataset.trial_ids
+    system = design_system(observed_frequencies(dataset), ids, args.space)
     if system.k != 2:
         raise ValidationError("the overidentification test needs a two-state space")
-    if summaries.m == system.k:
+    if system.m == system.k:
         raise IdentificationError(
             f"just-identified system (m = k = {system.k}); the "
             "overidentification test has no degrees of freedom"
         )
-    diag = check_rank(system)
-    trans = solve_transitions(system)
+    trans = fit_system(system)
     theta = binary_transition_params(trans)
 
-    _require_seed(args)
     estimator = overid_estimator(dataset, args.space, theta)
-    names = ["theta[0]", "theta[1]"] + [f"residual[{tid}]" for tid in summaries.trial_ids]
+    names = ["theta[0]", "theta[1]"] + [f"residual[{tid}]" for tid in ids]
     variance = _bootstrap(args, dataset, estimator, names)
-    sigma = variance.se[2:]
-    result = overid_test(summaries, theta, sigma, space=args.space)
+    result = overid_result(ids, variance.point[2:], variance.se[2:])
 
     if args.plot_data:
         _write_test_plot_data(Path(args.plot_data), system, theta)
 
-    theta_names = list(trans.parameter_labels())
-    theta_var_point = trans.parameter_values()
-    return {
-        "command": "test",
-        "input": info,
-        "seed": args.seed,
-        "flags": {"space": args.space, "boot": args.boot, "ci": args.ci},
-        "diagnostics": {"rank": _rank_dict(diag)},
-        "results": {
-            "space": args.space,
-            "m": summaries.m,
-            "k": system.k,
-            "j_statistic": result.statistic,
-            "df": result.df,
-            "p_value": result.p_value,
-            "per_trial": [
-                {"trial": tid, "residual": r, "sigma": s}
-                for tid, r, s in result.per_trial_residuals
-            ],
-            "theta": {
-                "names": ["P(state1=1|state0=0)", "P(state1=1|state0=1)"],
-                "point": theta,
-                "se": variance.se[:2],
-                "ci_lower": variance.ci_lower[:2],
-                "ci_upper": variance.ci_upper[:2],
-                "ci_level": args.ci,
-            },
-            "transition": _transition_dict(trans),
-            "full_parameter_labels": theta_names,
-            "full_parameter_values": theta_var_point,
+    results = {
+        "space": args.space,
+        "m": system.m,
+        "k": system.k,
+        "j_statistic": result.statistic,
+        "df": result.df,
+        "p_value": result.p_value,
+        "per_trial": [
+            {"trial": tid, "residual": r, "sigma": s}
+            for tid, r, s in result.per_trial_residuals
+        ],
+        "theta": {
+            "names": ["P(state1=1|state0=0)", "P(state1=1|state0=1)"],
+            "point": theta,
+            "se": variance.se[:2],
+            "ci_lower": variance.ci_lower[:2],
+            "ci_upper": variance.ci_upper[:2],
+            "ci_level": args.ci,
         },
+        "full_parameter_labels": trans.parameter_labels(),
+        "full_parameter_values": trans.parameter_values(),
     }
+    return _report(args, info, ("space", "boot", "ci"), results, trans)
+
+
+#: The psace flags that some methods ignore, by the methods that use them.
+_PSACE_FLAG_METHODS = {"force": (2, 3, 4), "project": (2, 3, 4), "clip_scores": (1, 2)}
 
 
 def cmd_psace(args) -> dict:
-    from .principal import STRATA, method1_from_scores
-
-    dataset, info = _load(args)
-    summaries = summarize(dataset)
-    if not summaries.has_surrogate:
-        raise ValidationError("principal stratification needs surrogate data")
+    from .principal import PSACE_ORDERINGS, STRATA, composite_report, method1_report, scores_report
 
     method = args.method
-    scores = None
-    stratum_probs = None
-    fourway = None
+    for flag, methods in _PSACE_FLAG_METHODS.items():
+        if getattr(args, flag) and method not in methods:
+            raise ValidationError(
+                f"psace --method {method} does not use --{flag.replace('_', '-')}; "
+                f"only methods {', '.join(map(str, methods))} do"
+            )
+    dataset, info = _load(args)
+    freqs = observed_frequencies(dataset)
+    if freqs.surrogate is None:
+        raise ValidationError("principal stratification needs surrogate data")
+    ids = dataset.trial_ids
+
+    scores = stratum_probs = fourway = None
     if method == 1:
-        scores = principal_scores(summaries, clip_negative=args.clip_scores)
-        stratum_probs, table = method1_from_scores(summaries, scores)
-    elif method == 4:
-        fourway, table = method4_estimate(
-            summaries, "none", force=args.force, project=args.project
-        )
+        scores, stratum_probs, table = method1_report(freqs, ids, clip_scores=args.clip_scores)
     else:
-        fourway, table = monotone_variant_estimate(
-            summaries, f"method{method}", force=args.force, project=args.project
+        fourway, table = composite_report(
+            freqs, ids, method, *PSACE_ORDERINGS[method], force=args.force, project=args.project
         )
         if method == 2:
-            scores = principal_scores(summaries, clip_negative=args.clip_scores)
+            scores = scores_report(freqs, ids, clip_negative=args.clip_scores)
 
     # With --plot-data the statistic is the psace table followed by each
-    # space's joint harm cells, bootstrapped once.
+    # space's joint harm cells, bootstrapped once; the observed cells, and
+    # their warnings, come from forced fits of the two spaces.
     estimator = psace_estimator(
         dataset, method, clip_scores=args.clip_scores, project=args.project
     )
-    names = [f"PSACE[{s}]@{tid}" for tid in summaries.trial_ids for s in STRATA]
+    names = [f"PSACE[{s}]@{tid}" for tid in ids for s in STRATA]
     if args.plot_data:
-        # The joint cells' object-path solves, for their warnings only.
-        for space in _CELL_SPACES:
-            system = build_system(summaries, space)
-            trans = solve_transitions(system, force=True)
-            joints = joint_tables(trans.probs, system.design)
-            flag_negative_joints(joints, system.trial_ids)
+        systems = [design_system(freqs, ids, sp) for sp in _CELL_SPACES]
+        cells = [_joint_report(system, force=True)[1][:, 1, 0] for system in systems]
         parts = [estimator] + [joint_cell_estimator(dataset, sp) for sp in _CELL_SPACES]
         estimator = BatchEstimator(lambda t: _concat_fits([p.fit(t) for p in parts]))
-        names += [f"joint_cell[{sp}]@{tid}" for sp in _CELL_SPACES for tid in summaries.trial_ids]
+        names += [f"joint_cell[{sp}]@{tid}" for sp in _CELL_SPACES for tid in ids]
 
-    point, variance = _point_and_variance(args, dataset, estimator, names)
+    variance = _bootstrap(args, dataset, estimator, names) if args.boot > 0 else None
     if args.plot_data:
-        _write_psace_plot_data(Path(args.plot_data), table, point, variance)
+        _write_psace_plot_data(Path(args.plot_data), table, cells, variance)
 
     size = table.estimates.size
     spread = dict.fromkeys(("se", "ci_lower", "ci_upper"))
@@ -565,7 +530,7 @@ def cmd_psace(args) -> dict:
     results = {
         "method": method,
         "strata": list(STRATA),
-        "trials": list(summaries.trial_ids),
+        "trials": list(ids),
         "mask_used": list(table.mask_used),
         "psace": {
             "estimates": table.estimates,
@@ -597,22 +562,8 @@ def cmd_psace(args) -> dict:
             "negative_mass": fourway.negative_mass,
         },
     }
-    return {
-        "command": "psace",
-        "input": info,
-        "seed": args.seed,
-        "flags": {
-            "method": method,
-            "clip_scores": args.clip_scores,
-            "project": args.project,
-            "force": args.force,
-            "boot": args.boot,
-            "ci": args.ci,
-            "ci_method": args.ci_method,
-        },
-        "diagnostics": {},
-        "results": results,
-    }
+    flags = ("method", "clip_scores", "project", "force", "boot", "ci", "ci_method")
+    return _report(args, info, flags, results)
 
 
 def cmd_target(args) -> dict:
@@ -622,12 +573,12 @@ def cmd_target(args) -> dict:
             "no control-only target trial in the dataset (label it with "
             "the target trial id, default '0')"
         )
-    summaries = summarize(dataset)
-    system = build_system(summaries, args.space)
-    diag = check_rank(system)
-    trans = solve_transitions(system, project_simplex=args.project, force=args.force)
-    marginal = getattr(summaries.target, f"control_{args.space}")
-    joint = joint_from_transitions(trans, marginal, summaries.target.trial_id)
+    freqs = observed_frequencies(dataset)
+    system = design_system(freqs, dataset.trial_ids, args.space)
+    trans = fit_system(system, project_simplex=args.project, force=args.force)
+    marginal = freqs.space(args.space)[0, dataset.m, 0]
+    joint = joint_tables(trans.probs, marginal)
+    negative = bool(flag_negative_joints(joint, [dataset.target.trial_id]))
     two_state = trans.k == 2
 
     names = list(trans.parameter_labels()) + [
@@ -640,30 +591,17 @@ def cmd_target(args) -> dict:
     estimator = target_estimator(dataset, args.space, trans.k, project=args.project)
     point, variance = _point_and_variance(args, dataset, estimator, names)
 
-    return {
-        "command": "target",
-        "input": info,
-        "seed": args.seed,
-        "flags": {
-            "space": args.space,
-            "project": args.project,
-            "force": args.force,
-            "boot": args.boot,
-            "ci": args.ci,
-            "ci_method": args.ci_method,
-        },
-        "diagnostics": {"rank": _rank_dict(diag)},
-        "results": {
-            "space": args.space,
-            "target_trial": dataset.target.trial_id,
-            "transition": _transition_dict(trans),
-            "target_marginal": marginal,
-            "joint": joint.table,
-            "negative_mass": joint.negative_mass,
-            "estimands": _estimands_dict(point[-4:]) if two_state else None,
-            "parameters": _params_dict(names, point, variance, args.ci),
-        },
+    results = {
+        "space": args.space,
+        "target_trial": dataset.target.trial_id,
+        "target_marginal": marginal,
+        "joint": joint,
+        "negative_mass": negative,
+        "estimands": _estimands_dict(point[-4:]) if two_state else None,
+        "parameters": _params_dict(names, point, variance, args.ci),
     }
+    flags = ("space", "project", "force", "boot", "ci", "ci_method")
+    return _report(args, info, flags, results, trans)
 
 
 #: ``simulate --config`` keys whose values must be JSON integers.
@@ -707,10 +645,7 @@ def cmd_simulate(args) -> dict:
         raise ValidationError("--reps (or config 'replicates') is required")
     boot = pick(args.boot, "bootstrap_replicates", 100)
     seed = pick(args.seed, "seed")
-    if seed is None:
-        raise ValidationError(
-            "--seed is required for stochastic commands (no silent entropy)"
-        )
+    _require_seed(seed)
     m = pick(args.m, "m", 10)
     spec = DgpSpec(case=str(case).lower(), n_g=n_g, m=m)
     result = run_study(spec, reps, boot, seed, workers=args.workers)
@@ -734,7 +669,7 @@ def cmd_simulate(args) -> dict:
         "input": {"path": None, "sha256": text_digest(digest_source)},
         "seed": seed,
         "flags": flags,
-        "diagnostics": {},
+        "diagnostics": {"rank": None},
         "results": payload,
     }
 
@@ -779,12 +714,12 @@ def _write_test_plot_data(directory: Path, system, theta) -> None:
     _write_tsv(directory / "ate.tsv", ["trial", "ate"], ate_rows)
 
 
-def _write_psace_plot_data(directory: Path, table, point, variance) -> None:
+def _write_psace_plot_data(directory: Path, table, cells, variance) -> None:
     """Write ``psace_intervals.tsv`` and ``joint_cells.tsv``.
 
-    ``point`` and ``variance`` (None without a bootstrap) run over the psace
-    table, then each space's per-trial joint harm cell
-    P(state0=1, state1=0), in :data:`_CELL_SPACES` order.
+    ``cells`` holds each space's per-trial joint harm cell
+    P(state0=1, state1=0), in :data:`_CELL_SPACES` order, and ``variance``
+    (None without a bootstrap) runs over the psace table, then those cells.
     """
     from .principal import STRATA
 
@@ -815,9 +750,9 @@ def _write_psace_plot_data(directory: Path, table, point, variance) -> None:
 
     cell_rows = []
     index = table.estimates.size
-    for space in _CELL_SPACES:
-        for tid in table.trial_ids:
-            cell_rows.append([space, "10", tid, repr(float(point[index])), *bounds(index)])
+    for space, values in zip(_CELL_SPACES, cells):
+        for tid, value in zip(table.trial_ids, values):
+            cell_rows.append([space, "10", tid, repr(float(value)), *bounds(index)])
             index += 1
     _write_tsv(
         directory / "joint_cells.tsv",
@@ -890,9 +825,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("psace", help="principal stratification effects")
     _add_common(p)
     p.add_argument("--method", type=int, choices=(1, 2, 3, 4), required=True)
-    p.add_argument("--clip-scores", dest="clip_scores", action="store_true")
-    p.add_argument("--project", action="store_true")
-    p.add_argument("--force", action="store_true")
+    p.add_argument(
+        "--clip-scores",
+        dest="clip_scores",
+        action="store_true",
+        help="zero negative complier scores, renormalizing the rest (methods 1 and 2)",
+    )
+    p.add_argument(
+        "--project", action="store_true", help="project rows onto the simplex (methods 2-4)"
+    )
+    p.add_argument("--force", action="store_true", help="solve despite rank failure (methods 2-4)")
     p.add_argument("--plot-data", dest="plot_data", default=None)
     p.set_defaults(func=cmd_psace)
 
@@ -943,8 +885,6 @@ def main(argv=None) -> int:
             for w in caught
             if isinstance(w.message, JointpoWarning)
         ]
-        report.setdefault("diagnostics", {})
-        report["diagnostics"].setdefault("rank", None)
         report["diagnostics"]["warnings"] = collected
         report["schema_version"] = "1"
         report["tool"] = {"name": "jointpo", "version": __version__}

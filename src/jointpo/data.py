@@ -51,6 +51,9 @@ from .errors import (
 #: 4-state system appears: index = 2 * s + y.
 COMPOSITE_STATES: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
 
+#: The state spaces of a :class:`FrequencyStack`, in field order.
+STATE_SPACES = ("outcome", "surrogate", "composite")
+
 #: Largest count, and largest sum of one trial's counts, that int64 holds.
 _MAX_COUNT = 2**63 - 1
 
@@ -189,6 +192,10 @@ class MultiTrialDataset:
         return self.trials[0].has_surrogate
 
     @property
+    def trial_ids(self) -> tuple[str, ...]:
+        return tuple(t.trial_id for t in self.trials)
+
+    @property
     def all_trials(self) -> tuple[TrialCellCounts, ...]:
         if self.target is None:
             return self.trials
@@ -252,6 +259,19 @@ class Summaries(NamedTuple):
 
     def arm_sizes(self) -> np.ndarray:
         return np.array([t.arm_sizes for t in self.trials], dtype=np.int64)
+
+    def frequencies(self) -> FrequencyStack:
+        """The experimental trials' vectors as a :class:`FrequencyStack` of
+        one member, the form the estimators take."""
+
+        def arms(space: str):
+            if space != "outcome" and not self.has_surrogate:
+                return None
+            sides = (f"control_{space}", f"treated_{space}")
+            return np.array([[getattr(t, side) for side in sides] for t in self.trials])[None]
+
+        empty = np.zeros(1, dtype=bool)
+        return FrequencyStack(self.arm_sizes()[None], empty, *map(arms, STATE_SPACES))
 
 
 def _open_source(source) -> tuple[TextIO, bool]:
@@ -609,47 +629,39 @@ def frequency_stack(dataset: MultiTrialDataset, tensor: np.ndarray) -> Frequency
     return FrequencyStack(sizes, empty, outcome, surrogate, composite)
 
 
-def summarize(dataset: MultiTrialDataset) -> Summaries:
-    """Compute per-trial conditional frequencies.
+def observed_frequencies(dataset: MultiTrialDataset) -> FrequencyStack:
+    """:func:`frequency_stack` of the observed counts, a stack of one.
 
-    Raises :class:`EstimationError` when a non-target trial has an empty
-    arm. For the target trial only control-side vectors are produced.
+    Raises :class:`EstimationError`, naming the first in order, when a trial
+    has an empty arm (for the target trial, an empty control arm).
     """
     freqs = frequency_stack(dataset, dataset.counts_tensor()[None])
-    sizes = freqs.sizes[0]
-    for trial, arm_sizes in zip(dataset.all_trials, sizes):
+    for trial, arm_sizes in zip(dataset.all_trials, freqs.sizes[0]):
         for arm in (0, 1):
             if arm_sizes[arm] <= 0 and not (arm == 1 and trial.is_target):
                 raise EstimationError(
                     f"trial {trial.trial_id!r} has no units in arm {arm}; "
                     "frequencies are undefined"
                 )
+    return freqs
 
-    def vectors(space: str, g: int, is_target: bool):
-        arms = freqs.space(space)
-        if arms is None:
-            return None, None
-        return arms[0, g, 0], None if is_target else arms[0, g, 1]
 
+def summarize(dataset: MultiTrialDataset) -> Summaries:
+    """Compute per-trial conditional frequencies, those of
+    :func:`observed_frequencies`, which raises on an empty arm. For the
+    target trial only control-side vectors are produced.
+    """
+    freqs = observed_frequencies(dataset)
     out = []
     for g, trial in enumerate(dataset.all_trials):
-        (c_out, t_out), (c_sur, t_sur), (c_comp, t_comp) = (
-            vectors(space, g, trial.is_target)
-            for space in ("outcome", "surrogate", "composite")
-        )
-        out.append(
-            TrialSummary(
-                trial_id=trial.trial_id,
-                is_target=trial.is_target,
-                arm_sizes=(int(sizes[g, 0]), int(sizes[g, 1])),
-                control_outcome=c_out,
-                treated_outcome=t_out,
-                control_surrogate=c_sur,
-                treated_surrogate=t_sur,
-                control_composite=c_comp,
-                treated_composite=t_comp,
-            )
-        )
+        vectors = {}
+        for space in STATE_SPACES:
+            arms = freqs.space(space)
+            if arms is not None:
+                vectors[f"control_{space}"] = arms[0, g, 0]
+                vectors[f"treated_{space}"] = None if trial.is_target else arms[0, g, 1]
+        sizes = tuple(int(n) for n in freqs.sizes[0, g])
+        out.append(TrialSummary(trial.trial_id, trial.is_target, sizes, **vectors))
     return Summaries(
         trials=tuple(out[: dataset.m]),
         target=out[dataset.m] if dataset.target is not None else None,

@@ -441,10 +441,17 @@ def overid_test(
     and the p-value is marked inapplicable.
     """
     residuals = transition_residuals(summaries, theta, space=space)
+    return overid_result(summaries.trial_ids, residuals, sigma_g)
+
+
+def overid_result(
+    trial_ids: Sequence[str], residuals: np.ndarray, sigma_g: np.ndarray
+) -> OveridTestResult:
+    """:func:`overid_test` of the trials' residuals from the fitted two-state
+    transition and their noise scales ``sigma_g``."""
     sigma = np.asarray(sigma_g, dtype=float)
     if sigma.shape != residuals.shape:
         raise ValidationError("sigma_g must provide one value per trial")
-    ids = summaries.trial_ids
     df = residuals.size - 2
     if df == 0:
         # Just identified: the fit is exact by construction, so no residual
@@ -452,14 +459,14 @@ def overid_test(
         # from the residual list.
         sigma = np.ones_like(residuals)
     elif (sigma < _EXACT_FIT_TOL).any():
-        bad = [tid for tid, s in zip(ids, sigma) if s < _EXACT_FIT_TOL]
+        bad = [tid for tid, s in zip(trial_ids, sigma) if s < _EXACT_FIT_TOL]
         raise InferenceError(
             f"zero residual standard error for trial(s) {', '.join(bad)}; "
             "the test statistic is undefined"
         )
     stat, effective = _j_statistics(residuals, sigma)
     per_trial = tuple(
-        (tid, float(r), float(s)) for tid, r, s in zip(ids, effective, sigma)
+        (tid, float(r), float(s)) for tid, r, s in zip(trial_ids, effective, sigma)
     )
     return OveridTestResult(
         statistic=float(stat),

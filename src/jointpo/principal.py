@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import COMPOSITE_STATES, FrequencyStack, Summaries
+from .data import FrequencyStack, Summaries
 from .errors import (
     EstimationError,
     IdentificationError,
@@ -29,13 +29,10 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .transition import (
-    TransitionMatrix,
-    build_system,
-    joint_tables,
-    least_squares,
-    solve_transitions,
-)
+from .transition import design_system, fit_system, joint_tables, least_squares
+
+# Unused here, but perfbench/tracing.py times them through this module's names.
+from .transition import build_system, solve_transitions  # noqa: F401
 
 STRATA = ("00", "01", "10", "11")
 
@@ -66,22 +63,28 @@ class PrincipalScores(NamedTuple):
 def principal_scores(
     summaries: Summaries, *, clip_negative: bool = False
 ) -> PrincipalScores:
-    """Estimate stratum membership probabilities under S1 >= S0.
+    """Estimate stratum membership probabilities under S1 >= S0:
+    :func:`scores_report` of a dataset's summaries."""
+    if not summaries.has_surrogate:
+        raise SchemaError("principal scores require surrogate data")
+    return scores_report(
+        summaries.frequencies(), summaries.trial_ids, clip_negative=clip_negative
+    )
+
+
+def scores_report(
+    freqs: FrequencyStack, trial_ids: tuple[str, ...], *, clip_negative: bool = False
+) -> PrincipalScores:
+    """Stratum membership probabilities under S1 >= S0 of the trials
+    ``trial_ids``, the first of member 0 of ``freqs``.
 
     Identities: P(11) equals the control-arm surrogate rate, P(01) the
     treated-control difference in surrogate rates, P(10) is zero and
     P(00) the complement.
     """
-    if not summaries.has_surrogate:
-        raise SchemaError("principal scores require surrogate data")
-    table = score_tables(
-        np.array([t.control_surrogate[1] for t in summaries.trials]),
-        np.array([t.treated_surrogate[1] for t in summaries.trials]),
-    )
-    violations = [
-        tid for tid, d01 in zip(summaries.trial_ids, table[:, 1]) if d01 < 0
-    ]
-    clipped = False
+    rates = freqs.surrogate[0, : len(trial_ids), :, 1]
+    table = score_tables(rates[:, 0], rates[:, 1])
+    violations = tuple(tid for tid, d01 in zip(trial_ids, table[:, 1]) if d01 < 0)
     if violations:
         warnings.warn(
             "treated surrogate rate below control rate in trial(s) "
@@ -89,15 +92,12 @@ def principal_scores(
             MonotonicityWarning,
             stacklevel=2,
         )
-        if clip_negative:
-            clipped = True
-            table = clip_score_tables(table)
+    clipped = bool(violations) and clip_negative
+    if clipped:
+        table = clip_score_tables(table)
     table.flags.writeable = False
     return PrincipalScores(
-        trial_ids=summaries.trial_ids,
-        table=table,
-        clipped=clipped,
-        violations=tuple(violations),
+        trial_ids=tuple(trial_ids), table=table, clipped=clipped, violations=violations
     )
 
 
@@ -168,10 +168,10 @@ class FourWayJoint(NamedTuple):
     negative_mass: bool
 
 
-def _check_binary_outcome(summaries: Summaries):
-    if not summaries.has_surrogate:
+def _check_binary_outcome(freqs: FrequencyStack):
+    if freqs.surrogate is None:
         raise SchemaError("this estimator requires surrogate data")
-    if summaries.outcome_cardinality != 2:
+    if freqs.outcome.shape[-1] != 2:
         raise ValidationError("this estimator requires a binary outcome")
 
 
@@ -253,42 +253,40 @@ def method1_effects(treated: np.ndarray, control: np.ndarray, m: int) -> np.ndar
 def method1_estimate(
     summaries: Summaries, *, clip_scores: bool = False
 ) -> tuple[StratumOutcomeParams, PsaceTable]:
-    """Four-step estimator of stratum outcome probabilities and effects.
+    """Four-step estimator of stratum outcome probabilities and effects:
+    :func:`method1_report` of a dataset's summaries, without its scores."""
+    _, params, table = method1_report(
+        summaries.frequencies(), summaries.trial_ids, clip_scores=clip_scores
+    )
+    return params, table
 
-    Step 1 estimates principal scores and arm-wise outcome rates per
-    trial. Step 2 reads the two strata pinned down by the monotone
-    ordering from pooled frequencies: P(Y1=1 | "00") from treated units
-    with S=0 and P(Y0=1 | "11") from control units with S=1. Step 3
+
+def method1_report(
+    freqs: FrequencyStack, trial_ids: tuple[str, ...], *, clip_scores: bool = False
+) -> tuple[PrincipalScores, StratumOutcomeParams, PsaceTable]:
+    """Four-step estimator of stratum outcome probabilities and effects of
+    the trials ``trial_ids``, the first of member 0 of ``freqs``.
+
+    Step 1 estimates principal scores (:func:`scores_report`) and arm-wise
+    outcome rates per trial. Step 2 reads the two strata pinned down by the
+    monotone ordering from pooled frequencies: P(Y1=1 | "00") from treated
+    units with S=0 and P(Y0=1 | "11") from control units with S=1. Step 3
     recovers the remaining stratum probabilities by regressing the
     score-adjusted outcome rates on the scores across trials. Step 4
     differences treated and control probabilities per stratum.
     """
-    _check_binary_outcome(summaries)
-    return method1_from_scores(
-        summaries, principal_scores(summaries, clip_negative=clip_scores)
-    )
-
-
-def method1_from_scores(
-    summaries: Summaries, scores: PrincipalScores
-) -> tuple[StratumOutcomeParams, PsaceTable]:
-    """Steps 2 to 4 of :func:`method1_estimate` on given step-1 scores."""
-    _check_binary_outcome(summaries)
-    trials = summaries.trials
-    outcome = np.array([[t.control_outcome, t.treated_outcome] for t in trials])
-    composite = np.array([[t.control_composite, t.treated_composite] for t in trials])
-    probs_t, probs_c, status = method1_arrays(
-        scores.table[None], outcome[None], composite[None], summaries.arm_sizes()[None]
-    )
+    _check_binary_outcome(freqs)
+    scores = scores_report(freqs, trial_ids, clip_negative=clip_scores)
+    m = len(trial_ids)
+    probs_t, probs_c, status = method1_stack(freqs, m, clip_scores=clip_scores)
     if status[0]:
         error, message = _METHOD1_FAILURES[status[0] - 1]
         raise error(message)
 
-    treated = dict(zip(("00", "01", "11"), (float(v) for v in probs_t[0])))
-    control = dict(zip(("00", "01", "11"), (float(v) for v in probs_c[0])))
+    treated = dict(zip(("00", "01", "11"), map(float, probs_t[0])))
+    control = dict(zip(("00", "01", "11"), map(float, probs_c[0])))
     out_of_range = any(
-        not (-1e-12 <= v <= 1 + 1e-12)
-        for v in list(treated.values()) + list(control.values())
+        not (-1e-12 <= v <= 1 + 1e-12) for v in (*treated.values(), *control.values())
     )
     if out_of_range:
         warnings.warn(
@@ -297,48 +295,18 @@ def method1_from_scores(
             OutOfRangeWarning,
             stacklevel=2,
         )
+    effects = method1_effects(probs_t[0], probs_c[0], m)
     params = StratumOutcomeParams(
         treated_prob=treated, control_prob=control, out_of_range=out_of_range
     )
-    effects = method1_effects(probs_t[0], probs_c[0], summaries.m)
     table = PsaceTable(
         method=1,
-        trial_ids=summaries.trial_ids,
+        trial_ids=tuple(trial_ids),
         estimates=effects,
         defined=~np.isnan(effects),
         mask_used=("mono_s",),
     )
-    return params, table
-
-
-def _fourway_from_transitions(
-    trans: TransitionMatrix, summaries: Summaries, mask_used: tuple[str, ...]
-) -> FourWayJoint:
-    control = np.stack([t.control_composite for t in summaries.trials])
-    probs = fourway_tables(trans.probs, control)
-    status = np.empty((2, 2, 2, 2), dtype=object)
-    for i, (a, c) in enumerate(COMPOSITE_STATES):
-        for j, (b, d) in enumerate(COMPOSITE_STATES):
-            if not trans.support_mask[i, j]:
-                status[a, b, c, d] = CELL_STRUCTURAL_ZERO
-            elif not trans.determined[i, j]:
-                status[a, b, c, d] = CELL_UNAVAILABLE
-            else:
-                status[a, b, c, d] = CELL_IDENTIFIED
-    negative = bool(np.nanmin(probs) < -1e-12)
-    if negative:
-        warnings.warn(
-            "joint stratum-outcome law has negative cells; values reported raw",
-            OutOfRangeWarning,
-            stacklevel=3,
-        )
-    return FourWayJoint(
-        trial_ids=summaries.trial_ids,
-        probs=probs,
-        cell_status=status,
-        mask_used=mask_used,
-        negative_mass=negative,
-    )
+    return scores, params, table
 
 
 _MASS_TOL = 1e-12
@@ -383,60 +351,73 @@ def psace_tables(
     return effects, defined, negative
 
 
-def _psace_from_fourway(
-    joint: FourWayJoint, method: int, mono_s: bool
-) -> PsaceTable:
-    effects, defined, negative = psace_tables(joint.probs, mono_s)
-    if negative.any():
-        s = STRATA[int(np.argmax(negative))]
-        warnings.warn(
-            f"nonpositive estimated mass for stratum {s}; effect marked undefined",
-            OutOfRangeWarning,
-            stacklevel=3,
-        )
-    return PsaceTable(
-        method=method,
-        trial_ids=joint.trial_ids,
-        estimates=effects,
-        defined=defined,
-        mask_used=joint.mask_used,
-    )
-
-
 _MONOTONICITY_CHOICES = ("none", "mono_y", "mono_s", "both")
 
 #: (mono_s, mono_y) of each composite psace method.
 PSACE_ORDERINGS = {2: (True, True), 3: (False, True), 4: (False, False)}
 
 
-def _composite_estimate(
-    summaries: Summaries,
+def composite_report(
+    freqs: FrequencyStack,
+    trial_ids: tuple[str, ...],
     method: int,
     mono_s: bool,
     mono_y: bool,
     *,
-    force: bool,
-    project: bool,
+    force: bool = False,
+    project: bool = False,
 ) -> tuple[FourWayJoint, PsaceTable]:
+    """The joint law of (S0, S1, Y0, Y1) and the stratum effects of a
+    composite psace ``method`` on the trials ``trial_ids``, the first of
+    member 0 of ``freqs``, under the given monotone orderings."""
     # Method 3 reports what its masked system identifies; the others need
     # the whole joint law.
     allow_partial = method == 3
-    _check_binary_outcome(summaries)
-    if not (mono_s and mono_y) and summaries.m < 4 and not allow_partial:
+    _check_binary_outcome(freqs)
+    m = len(trial_ids)
+    if not (mono_s and mono_y) and m < 4 and not allow_partial:
         need = "m >= 4" if not (mono_s or mono_y) else "m >= 4 (single ordering)"
         raise IdentificationError(
             f"composite estimation with this monotonicity setting requires "
-            f"{need} trials, got m={summaries.m}"
+            f"{need} trials, got m={m}"
         )
-    system = build_system(summaries, "composite", mono_s=mono_s, mono_y=mono_y)
-    trans = solve_transitions(
+    system = design_system(freqs, trial_ids, "composite", mono_s=mono_s, mono_y=mono_y)
+    trans = fit_system(
         system, force=force, allow_partial=allow_partial, project_simplex=project
     )
+    probs = fourway_tables(trans.probs, system.design)
+    # Cells by (source, destination) composite state, then as [S0, S1, Y0, Y1].
+    status = np.where(
+        trans.support_mask,
+        np.where(trans.determined, CELL_IDENTIFIED, CELL_UNAVAILABLE),
+        CELL_STRUCTURAL_ZERO,
+    )
+    status = status.reshape(2, 2, 2, 2).swapaxes(1, 2).astype(object)
+    negative = bool(np.nanmin(probs) < -1e-12)
+    if negative:
+        warnings.warn(
+            "joint stratum-outcome law has negative cells; values reported raw",
+            OutOfRangeWarning,
+            stacklevel=2,
+        )
+    effects, defined, negative_strata = psace_tables(probs, mono_s)
+    if negative_strata.any():
+        s = STRATA[int(np.argmax(negative_strata))]
+        warnings.warn(
+            f"nonpositive estimated mass for stratum {s}; effect marked undefined",
+            OutOfRangeWarning,
+            stacklevel=2,
+        )
     mask_used = tuple(
         name for name, flag in (("mono_s", mono_s), ("mono_y", mono_y)) if flag
     )
-    joint = _fourway_from_transitions(trans, summaries, mask_used)
-    table = _psace_from_fourway(joint, method, mono_s)
+    ids = tuple(trial_ids)
+    joint = FourWayJoint(
+        trial_ids=ids, probs=probs, cell_status=status, mask_used=mask_used, negative_mass=negative
+    )
+    table = PsaceTable(
+        method=method, trial_ids=ids, estimates=effects, defined=defined, mask_used=mask_used
+    )
     return joint, table
 
 
@@ -457,7 +438,10 @@ def method4_estimate(
         raise ValidationError(f"unknown monotonicity setting {monotonicity!r}")
     mono_s = monotonicity in ("mono_s", "both")
     mono_y = monotonicity in ("mono_y", "both")
-    return _composite_estimate(summaries, 4, mono_s, mono_y, force=force, project=project)
+    return composite_report(
+        summaries.frequencies(), summaries.trial_ids, 4, mono_s, mono_y,
+        force=force, project=project,
+    )
 
 
 def monotone_variant_estimate(
@@ -478,6 +462,7 @@ def monotone_variant_estimate(
     method = {"method2": 2, "method3": 3}.get(which)
     if method is None:
         raise ValidationError(f"unknown variant {which!r}; use 'method2' or 'method3'")
-    return _composite_estimate(
-        summaries, method, *PSACE_ORDERINGS[method], force=force, project=project
+    return composite_report(
+        summaries.frequencies(), summaries.trial_ids, method, *PSACE_ORDERINGS[method],
+        force=force, project=project,
     )

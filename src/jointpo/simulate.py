@@ -42,7 +42,6 @@ from . import inference
 from .data import _MAX_COUNT, MultiTrialDataset, TrialCellCounts, frequency_stack
 from .errors import InferenceError, ValidationError
 from .inference import replicate_rng
-from .principal import method1_stack
 from .special import chi2_sf, expit
 from .transition import fit_transitions
 
@@ -313,7 +312,10 @@ def _composite_fit(freqs) -> tuple[np.ndarray, np.ndarray]:
 
 def _four_step_fit(freqs) -> tuple[np.ndarray, np.ndarray]:
     # Method 1: the six stratum outcome probabilities, then the three
-    # stratum effects (their pairwise differences).
+    # stratum effects (their pairwise differences). Only c4 studies load
+    # ``principal``.
+    from .principal import method1_stack
+
     treated, control, status = method1_stack(freqs, freqs.sizes.shape[1])
     return np.concatenate([treated, control, treated - control], axis=-1), status == 0
 

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import COMPOSITE_STATES, Summaries
+from .data import COMPOSITE_STATES, STATE_SPACES, FrequencyStack, Summaries
 from .errors import (
     ForcedSolveWarning,
     IdentificationError,
@@ -34,8 +34,6 @@ from .errors import (
 )
 
 _DEFAULT_RANK_TOL = 1e-8
-
-STATE_SPACES = ("outcome", "surrogate", "composite")
 
 COMPOSITE_STATE_LABELS = tuple(f"s={s},y={y}" for s, y in COMPOSITE_STATES)
 
@@ -56,8 +54,8 @@ class DesignSystem:
     trial_ids: tuple[str, ...]
 
     def __post_init__(self):
-        M = np.asarray(self.design, dtype=float)
-        R = np.asarray(self.response, dtype=float)
+        M = np.array(self.design, dtype=float)
+        R = np.array(self.response, dtype=float)
         mask = np.asarray(self.support_mask, dtype=bool)
         k = len(self.state_labels)
         if M.shape != R.shape or M.ndim != 2 or M.shape[1] != k:
@@ -152,7 +150,23 @@ def build_system(
     mono_s: bool = False,
     mono_y: bool = False,
 ) -> DesignSystem:
-    """Assemble the stacked linear system for the requested state space.
+    """Assemble the stacked linear system of a dataset's summaries for the
+    requested state space: :func:`design_system`."""
+    return design_system(
+        summaries.frequencies(), summaries.trial_ids, state_space, mono_s=mono_s, mono_y=mono_y
+    )
+
+
+def design_system(
+    freqs: FrequencyStack,
+    trial_ids: tuple[str, ...],
+    state_space: str = "outcome",
+    *,
+    mono_s: bool = False,
+    mono_y: bool = False,
+) -> DesignSystem:
+    """The stacked linear system of the experimental trials ``trial_ids``,
+    the first of member 0 of ``freqs``, in the requested state space.
 
     ``state_space`` is one of ``outcome`` (the k outcome categories),
     ``surrogate`` (the binary post-treatment variable) or ``composite``
@@ -160,13 +174,14 @@ def build_system(
     flags add structural zeros and are meaningful only when the
     corresponding variable is part of the state space.
     """
+    m = len(trial_ids)
     if state_space not in STATE_SPACES:
         raise ValidationError(f"unknown state space {state_space!r}")
-    if summaries.m < 2:
+    if m < 2:
         raise IdentificationError(
-            f"estimation needs at least 2 experimental trials, got m={summaries.m}"
+            f"estimation needs at least 2 experimental trials, got m={m}"
         )
-    if state_space in ("surrogate", "composite") and not summaries.has_surrogate:
+    if state_space in ("surrogate", "composite") and freqs.surrogate is None:
         raise SchemaError(
             f"state space {state_space!r} requires a surrogate column in the data"
         )
@@ -176,29 +191,21 @@ def build_system(
         )
     if state_space == "surrogate" and mono_y:
         raise ValidationError("mono_y is undefined on the surrogate state space")
-    if state_space == "composite" and summaries.outcome_cardinality != 2:
+    if state_space == "composite" and freqs.outcome.shape[-1] != 2:
         raise ValidationError("the composite state space requires a binary outcome")
 
-    if state_space == "outcome":
-        M = np.stack([t.control_outcome for t in summaries.trials])
-        R = np.stack([t.treated_outcome for t in summaries.trials])
-    elif state_space == "surrogate":
-        M = np.stack([t.control_surrogate for t in summaries.trials])
-        R = np.stack([t.treated_surrogate for t in summaries.trials])
-    else:
-        M = np.stack([t.control_composite for t in summaries.trials])
-        R = np.stack([t.treated_composite for t in summaries.trials])
-    k = M.shape[1]
+    arms = freqs.space(state_space)[0, :m]
+    k = arms.shape[-1]
     if state_space == "outcome":
         mask = np.ones((k, k), dtype=bool)
     else:
         mask = monotone_mask(state_space, mono_s, mono_y)
     return DesignSystem(
-        design=M,
-        response=R,
+        design=arms[:, 0],
+        response=arms[:, 1],
         state_labels=_state_labels(state_space, k),
         support_mask=mask,
-        trial_ids=summaries.trial_ids,
+        trial_ids=tuple(trial_ids),
     )
 
 
@@ -216,71 +223,43 @@ def _svd_ratio(matrix: np.ndarray) -> tuple[tuple[float, ...], float]:
     return tuple(float(s) for s in sv), float(ratio)
 
 
-def check_rank(system: DesignSystem) -> RankDiagnostics:
-    """Diagnose whether the design identifies the transition parameters.
+def check_rank(system: DesignSystem, design: np.ndarray | None = None) -> RankDiagnostics:
+    """Diagnose whether the design identifies the transition parameters, at
+    the tolerance of :func:`least_squares`.
 
     Unmasked systems need the full (m, k) design to have rank k. Masked
     systems are judged per target column on the reduced design of
     allowed source states; the terminal column, obtained by row
-    completion, is always satisfiable.
+    completion, is always satisfiable. ``design`` replaces the system's
+    own (with trial-weighted rows, say).
     """
-    return _rank_diagnostics(system, system.design)
-
-
-def _rank_diagnostics(system: DesignSystem, M: np.ndarray) -> RankDiagnostics:
-    """:func:`check_rank` of ``system`` on the design ``M`` (the system's own,
-    or its trial-weighted rows), at the tolerance of :func:`least_squares`."""
+    M = system.design if design is None else design
     m, k = M.shape
     sv, ratio = _svd_ratio(M)
     if not system.is_masked:
-        feasible = m >= k
-        reason = None if feasible else f"m < k (m={m}, k={k})"
-        satisfied = feasible and ratio > _DEFAULT_RANK_TOL
-        if feasible and not satisfied:
-            reason = f"condition ratio {ratio:.3e} <= {_DEFAULT_RANK_TOL:.1e}"
+        satisfied, reason = _rank_verdict(m, k, ratio, f"m < k (m={m}, k={k})")
         return RankDiagnostics(
             singular_values=sv,
             condition_ratio=ratio,
             satisfied=satisfied,
-            feasible=feasible,
+            feasible=m >= k,
             reason=reason,
             tol_ratio=_DEFAULT_RANK_TOL,
         )
 
     columns: list[ColumnRank] = []
-    all_ok = True
-    for b in range(k):
-        target = system.state_labels[b]
-        sources = tuple(
-            system.state_labels[i] for i in range(k) if system.support_mask[i, b]
-        )
-        if b == k - 1:
-            columns.append(
-                ColumnRank(
-                    target=target,
-                    sources=sources,
-                    singular_values=(),
-                    condition_ratio=1.0,
-                    satisfied=True,
-                    mode="completed",
-                )
-            )
-            continue
+    for b, target in enumerate(system.state_labels):
         idx = np.flatnonzero(system.support_mask[:, b])
-        if idx.size == 0:
-            columns.append(
-                ColumnRank(target, sources, (), 1.0, True, "least_squares")
-            )
+        sources = tuple(system.state_labels[i] for i in idx)
+        if b == k - 1 or idx.size == 0:
+            # The terminal column is completed per row; one without sources is zero.
+            mode = "completed" if b == k - 1 else "least_squares"
+            columns.append(ColumnRank(target, sources, (), 1.0, True, mode))
             continue
         sub_sv, sub_ratio = _svd_ratio(M[:, idx])
-        feasible = m >= idx.size
-        ok = feasible and sub_ratio > _DEFAULT_RANK_TOL
-        reason = None
-        if not feasible:
-            reason = f"m < sources (m={m}, sources={idx.size})"
-        elif not ok:
-            reason = f"condition ratio {sub_ratio:.3e} <= {_DEFAULT_RANK_TOL:.1e}"
-        all_ok = all_ok and ok
+        ok, reason = _rank_verdict(
+            m, idx.size, sub_ratio, f"m < sources (m={m}, sources={idx.size})"
+        )
         columns.append(
             ColumnRank(
                 target=target,
@@ -292,19 +271,28 @@ def _rank_diagnostics(system: DesignSystem, M: np.ndarray) -> RankDiagnostics:
                 reason=reason,
             )
         )
-    reason = None
-    if not all_ok:
-        bad = [c.target for c in columns if not c.satisfied]
-        reason = f"reduced design rank failure for target column(s): {', '.join(bad)}"
+    bad = [c.target for c in columns if not c.satisfied]
     return RankDiagnostics(
         singular_values=sv,
         condition_ratio=ratio,
-        satisfied=all_ok,
-        feasible=all(c.satisfied or c.mode == "completed" for c in columns),
-        reason=reason,
+        satisfied=not bad,
+        feasible=not bad,
+        reason=f"reduced design rank failure for target column(s): {', '.join(bad)}"
+        if bad
+        else None,
         tol_ratio=_DEFAULT_RANK_TOL,
         columns=tuple(columns),
     )
+
+
+def _rank_verdict(m: int, p: int, ratio: float, shortfall: str) -> tuple[bool, str | None]:
+    """Whether an ``(m, p)`` design of condition ratio ``ratio`` identifies
+    its coefficients, and if not why (``shortfall`` when ``m < p``)."""
+    if m < p:
+        return False, shortfall
+    if ratio > _DEFAULT_RANK_TOL:
+        return True, None
+    return False, f"condition ratio {ratio:.3e} <= {_DEFAULT_RANK_TOL:.1e}"
 
 
 class TransitionMatrix(NamedTuple):
@@ -489,55 +477,84 @@ def solve_transitions(
     allow_partial: bool = False,
     trial_weights: np.ndarray | None = None,
 ) -> TransitionMatrix:
-    """Least-squares estimate of the transition matrix.
-
-    Trials are weighted uniformly unless ``trial_weights`` provides
-    positive per-trial weights. ``force`` overrides failed rank
-    diagnostics (the solve then uses the minimum-norm solution and the
-    result carries a warning). ``allow_partial`` lets masked systems
-    return NaN for target columns whose reduced design is not
-    identified instead of raising. The numbers come from
-    :func:`fit_transitions` on a stack of one, whose rank decisions are
-    those of :func:`check_rank`, taken on the weighted design when weights
-    are given.
+    """Least-squares estimate of the transition matrix: :func:`fit_system`,
+    with trials weighted by the positive ``trial_weights`` when given (the
+    rank decisions are then taken on the weighted design).
     """
-    M = system.design
-    R = system.response
-    if trial_weights is None:
-        diagnostics = check_rank(system)
-    else:
+    M, R = system.design, system.response
+    if trial_weights is not None:
         w = np.asarray(trial_weights, dtype=float)
         if w.shape != (system.m,) or (w <= 0).any():
             raise ValidationError("trial_weights must be positive with one entry per trial")
         scale = np.sqrt(w / w.sum())[:, None]
-        M = M * scale
-        R = R * scale
-        diagnostics = _rank_diagnostics(system, M)
-    mask = system.support_mask
-    k = system.k
+        M, R = M * scale, R * scale
+    probs, identified = fit_transitions(M[None], R[None], system.support_mask, force=force)
+    return finish_transitions(
+        system, check_rank(system, M), probs[0], identified[0],
+        project_simplex=project_simplex, force=force, allow_partial=allow_partial,
+    )
 
+
+def fit_system(
+    system: DesignSystem,
+    *,
+    project_simplex: bool = False,
+    force: bool = False,
+    allow_partial: bool = False,
+) -> TransitionMatrix:
+    """Least-squares estimate of the transition matrix of ``system``: the
+    :func:`fit_transitions` of a stack of one, finished by
+    :func:`finish_transitions` with the diagnostics of :func:`check_rank`.
+    """
+    probs, identified = fit_transitions(
+        system.design[None], system.response[None], system.support_mask, force=force
+    )
+    return finish_transitions(
+        system, check_rank(system), probs[0], identified[0],
+        project_simplex=project_simplex, force=force, allow_partial=allow_partial,
+    )
+
+
+def finish_transitions(
+    system: DesignSystem,
+    diagnostics: RankDiagnostics,
+    probs: np.ndarray,
+    identified: bool,
+    *,
+    project_simplex: bool = False,
+    force: bool = False,
+    allow_partial: bool = False,
+) -> TransitionMatrix:
+    """The transition matrix of a fit ``probs`` of ``system`` under
+    ``force``, whose columns all passed the rank check when ``identified``.
+
+    An unmasked system that fails ``diagnostics`` raises
+    :class:`IdentificationError` unless ``force`` solved it minimum-norm,
+    which warns, as does each forced column of a masked system. A masked
+    system with undetermined (NaN) columns raises unless ``allow_partial``.
+    Estimates outside [0, 1] warn, or with ``project_simplex`` every
+    determined row is projected onto the simplex.
+    """
     if not system.is_masked and not diagnostics.satisfied and not force:
         raise IdentificationError(
             f"design matrix is not full column rank: {diagnostics.reason}"
         )
-    probs, identified = fit_transitions(M[None], R[None], mask, force=force)
-    probs = probs[0]
-    forced = force and not identified[0]
+    forced = force and not identified
     if forced and not system.is_masked:
         warnings.warn(
             f"solving despite rank failure ({diagnostics.reason}); "
             "coefficients are minimum-norm",
             ForcedSolveWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     elif forced:
-        for b, col in enumerate(diagnostics.columns[: k - 1]):
+        for b, col in enumerate(diagnostics.columns[:-1]):
             if not col.satisfied:
                 warnings.warn(
                     f"column {system.state_labels[b]!r} solved despite rank "
                     f"failure ({col.reason})",
                     ForcedSolveWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
     determined = ~np.isnan(probs)
     if not determined.all() and not allow_partial:
@@ -554,15 +571,15 @@ def solve_transitions(
         warnings.warn(
             "transition estimates fall outside [0, 1]; reporting raw values",
             OutOfRangeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     if project_simplex:
-        probs = project_rows(probs, mask)
+        probs = project_rows(probs, system.support_mask)
         out_of_range = False
     probs.flags.writeable = False
     return TransitionMatrix(
         probs=probs,
-        support_mask=mask,
+        support_mask=system.support_mask,
         state_labels=system.state_labels,
         projected=project_simplex,
         determined=determined,

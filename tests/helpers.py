@@ -289,10 +289,10 @@ def reference_parse_rows(
 
 
 # Per-dataset reference forms of the CLI's bootstrap statistics: each
-# evaluates one dataset through the object path (``summarize`` ->
+# evaluates one dataset through the library's object path (``summarize`` ->
 # ``build_system`` -> ``solve_transitions`` -> ``joint_from_transitions``),
-# the way the commands build their reports, and raises where ``summarize``
-# or a solve rejects the dataset.
+# which the commands no longer call, and raises where ``summarize`` or a
+# solve rejects the dataset.
 
 
 def _joint(trans, summary, space: str) -> np.ndarray:

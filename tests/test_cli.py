@@ -802,6 +802,103 @@ class TestReportPoints:
             assert [estimands["thr"], estimands["tbr"]] == point[-4:-2].tolist()
 
 
+#: The commands of the benchmark's cli-bootstrap workload, then psace methods
+#: 2 and 3 and a three-state target, with the table each reads.
+MEMBER0_COMMANDS = [
+    ("c1", ["estimate"]),
+    ("c1", ["estimate", "--workers", "2"]),
+    ("c1", ["test"]),
+    ("c1", ["target"]),
+    ("c3", ["estimate", "--space", "composite", "--mono-s", "--mono-y"]),
+    ("c3", ["psace", "--method", "4", "--plot-data", "{plots}"]),
+    ("c4", ["psace", "--method", "1"]),
+    ("c3", ["psace", "--method", "2"]),
+    ("c3", ["psace", "--method", "3"]),
+    ("k3", ["target"]),
+]
+
+#: The per-command object path: the commands build every report from the
+#: observed frequencies and call none of these.
+OBJECT_PATH = (
+    "summarize", "build_system", "solve_transitions", "joint_from_transitions",
+    "principal_scores", "method1_estimate", "method4_estimate", "monotone_variant_estimate",
+)
+
+
+class ObjectPathCalled(Exception):
+    pass
+
+
+class TestReportsFromObservedFrequencies:
+    @staticmethod
+    def _outputs(capsys, work, table, command):
+        plots = work / "plots"
+        argv = [arg.format(plots=plots) for arg in command]
+        code, out, err = run_cli(
+            capsys, argv[0], "--input", str(table), *argv[1:], "--boot", "20", "--seed", "1"
+        )
+        assert code == 0, err
+        files = sorted(plots.iterdir()) if plots.exists() else []
+        return out, {f.name: f.read_bytes() for f in files}
+
+    @pytest.mark.parametrize("name, command", MEMBER0_COMMANDS)
+    def test_commands_never_call_the_object_path(
+        self, capsys, tmp_path, monkeypatch, name, command
+    ):
+        import jointpo.data
+        import jointpo.principal
+        import jointpo.transition
+
+        if name in POINT_TABLES:
+            ds = POINT_TABLES[name]()
+        else:
+            ds = simulate_dataset(DgpSpec(case=name, n_g=500), seed=4)
+        table = tmp_path / f"{name}.csv"
+        table.write_text(serialize_dataset(ds))
+        plain = self._outputs(capsys, tmp_path / "plain", table, command)
+
+        def refuse(*args, **kwargs):
+            raise ObjectPathCalled
+
+        modules = (jointpo.cli, jointpo.data, jointpo.transition, jointpo.principal)
+        patched = 0
+        for module in modules:
+            for attr in OBJECT_PATH:
+                if attr in vars(module):
+                    monkeypatch.setattr(module, attr, refuse)
+                    patched += 1
+        assert patched == 18
+        assert self._outputs(capsys, tmp_path / "patched", table, command) == plain
+
+
+class TestPsaceFlagRules:
+    """A psace flag that a method would ignore exits 2 instead."""
+
+    @pytest.mark.parametrize(
+        "method, flag",
+        [("1", "--force"), ("1", "--project"), ("3", "--clip-scores"), ("4", "--clip-scores")],
+    )
+    def test_unused_flag_exits_2(self, capsys, c4_csv, method, flag):
+        code, out, err = run_cli(
+            capsys, "psace", "--input", str(c4_csv), "--method", method, flag, "--boot", "0"
+        )
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValidationError" and error["exit_code"] == 2
+        assert error["message"].startswith(f"psace --method {method} does not use {flag};")
+
+    @pytest.mark.parametrize(
+        "method, flags",
+        [("1", ["--clip-scores"]), ("2", ["--clip-scores", "--force", "--project"]),
+         ("3", ["--force", "--project"]), ("4", ["--force", "--project"])],
+    )
+    def test_used_flags_run(self, capsys, c4_csv, method, flags):
+        report, _ = run_json(
+            capsys, "psace", "--input", str(c4_csv), "--method", method, *flags, "--boot", "0"
+        )
+        assert all(report["flags"][flag.strip("-").replace("-", "_")] for flag in flags)
+
+
 class TestSchemaAndErrors:
     def test_every_command_report_validates(self, capsys, c1_csv, c4_csv, target_csv):
         run_json(capsys, "estimate", "--input", str(c1_csv), "--boot", "0")

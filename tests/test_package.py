@@ -73,6 +73,15 @@ def test_parse_unit_rows_loads_only_data_and_errors():
     assert loaded == ["jointpo.data", "jointpo.errors"]
 
 
+def test_c1_study_loads_no_principal():
+    loaded = _loaded_submodules(
+        "from jointpo.simulate import DgpSpec, run_study\n"
+        "r = run_study(DgpSpec(case='c1', n_g=200, m=4), 3, 5, 1, workers=1)\n"
+        "assert r.replicates == 3"
+    )
+    assert "jointpo.simulate" in loaded and "jointpo.principal" not in loaded
+
+
 def test_run_study_resolves_in_a_fresh_interpreter():
     loaded = _loaded_submodules(
         "import jointpo\n"
@@ -193,23 +202,30 @@ def test_estimate_and_psace_load_what_they_use(tmp_path):
 
 
 def test_traced_cli_names_are_bound():
-    # perfbench/tracing.py wraps these names in jointpo.cli's namespace; read
-    # them in a fresh interpreter, before anything loads principal or simulate.
+    # perfbench/tracing.py wraps these names where they are bound, reading
+    # ``owner.__dict__[name]``: jointpo.cli's in a fresh interpreter, before
+    # anything loads principal or simulate, then every other owner's.
     script = (
         "import json, jointpo.cli\n"
         "names = set(vars(jointpo.cli))\n"
         "from perfbench.tracing import TARGETS\n"
         "wanted = {a for owner, a, _, _ in TARGETS if owner is jointpo.cli}\n"
-        "print(json.dumps([sorted(wanted), sorted(wanted - names)]))\n"
+        "others = [(o.__name__, a, a in vars(o))\n"
+        "          for o, a, _, _ in TARGETS if o is not jointpo.cli]\n"
+        "print(json.dumps([sorted(wanted), sorted(wanted - names), others]))\n"
     )
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, cwd=root
     )
     assert proc.returncode == 0, proc.stderr
-    wanted, missing = json.loads(proc.stdout)
+    wanted, missing, others = json.loads(proc.stdout)
     assert set(DEFERRED) <= set(wanted)
     assert missing == []
+    assert [f"{owner}.{name}" for owner, name, bound in others if not bound] == []
+    # principal's names stay bound although no command calls them.
+    for name in ("build_system", "solve_transitions", "principal_scores"):
+        assert ["jointpo.principal", name, True] in others
 
 
 @pytest.mark.filterwarnings("ignore::jointpo.errors.JointpoWarning")
