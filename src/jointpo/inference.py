@@ -15,8 +15,10 @@ statistic exists in one form only. A plain dataset-to-vector estimator
 is evaluated on the dataset for the point and fitted one resampled
 dataset at a time. Either way replicate ``i`` comes from
 ``replicate_rng(seed, i)``, so a seed always gives the same resamples
-however replicates are grouped. The bootstrap runs in one thread;
-:data:`_CHUNK` bounds the members fitted together, here and in the studies.
+however replicates are grouped. The bootstrap runs in one thread.
+:data:`_CHUNK` bounds the count cells of a stack drawn and fitted together,
+here and in the studies, so a chunk's memory does not grow with the table:
+a bootstrap chunk holds ``_CHUNK // counts.size`` replicates (at least one).
 
 The overidentification test's statistic exists once, in batch form:
 :func:`_j_statistics` serves :func:`overid_test` (one dataset, the ``test``
@@ -47,9 +49,10 @@ from .transition import build_system, least_squares
 
 _MAX_REDRAWS = 100
 _MAX_FAILURE_FRACTION = 0.10
-#: Stack members drawn and fitted together; bounds the count tensor's
-#: memory (a Monte Carlo study chunk holds ``_CHUNK // (1 + B)`` replicates).
-_CHUNK = 256
+#: Count cells of a stack drawn and fitted together (384 KiB of int64
+#: counts): a bootstrap chunk holds ``_CHUNK // counts.size`` replicates and a
+#: Monte Carlo study chunk ``_CHUNK // ((1 + B) * cells)``, at least one.
+_CHUNK = 49152
 #: Residuals below this magnitude count as an exact fit (a just-identified
 #: solve is exact up to rounding, so its test statistic must vanish), and a
 #: residual standard error below it as zero (a trial whose residual is the same
@@ -63,8 +66,16 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
+def check_integer(name: str, value) -> None:
+    """Reject a size, count or seed that is not an integer (a bool is not one;
+    a NumPy integer is)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 def check_seed(seed: int) -> None:
     """Reject a seed that :class:`numpy.random.SeedSequence` cannot take."""
+    check_integer("seed", seed)
     if seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed}")
 
@@ -80,6 +91,7 @@ class BootstrapConfig:
 
     def __post_init__(self):
         check_seed(self.seed)
+        check_integer("replicates", self.replicates)
         if self.replicates < 2:
             raise ValidationError("bootstrap needs at least 2 replicates")
         if not 0.0 < self.ci_level < 1.0:
@@ -242,7 +254,8 @@ def bootstrap(
     on the observed counts (an :class:`EstimationError` if that member is
     undefined); a plain estimator is called on ``dataset``.
     Replicate ``i`` is drawn from ``replicate_rng(seed, i)``. Replicates are
-    drawn and fitted in chunks; one whose resample breaks the estimator (an
+    drawn and fitted in chunks of at most :data:`_CHUNK` count cells (at
+    least one replicate); one whose resample breaks the estimator (an
     empty arm, a rank failure) is redrawn from its own generator, up to 100
     draws in all, and counted as failed afterwards; more than 10% failed
     replicates abort with :class:`InferenceError`. Fixed
@@ -250,9 +263,10 @@ def bootstrap(
     """
     # NaN coordinates are legitimate results (undefined quantities); only
     # estimator exceptions count as a failed resample.
+    counts = dataset.counts_tensor()
     if isinstance(estimator, BatchEstimator):
         fit = estimator.fit
-        observed = fit(dataset.counts_tensor()[None])
+        observed = fit(counts[None])
         if not observed.ok[0]:
             raise EstimationError("the statistic is undefined on the observed counts")
         point = observed.values[0]
@@ -264,9 +278,10 @@ def bootstrap(
     draws = np.full((n, point.size), np.nan)
     forced = np.zeros(n, dtype=bool)
     tries = np.zeros(n, dtype=np.int64)
-    sampler = _Draws(dataset.counts_tensor())
-    for start in range(0, n, _CHUNK):
-        index = np.arange(start, min(start + _CHUNK, n))
+    sampler = _Draws(counts)
+    size = max(1, _CHUNK // counts.size)
+    for start in range(0, n, size):
+        index = np.arange(start, min(start + size, n))
 
         def accept(members: np.ndarray, tensor: np.ndarray) -> np.ndarray:
             result = fit(tensor)

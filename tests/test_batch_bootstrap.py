@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import jointpo.inference
 from jointpo.cli import (
     estimate_estimator,
     joint_cell_estimator,
@@ -283,3 +284,28 @@ def test_monotone_mask_matches_build_system():
             monotone_mask("composite", mono_s, mono_y),
             _mask(ds, "composite", mono_s=mono_s, mono_y=mono_y),
         )
+
+
+def test_wide_table_chunks_stay_within_the_cell_budget(monkeypatch):
+    # 500 trials of 2 x 3 cells: a chunk holds 49152 // 3000 = 16 replicates,
+    # so 40 replicates are three chunks, the last one partial.
+    counts = np.random.default_rng(500).integers(1, 60, size=(500, 2, 3))
+    ds = MultiTrialDataset(
+        trials=tuple(TrialCellCounts(str(g + 1), c) for g, c in enumerate(counts))
+    )
+    estimator = estimate_estimator(ds, "outcome", _mask(ds, "outcome"))
+    sizes = []
+
+    def recording(tensor):
+        sizes.append(len(tensor))
+        return estimator.fit(tensor)
+
+    config = BootstrapConfig(40, 3)
+    chunked = bootstrap(ds, BatchEstimator(recording), config)
+    assert chunked.n_redrawn == 0
+    assert sizes == [1, 16, 16, 8]
+    assert max(sizes) <= jointpo.inference._CHUNK // ds.counts_tensor().size
+    monkeypatch.setattr(jointpo.inference, "_CHUNK", 10**9)
+    whole = bootstrap(ds, estimator, config)
+    np.testing.assert_array_equal(chunked.replicates, whole.replicates)
+    np.testing.assert_array_equal(chunked.se, whole.se)

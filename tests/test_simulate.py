@@ -244,7 +244,11 @@ STUDIES = {
     # Three replicates fail: undefined points and too few kept resamples.
     "c1-failures": (DgpSpec(case="c1", n_g=10), 60, 10, 1),
 }
-CHUNKS = (1, 7, 23, 256, 10**6)
+# Count-cell budgets. A replicate of these studies holds 400 (c1, c2), 440
+# (c1-failures) or 800 (c3, c4) cells, so 1 to 256 give chunks of one
+# replicate, 3000 and 5000 chunks of 3 to 12 replicates, most with a partial
+# last chunk, and 10**6 one chunk.
+CHUNKS = (1, 7, 23, 256, 3000, 5000, 10**6)
 _REFERENCES = {}
 
 
@@ -320,10 +324,11 @@ class TestChunkedStudy:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
         spec = DgpSpec(case="c1", n_g=120)
-        # 256 // (1 + 9) = 25 replicates a chunk: 60 replicates are 3 chunks.
-        run_study(spec, 60, 9, 5, workers=8)
-        run_study(spec, 60, 9, 5, workers=2)
-        run_study(spec, 20, 9, 5, workers=8)
+        # 49152 // ((1 + 9) * 40 cells) = 122 replicates a chunk: 300
+        # replicates are 3 chunks.
+        run_study(spec, 300, 9, 5, workers=8)
+        run_study(spec, 300, 9, 5, workers=2)
+        run_study(spec, 100, 9, 5, workers=8)
         assert sizes == [3, 2, 1]
 
     def test_workers_below_one_rejected(self):
@@ -347,6 +352,46 @@ class TestChunkedStudy:
         ):
             with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
                 call()
+
+    @pytest.mark.parametrize("value", (200.5, 4.0, "4", True))
+    @pytest.mark.parametrize(
+        "make",
+        (
+            lambda v: DgpSpec(case="c1", n_g=v),
+            lambda v: DgpSpec(case="c1", n_g=120, m=v),
+            lambda v: run_study(DgpSpec(case="c1", n_g=120), v, 4, 1),
+            lambda v: run_study(DgpSpec(case="c1", n_g=120), 4, v, 1),
+            lambda v: run_study(DgpSpec(case="c1", n_g=120), 4, 4, v),
+            lambda v: run_study(DgpSpec(case="c1", n_g=120), 4, 4, 1, workers=v),
+            lambda v: overid_size_study(DgpSpec(case="c1", n_g=120), v, 4, 1),
+            lambda v: overid_size_study(DgpSpec(case="c1", n_g=120), 4, v, 1),
+            lambda v: overid_size_study(DgpSpec(case="c1", n_g=120), 4, 4, v),
+            lambda v: overid_size_study(DgpSpec(case="c1", n_g=120), 4, 4, 1, workers=v),
+            lambda v: BootstrapConfig(replicates=v),
+            lambda v: BootstrapConfig(seed=v),
+        ),
+        ids=(
+            "n_g", "m", "run_study-replicates", "run_study-bootstrap", "run_study-seed",
+            "run_study-workers", "overid-replicates", "overid-bootstrap", "overid-seed",
+            "overid-workers", "config-replicates", "config-seed",
+        ),
+    )
+    def test_non_integer_sizes_rejected(self, make, value):
+        # Study chunks divide by these sizes; a float, str or bool is no size.
+        with pytest.raises(ValidationError, match="must be an integer, got"):
+            make(value)
+
+    def test_numpy_integer_sizes_accepted(self):
+        spec = DgpSpec(case="c1", n_g=np.int64(120), m=np.int32(10))
+        plain = DgpSpec(case="c1", n_g=120)
+        sizes = (np.int64(6), np.uint16(4), np.int64(1))
+        result = run_study(spec, *sizes, workers=np.int64(2))
+        _assert_matches_reference(result, reference_run_study(plain, 6, 4, 1))
+        np.testing.assert_array_equal(
+            overid_size_study(spec, *sizes, workers=np.int8(2)),
+            reference_overid_size_study(plain, 6, 4, 1),
+        )
+        assert BootstrapConfig(np.int64(10), np.int64(3)).replicates == 10
 
     def test_default_workers_are_the_usable_cpus(self):
         if hasattr(os, "sched_getaffinity"):
@@ -393,7 +438,9 @@ class TestChunkedStudy:
 
 
 class TestChunkedOveridSize:
-    @pytest.mark.parametrize("chunk", (1, 23, 10**6))
+    # A replicate holds 400 count cells: 3000 and 5000 give chunks of 7 and
+    # 12 replicates, the last one partial.
+    @pytest.mark.parametrize("chunk", (1, 23, 3000, 5000, 10**6))
     @pytest.mark.parametrize("workers", (1, 2, 3))
     def test_bit_identical_to_reference(self, monkeypatch, workers, chunk):
         spec = DgpSpec(case="c1", n_g=200)
