@@ -21,7 +21,8 @@ report's point (``parameters.point`` and the estimands); the bootstrap fits
 the resamples as one stack. The rest of the report, and every warning, comes
 from the same kernels on the observed frequencies
 (:func:`~jointpo.data.observed_frequencies`): :func:`~jointpo.transition.fit_system`
-of a :func:`~jointpo.transition.design_system` and the ``*_report``
+of a :func:`~jointpo.transition.design_system` (the one fit of a system,
+which the library also calls ``solve_transitions``) and the ``*_report``
 functions of :mod:`jointpo.principal`. ``psace --plot-data`` bootstraps a
 single statistic, the psace table followed by the surrogate and outcome
 joint harm cells.
@@ -616,6 +617,13 @@ def _read_config(path: str) -> dict:
             raise ValidationError(f"--config is not valid JSON: {exc}") from None
     if not isinstance(values, dict):
         raise ValidationError("--config must contain a JSON object")
+    accepted = ("case",) + _CONFIG_INTEGERS
+    unknown = set(values) - set(accepted)
+    if unknown:
+        raise ValidationError(
+            f"unknown --config keys: {', '.join(sorted(unknown))}; "
+            f"accepted keys: {', '.join(accepted)}"
+        )
     for key, value in values.items():
         if key in _CONFIG_INTEGERS and (isinstance(value, bool) or not isinstance(value, int)):
             raise ValidationError(
@@ -892,9 +900,9 @@ def main(argv=None) -> int:
             report["timing_seconds"] = time.perf_counter() - started
         _write_report(canonical_json(report), args.output)
         return 0
-    except (JointpoError, OSError, UnicodeDecodeError) as exc:
+    except (JointpoError, OSError, UnicodeDecodeError, MemoryError) as exc:
         # A file that cannot be read or written is a usage error, like a
-        # malformed one.
+        # malformed one, and so is a --boot or --reps too large to allocate.
         code = _exit_code(exc)
         sys.stderr.write(
             json.dumps(

@@ -56,14 +56,15 @@ class DesignSystem:
     def __post_init__(self):
         M = np.array(self.design, dtype=float)
         R = np.array(self.response, dtype=float)
-        mask = np.asarray(self.support_mask, dtype=bool)
+        mask = np.array(self.support_mask, dtype=bool)
         k = len(self.state_labels)
         if M.shape != R.shape or M.ndim != 2 or M.shape[1] != k:
             raise ValidationError("design and response must be (m, k) matrices")
         if mask.shape != (k, k):
             raise ValidationError("support mask must be (k, k)")
         for name, mat in (("design", M), ("response", R)):
-            if np.abs(mat.sum(axis=1) - 1.0).max() > 1e-12:
+            # Written so that a NaN row fails it too.
+            if not (np.abs(mat.sum(axis=1) - 1.0) <= 1e-12).all():
                 raise ValidationError(f"{name} rows must sum to 1 within 1e-12")
         if not mask.any(axis=1).all():
             raise ValidationError("every source state needs an allowed transition")
@@ -223,17 +224,16 @@ def _svd_ratio(matrix: np.ndarray) -> tuple[tuple[float, ...], float]:
     return tuple(float(s) for s in sv), float(ratio)
 
 
-def check_rank(system: DesignSystem, design: np.ndarray | None = None) -> RankDiagnostics:
+def check_rank(system: DesignSystem) -> RankDiagnostics:
     """Diagnose whether the design identifies the transition parameters, at
     the tolerance of :func:`least_squares`.
 
     Unmasked systems need the full (m, k) design to have rank k. Masked
     systems are judged per target column on the reduced design of
     allowed source states; the terminal column, obtained by row
-    completion, is always satisfiable. ``design`` replaces the system's
-    own (with trial-weighted rows, say).
+    completion, is always satisfiable.
     """
-    M = system.design if design is None else design
+    M = system.design
     m, k = M.shape
     sv, ratio = _svd_ratio(M)
     if not system.is_masked:
@@ -469,32 +469,6 @@ def project_rows(probs: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return probs
 
 
-def solve_transitions(
-    system: DesignSystem,
-    *,
-    project_simplex: bool = False,
-    force: bool = False,
-    allow_partial: bool = False,
-    trial_weights: np.ndarray | None = None,
-) -> TransitionMatrix:
-    """Least-squares estimate of the transition matrix: :func:`fit_system`,
-    with trials weighted by the positive ``trial_weights`` when given (the
-    rank decisions are then taken on the weighted design).
-    """
-    M, R = system.design, system.response
-    if trial_weights is not None:
-        w = np.asarray(trial_weights, dtype=float)
-        if w.shape != (system.m,) or (w <= 0).any():
-            raise ValidationError("trial_weights must be positive with one entry per trial")
-        scale = np.sqrt(w / w.sum())[:, None]
-        M, R = M * scale, R * scale
-    probs, identified = fit_transitions(M[None], R[None], system.support_mask, force=force)
-    return finish_transitions(
-        system, check_rank(system, M), probs[0], identified[0],
-        project_simplex=project_simplex, force=force, allow_partial=allow_partial,
-    )
-
-
 def fit_system(
     system: DesignSystem,
     *,
@@ -503,49 +477,32 @@ def fit_system(
     allow_partial: bool = False,
 ) -> TransitionMatrix:
     """Least-squares estimate of the transition matrix of ``system``: the
-    :func:`fit_transitions` of a stack of one, finished by
-    :func:`finish_transitions` with the diagnostics of :func:`check_rank`.
-    """
-    probs, identified = fit_transitions(
-        system.design[None], system.response[None], system.support_mask, force=force
-    )
-    return finish_transitions(
-        system, check_rank(system), probs[0], identified[0],
-        project_simplex=project_simplex, force=force, allow_partial=allow_partial,
-    )
+    :func:`fit_transitions` of a stack of one, with the diagnostics of
+    :func:`check_rank`.
 
-
-def finish_transitions(
-    system: DesignSystem,
-    diagnostics: RankDiagnostics,
-    probs: np.ndarray,
-    identified: bool,
-    *,
-    project_simplex: bool = False,
-    force: bool = False,
-    allow_partial: bool = False,
-) -> TransitionMatrix:
-    """The transition matrix of a fit ``probs`` of ``system`` under
-    ``force``, whose columns all passed the rank check when ``identified``.
-
-    An unmasked system that fails ``diagnostics`` raises
-    :class:`IdentificationError` unless ``force`` solved it minimum-norm,
+    An unmasked system that fails the rank check raises
+    :class:`IdentificationError` unless ``force`` solves it minimum-norm,
     which warns, as does each forced column of a masked system. A masked
     system with undetermined (NaN) columns raises unless ``allow_partial``.
     Estimates outside [0, 1] warn, or with ``project_simplex`` every
     determined row is projected onto the simplex.
     """
+    diagnostics = check_rank(system)
     if not system.is_masked and not diagnostics.satisfied and not force:
         raise IdentificationError(
             f"design matrix is not full column rank: {diagnostics.reason}"
         )
-    forced = force and not identified
+    probs, identified = fit_transitions(
+        system.design[None], system.response[None], system.support_mask, force=force
+    )
+    probs = probs[0]
+    forced = force and not identified[0]
     if forced and not system.is_masked:
         warnings.warn(
             f"solving despite rank failure ({diagnostics.reason}); "
             "coefficients are minimum-norm",
             ForcedSolveWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     elif forced:
         for b, col in enumerate(diagnostics.columns[:-1]):
@@ -554,7 +511,7 @@ def finish_transitions(
                     f"column {system.state_labels[b]!r} solved despite rank "
                     f"failure ({col.reason})",
                     ForcedSolveWarning,
-                    stacklevel=3,
+                    stacklevel=2,
                 )
     determined = ~np.isnan(probs)
     if not determined.all() and not allow_partial:
@@ -571,7 +528,7 @@ def finish_transitions(
         warnings.warn(
             "transition estimates fall outside [0, 1]; reporting raw values",
             OutOfRangeWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     if project_simplex:
         probs = project_rows(probs, system.support_mask)
@@ -587,6 +544,13 @@ def finish_transitions(
         forced=forced,
         out_of_range=out_of_range,
     )
+
+
+# The library's older name for the same function. ``cli`` and ``principal``
+# still import it beside ``fit_system``: perfbench's tracer wraps it there by
+# name, and the CLI tests patch it there to show that the commands never
+# take the per-dataset object path.
+solve_transitions = fit_system
 
 
 def binary_transition_params(trans: TransitionMatrix) -> np.ndarray:

@@ -1003,6 +1003,41 @@ class TestSchemaAndErrors:
         error = json.loads(err)["error"]
         assert error["type"] == "ValidationError" and error["message"].startswith(message)
 
+    def test_unknown_config_keys_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps({
+            "case": "c1", "n_g": 100, "replicates": 5, "seed": 1,
+            "bootstrap": 50, "treatment_prob": 0.3,
+        }))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValidationError" and error["exit_code"] == 2
+        assert error["message"] == (
+            "unknown --config keys: bootstrap, treatment_prob; "
+            "accepted keys: case, n_g, m, replicates, bootstrap_replicates, seed"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # Each first allocation exceeds the address space, so it fails
+            # before any memory is touched.
+            ["estimate", "--input", "{table}", "--boot", str(10**15), "--seed", "1"],
+            ["simulate", "--case", "c1", "--ng", "50", "--reps", str(10**15), "--boot", "2",
+             "--seed", "1"],
+        ],
+        ids=["estimate-boot", "simulate-reps"],
+    )
+    def test_size_too_large_to_allocate_exits_2(self, capsys, tmp_path, argv):
+        table = tmp_path / "table.csv"
+        table.write_text(TOY_TWO_TRIAL)
+        code, out, err = run_cli(capsys, *(arg.format(table=table) for arg in argv))
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "MemoryError" and error["exit_code"] == 2
+
     @pytest.mark.parametrize("use_config", (False, True))
     def test_per_trial_size_beyond_int64_exits_2(self, capsys, tmp_path, use_config):
         n_g = "100000000000000000000000000000"

@@ -503,6 +503,65 @@ class TestLoneCarriageReturn:
             parse(path)
 
 
+class TestConstructorChecks:
+    @pytest.mark.parametrize(
+        "counts, is_target, message",
+        [
+            (np.array([[1.5, 2.0], [3.0, 4.0]]), False, "cell counts must be integers"),
+            (np.ones((3, 2), dtype=int), False, r"shape \(2, k\) or \(2, 2, k\)"),
+            (np.ones(4, dtype=int), False, r"shape \(2, k\) or \(2, 2, k\)"),
+            (np.ones((2, 3, 2), dtype=int), False, "surrogate axis must be binary"),
+            (np.array([[1, -1], [2, 2]]), False, "negative cell count"),
+            (np.array([[5, 5], [0, 1]]), True, "control rows only"),
+        ],
+        ids=["non-integer", "three-arms", "one-dimensional", "ternary-surrogate",
+             "negative", "treated-target"],
+    )
+    def test_trial_cell_counts_rejects(self, counts, is_target, message):
+        with pytest.raises(ValidationError, match=message):
+            TrialCellCounts("7", counts, is_target=is_target)
+
+    def test_trial_cell_counts_stores_a_read_only_copy(self):
+        for counts in (np.array([[1, 2], [3, 4]]), np.array([[1.0, 2.0], [3.0, 4.0]])):
+            trial = TrialCellCounts("1", counts)
+            counts[0, 0] = 9
+            np.testing.assert_array_equal(trial.counts, [[1, 2], [3, 4]])
+            assert trial.counts.dtype == np.int64
+            assert not trial.counts.flags.writeable
+
+    @pytest.mark.parametrize(
+        "parts, error, message",
+        [
+            (lambda: ((), None), ValidationError, "at least one experimental trial"),
+            (lambda: ((_trial("1"), _trial("1")), None), ValidationError, "labels must be unique"),
+            (lambda: ((_trial("1"),), _trial("1", target=True)), ValidationError,
+             "labels must be unique"),
+            (lambda: ((_trial("1"), _trial("2", k=3)), None), ValidationError,
+             "outcome cardinality"),
+            (lambda: ((_trial("1"), _trial("2", surrogate=True)), None), SchemaError,
+             "surrogate presence"),
+            (lambda: ((_trial("1"),), _trial("0")), ValidationError, "flagged"),
+        ],
+        ids=["no-trials", "duplicate-labels", "target-reuses-label", "mixed-cardinality",
+             "mixed-surrogate", "unflagged-target"],
+    )
+    def test_multi_trial_dataset_rejects(self, parts, error, message):
+        trials, target = parts()
+        with pytest.raises(error, match=message):
+            MultiTrialDataset(trials=trials, target=target)
+
+    def test_multi_trial_dataset_accepts_a_flagged_target(self):
+        ds = MultiTrialDataset(trials=(_trial("1"), _trial("2")), target=_trial("0", target=True))
+        assert ds.m == 2 and ds.target.is_target
+
+
+def _trial(label, k=2, surrogate=False, target=False):
+    counts = np.ones((2, 2, k) if surrogate else (2, k), dtype=int)
+    if target:
+        counts[1] = 0
+    return TrialCellCounts(label, counts, is_target=target)
+
+
 class TestSummarize:
     def test_treated_marginal_example(self):
         ds = binary_dataset([(25, 25, 20, 30)])

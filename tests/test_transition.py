@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from jointpo.transition import (
     build_system,
     check_rank,
     derived_estimands,
+    fit_system,
     fit_transitions,
     joint_from_transitions,
     project_to_simplex,
@@ -47,6 +50,51 @@ def make_system(M, R, mask=None, labels=None):
         support_mask=mask,
         trial_ids=tuple(str(i + 1) for i in range(M.shape[0])),
     )
+
+
+class TestDesignSystemChecks:
+    GOOD = np.array([[0.5, 0.5], [0.2, 0.8]])
+
+    @pytest.mark.parametrize(
+        "design, response, mask, message",
+        [
+            (np.full((2, 3), 1 / 3), np.full((2, 3), 1 / 3), None, r"\(m, k\) matrices"),
+            (GOOD, GOOD[:1], None, r"\(m, k\) matrices"),
+            (GOOD[0], GOOD[0], None, r"\(m, k\) matrices"),
+            (GOOD, GOOD, np.ones((3, 3), dtype=bool), r"support mask must be \(k, k\)"),
+            (GOOD + [[1e-11, 0.0], [0.0, 0.0]], GOOD, None, "design rows must sum to 1"),
+            (GOOD, GOOD - [[0.0, 0.0], [1e-11, 0.0]], None, "response rows must sum to 1"),
+            (GOOD * [[np.nan], [1.0]], GOOD, None, "design rows must sum to 1"),
+            (GOOD, GOOD, np.array([[True, True], [False, False]]), "allowed transition"),
+        ],
+        ids=["k-vs-labels", "shape-mismatch", "one-dimensional", "mask-shape",
+             "design-row-sum", "response-row-sum", "nan-row", "source-without-transition"],
+    )
+    def test_rejects(self, design, response, mask, message):
+        with pytest.raises(ValidationError, match=message):
+            DesignSystem(
+                design=design,
+                response=response,
+                state_labels=("y=0", "y=1"),
+                support_mask=np.ones((2, 2), dtype=bool) if mask is None else mask,
+                trial_ids=("1", "2"),
+            )
+
+    def test_row_sums_within_tolerance_are_accepted(self):
+        design = self.GOOD + [[5e-13, 0.0], [0.0, -5e-13]]
+        assert make_system(design, self.GOOD).m == 2
+
+    def test_stores_read_only_copies(self):
+        design, response = self.GOOD.copy(), self.GOOD.copy()
+        mask = np.ones((2, 2), dtype=bool)
+        system = make_system(design, response, mask=mask)
+        design[0] = response[0] = [1.0, 0.0]
+        mask[0, 0] = False
+        np.testing.assert_array_equal(system.design, self.GOOD)
+        np.testing.assert_array_equal(system.response, self.GOOD)
+        assert system.support_mask.all()
+        for stored in (system.design, system.response, system.support_mask):
+            assert not stored.flags.writeable
 
 
 class TestBuildSystem:
@@ -187,6 +235,28 @@ class TestSolveTransitions:
         assert trans.out_of_range
         assert trans.probs.min() < 0 or trans.probs.max() > 1
 
+    def test_solve_transitions_is_fit_system(self):
+        assert solve_transitions is fit_system
+
+    def test_warnings_name_the_calling_file(self):
+        forced = make_system([[0.5, 0.5], [0.5, 0.5]], [[0.4, 0.6], [0.4, 0.6]])
+        cc = np.array([[0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]])
+        masked = build_system(composite_summaries(cc, cc), "composite", mono_y=True)
+        out_of_range = make_system(
+            [[0.5, 0.5], [0.45, 0.55], [0.2, 0.8]], [[0.99, 0.01], [0.2, 0.8], [0.5, 0.5]]
+        )
+        cases = [
+            (forced, {"force": True}, ForcedSolveWarning),
+            (masked, {"force": True, "allow_partial": True}, ForcedSolveWarning),
+            (out_of_range, {}, OutOfRangeWarning),
+        ]
+        for system, options, category in cases:
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                fit_system(system, **options)
+            assert category in {w.category for w in record}
+            assert {w.filename for w in record} == {__file__}
+
     def test_projection_gives_valid_rows(self):
         M = np.array([[0.5, 0.5], [0.45, 0.55], [0.2, 0.8]])
         R = np.array([[0.99, 0.01], [0.2, 0.8], [0.5, 0.5]])
@@ -194,34 +264,6 @@ class TestSolveTransitions:
         assert trans.projected
         assert (trans.probs >= 0).all()
         np.testing.assert_allclose(trans.probs.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_weighted_option_changes_solution(self):
-        rng = np.random.default_rng(11)
-        M, _, _ = well_conditioned_system(rng, 6, 2)
-        R = np.clip(M @ np.array([[0.8, 0.2], [0.1, 0.9]]) +
-                    rng.normal(scale=0.02, size=(6, 2)), 0.01, 0.99)
-        R = R / R.sum(axis=1, keepdims=True)
-        system = make_system(M, R)
-        plain = solve_transitions(system)
-        weighted = solve_transitions(system, trial_weights=np.arange(1, 7, dtype=float))
-        assert not np.allclose(plain.probs, weighted.probs)
-
-    def test_weighted_rank_gate_uses_the_weighted_design(self):
-        # Full rank unweighted, but a vanishing weight leaves only the y=0
-        # rows: the gate and its reason must come from the weighted design.
-        M = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-        system = make_system(M, M)
-        weights = np.array([1.0, 1e-30, 1.0])
-        assert check_rank(system).satisfied
-        with pytest.raises(
-            IdentificationError, match=r"^design matrix is not full column rank: condition ratio"
-        ):
-            solve_transitions(system, trial_weights=weights)
-        with pytest.warns(
-            ForcedSolveWarning, match=r"^solving despite rank failure \(condition ratio .*<= 1.0e-08\)"
-        ):
-            trans = solve_transitions(system, trial_weights=weights, force=True)
-        assert trans.forced and not trans.diagnostics.satisfied
 
     def test_masked_terminal_row_is_forced_to_one(self):
         cc = np.array([[0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]])
