@@ -10,7 +10,9 @@ Reports are canonical JSON (sorted keys) written to stdout or
 ``--output``; identical inputs, statistical flags and seed produce
 byte-identical reports. ``--workers`` sets the threads of ``simulate``'s
 study replicates (default: the usable CPUs) and never changes a report;
-every other command runs in one thread and ignores it.
+every other command runs in one thread and ignores it. The program runs
+OpenBLAS in one thread unless the environment already sets
+``OPENBLAS_NUM_THREADS``; no report depends on it.
 Exit codes: 0 success, 2 validation, 3 identification, 4 inference
 failure. Errors are mirrored as a JSON object on stderr.
 
@@ -42,12 +44,19 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 import warnings
 from contextlib import nullcontext
 from importlib import import_module
 from pathlib import Path
+
+# No BLAS call jointpo makes is large enough to split across threads, yet
+# OpenBLAS starts a worker at ``import numpy`` that busy-waits for about
+# 95 ms of CPU, taking the core a second study thread needs. Set before
+# numpy loads; a value already in the environment wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

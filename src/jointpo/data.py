@@ -278,7 +278,8 @@ def _open_source(source) -> tuple[TextIO, bool]:
     if hasattr(source, "read"):
         return source, False
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
+        # "utf-8-sig" drops the byte-order mark of Excel's "CSV UTF-8" export.
+        return open(source, "r", encoding="utf-8-sig", newline=""), True
     raise TypeError("source must be a text stream or a path")
 
 
@@ -526,7 +527,8 @@ def _parse_rows(
 def parse_dataset(source, schema: ColumnSchema = DEFAULT_SCHEMA) -> MultiTrialDataset:
     """Parse a cell-count CSV into a :class:`MultiTrialDataset`.
 
-    ``source`` may be an open text stream or a filesystem path.
+    ``source`` may be an open text stream or a filesystem path; a path is
+    read as UTF-8, skipping a leading byte-order mark.
     """
     return _parse_rows(source, schema, with_count=True)
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -238,6 +239,17 @@ class TestEstimate:
             "--boot", "40", "--seed", "8", "--workers", "3",
         )
         assert out1 == out2
+
+    def test_byte_order_mark_input_gives_the_same_results(self, capsys, c1_csv, tmp_path):
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + c1_csv.read_bytes())
+        flags = ["--boot", "20", "--seed", "4"]
+        plain, _ = run_json(capsys, "estimate", "--input", str(c1_csv), *flags)
+        bom, _ = run_json(capsys, "estimate", "--input", str(marked), *flags)
+        assert bom["results"] == plain["results"]
+        # The digest is of the raw bytes, mark included.
+        assert bom["input"]["sha256"] == hashlib.sha256(marked.read_bytes()).hexdigest()
+        assert bom["input"]["sha256"] != plain["input"]["sha256"]
 
     def test_output_file_and_timing_flag(self, capsys, toy_csv, tmp_path):
         out_path = tmp_path / "report.json"

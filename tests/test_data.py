@@ -503,6 +503,29 @@ class TestLoneCarriageReturn:
             parse(path)
 
 
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte-order mark, as Excel's "CSV
+    UTF-8" export writes it, parses as the same bytes without the mark."""
+
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_dataset, TOY + "2,0,NA,0,7\n2,0,NA,1,9\n2,1,NA,0,4\n2,1,NA,1,6\n"),
+            (parse_unit_rows, UNIT_HEADER + GOOD_UNITS + "2,0,NA,1\n" + GOOD_UNITS),
+        ],
+        ids=["cell-counts", "unit-rows"],
+    )
+    def test_marked_file_parses_like_the_unmarked_one(self, parse, text, tmp_path):
+        plain = tmp_path / "plain.csv"
+        marked = tmp_path / "marked.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        expected, got = parse(plain), parse(marked)
+        assert got.trial_ids == expected.trial_ids == ("1", "2")
+        np.testing.assert_array_equal(got.counts_tensor(), expected.counts_tensor())
+        assert serialize_dataset(got) == serialize_dataset(expected)
+
+
 class TestConstructorChecks:
     @pytest.mark.parametrize(
         "counts, is_target, message",

@@ -3,6 +3,7 @@ loads only the modules it uses, and the result records keep their shape."""
 
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -184,6 +185,47 @@ def test_cli_import_without_site_loads_no_importlib_resources():
     )
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _blas_threads_env(code: str, **preset: str) -> str:
+    """What a fresh interpreter prints after ``code``, started without
+    ``OPENBLAS_NUM_THREADS`` unless ``preset`` sets it (this process may have
+    imported ``jointpo.cli`` and so set it already)."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(preset)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+_SHOW_BLAS_THREADS = "import os\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))"
+
+
+def test_cli_import_runs_blas_in_one_thread():
+    assert _blas_threads_env("import jointpo.cli\n" + _SHOW_BLAS_THREADS) == "1"
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/task").is_dir()
+    or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+    reason="needs Linux's /proc and more than one usable CPU",
+)
+def test_cli_import_starts_no_blas_worker_thread():
+    threads = _blas_threads_env(
+        "import os, jointpo.cli\nprint(len(os.listdir('/proc/self/task')))"
+    )
+    assert threads == "1"
+
+
+def test_cli_import_keeps_a_preset_blas_thread_count():
+    code = "import jointpo.cli\n" + _SHOW_BLAS_THREADS
+    assert _blas_threads_env(code, OPENBLAS_NUM_THREADS="3") == "3"
+
+
+def test_library_import_leaves_blas_threads_unset():
+    assert _blas_threads_env("import jointpo.simulate\n" + _SHOW_BLAS_THREADS) == "None"
 
 
 def test_version_loads_only_the_shared_floor():
