@@ -619,7 +619,7 @@ _CONFIG_INTEGERS = ("n_g", "m", "replicates", "bootstrap_replicates", "seed")
 
 
 def _read_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             values = json.load(fh)
         except json.JSONDecodeError as exc:

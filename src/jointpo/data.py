@@ -580,7 +580,8 @@ class FrequencyStack(NamedTuple):
     :meth:`MultiTrialDataset.counts_tensor` order (the target trial, when
     present, last). ``sizes`` holds the integer arm totals; the frequency
     arrays are the exact ratios :func:`summarize` computes, NaN for an empty
-    arm. ``surrogate`` and ``composite`` are None without a surrogate.
+    arm. ``surrogate`` and ``composite`` are None without a surrogate, and
+    any space is None when :func:`frequency_stack` was not asked for it.
     ``empty`` flags the members on which :func:`summarize` raises: an
     experimental trial with an empty arm, or a target with no control units.
     """
@@ -608,22 +609,36 @@ def _sum_last(counts: np.ndarray) -> np.ndarray:
     return total
 
 
-def frequency_stack(dataset: MultiTrialDataset, tensor: np.ndarray) -> FrequencyStack:
-    """Frequencies of every state space for a ``(B, n_trials, cells)``
-    stack of count tensors laid out like ``dataset.counts_tensor()``: the
-    package's one division of counts by arm sizes."""
+def frequency_stack(
+    dataset: MultiTrialDataset,
+    tensor: np.ndarray,
+    spaces: tuple[str, ...] = STATE_SPACES,
+) -> FrequencyStack:
+    """Frequencies of the state ``spaces`` (by default all three) for a
+    ``(B, n_trials, cells)`` stack of count tensors laid out like
+    ``dataset.counts_tensor()``: the package's one division of counts by arm
+    sizes. A space not in ``spaces`` is None; those built are the same
+    arrays whichever others are asked for."""
+    unknown = set(spaces) - set(STATE_SPACES)
+    if unknown:
+        raise ValidationError(f"unknown state spaces: {', '.join(sorted(unknown))}")
     tensor = np.asarray(tensor)
     arms = tensor.reshape(tensor.shape[:2] + (2, -1))
     sizes = _sum_last(arms)
+    outcome = surrogate = composite = None
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = sizes[..., None]
-        if dataset.has_surrogate:
-            cells = arms.reshape(arms.shape[:3] + (2, -1))
-            outcome = (cells[..., 0, :] + cells[..., 1, :]) / scale
-            surrogate = _sum_last(cells) / scale
-            composite = arms / scale
+        if not dataset.has_surrogate:
+            if "outcome" in spaces:
+                outcome = arms / scale
         else:
-            outcome, surrogate, composite = arms / scale, None, None
+            cells = arms.reshape(arms.shape[:3] + (2, -1))
+            if "outcome" in spaces:
+                outcome = (cells[..., 0, :] + cells[..., 1, :]) / scale
+            if "surrogate" in spaces:
+                surrogate = _sum_last(cells) / scale
+            if "composite" in spaces:
+                composite = arms / scale
     m = dataset.m
     empty = (sizes[:, :m] <= 0).any(axis=(1, 2))
     if dataset.target is not None:

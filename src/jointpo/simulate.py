@@ -23,18 +23,21 @@ and redraw loop of :mod:`jointpo.inference`, its bootstrap resamples from
 ``replicate_rng(seed, i)``, so studies are reproducible. Replicates are
 drawn and fitted in chunks of at most ``inference._CHUNK`` count cells (at
 least one replicate), each chunk's points and resamples as one stack, and
-the chunks run on a pool of ``workers`` threads (by default the usable
-CPUs): the multinomial draws and the QR factorizations release the
-interpreter lock, which pays once a chunk holds several replicates (at
-m = 10 and B = 100, 12 for c1 and c2, 6 for c3 and c4). Every kernel works
-member by member and results land by replicate index, so studies are
-bit-identical for any ``workers`` and chunk size. Coverage uses normal
-intervals ``point +- 1.96 * se`` with the bootstrap standard error.
+``workers`` threads (by default the usable CPUs), the calling thread among
+them, take the chunks in turn: the multinomial draws and the QR
+factorizations release the interpreter lock, which pays once a chunk holds
+several replicates (at m = 10 and B = 100, 12 for c1 and c2, 6 for c3 and
+c4). A chunk builds the frequencies of only the state spaces its estimator
+reads. Every kernel works member by member and results land by replicate
+index, so studies are bit-identical for any ``workers`` and chunk size.
+Coverage uses normal intervals ``point +- 1.96 * se`` with the bootstrap
+standard error.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -43,6 +46,7 @@ import numpy as np
 from . import inference
 from .data import (
     _MAX_COUNT,
+    STATE_SPACES,
     MultiTrialDataset,
     TrialCellCounts,
     _sum_last,
@@ -333,11 +337,12 @@ def _four_step_fit(freqs) -> tuple[np.ndarray, np.ndarray]:
 
 
 #: Per estimator name: the predicate a resample must pass (others are
-#: redrawn) and the fit of a :class:`~jointpo.data.FrequencyStack`.
+#: redrawn), the fit of a :class:`~jointpo.data.FrequencyStack` and the
+#: state spaces that fit reads, the only ones built.
 _ESTIMATORS = {
-    "binary-transition": (_arms_positive, _binary_fit),
-    "composite-transition": (_arms_positive, _composite_fit),
-    "principal-four-step": (_four_step_valid, _four_step_fit),
+    "binary-transition": (_arms_positive, _binary_fit, ("outcome",)),
+    "composite-transition": (_arms_positive, _composite_fit, ("composite",)),
+    "principal-four-step": (_four_step_valid, _four_step_fit, STATE_SPACES),
 }
 
 
@@ -360,11 +365,11 @@ class Pipeline:
             raise ValidationError(f"{self.name} requires a surrogate and a binary outcome")
         self.param_names = population.param_names
         self.truth = population.truth
-        self.valid, self._fit = _ESTIMATORS[self.name]
+        self.valid, self._fit, self._spaces = _ESTIMATORS[self.name]
         self.layout = _wrap_counts(population, np.zeros(population.cell_probs.shape, int))
 
     def fit(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        freqs = frequency_stack(self.layout, counts)
+        freqs = frequency_stack(self.layout, counts, self._spaces)
         values, ok = self._fit(freqs)
         return values, ok & ~freqs.empty
 
@@ -466,14 +471,16 @@ def _run_chunks(
     (redrawing those failing ``valid``), all from ``replicate_rng(seed, i)``.
     Chunks of ``max(1, inference._CHUNK // ((1 + n_draws) * cell_probs.size))``
     replicates (at most ``inference._CHUNK`` count cells unless one replicate
-    holds more) run on a pool of at most ``threads`` threads;
-    ``finish(index, stacks, keep)`` gets a chunk's replicate indices, its
-    ``(len(index), 1 + n_draws, m, cells)`` count stacks and
+    holds more) are taken in order from one shared iterator by the calling
+    thread and ``min(threads, chunks) - 1`` helper threads, so one thread
+    starts none; ``finish(index, stacks, keep)`` gets a chunk's replicate
+    indices, its ``(len(index), 1 + n_draws, m, cells)`` count stacks and
     ``(len(index), n_draws)`` keep mask, and stores its results by index.
-    Warnings would race the caller's ``warnings.catch_warnings``, so
-    floating-point ones are silenced.
+    Once a chunk raises, no thread takes another; every helper is joined and
+    the exception of the lowest-numbered failed chunk is raised. Warnings
+    would race the caller's ``warnings.catch_warnings``, so floating-point
+    ones are silenced.
     """
-    from concurrent.futures import ThreadPoolExecutor
 
     def work(index: np.ndarray) -> None:
         rngs = [replicate_rng(seed, int(i)) for i in index]
@@ -485,9 +492,42 @@ def _run_chunks(
 
     size = max(1, inference._CHUNK // ((1 + n_draws) * cell_probs.size))
     chunks = [np.arange(i, min(i + size, replicates)) for i in range(0, replicates, size)]
-    with ThreadPoolExecutor(min(threads, len(chunks))) as pool:
-        for _ in pool.map(work, chunks):
-            pass
+    order = enumerate(chunks)
+    lock = threading.Lock()
+    errors: dict[int, Exception] = {}
+    stopped = False
+
+    def take_chunks() -> None:
+        while True:
+            with lock:
+                if stopped or errors:
+                    return
+                number, index = next(order, (None, None))
+            if index is None:
+                return
+            try:
+                work(index)
+            except Exception as exc:
+                with lock:
+                    errors[number] = exc
+                return
+
+    helpers = [
+        threading.Thread(target=take_chunks) for _ in range(min(threads, len(chunks)) - 1)
+    ]
+    try:
+        for helper in helpers:
+            helper.start()
+        take_chunks()
+    finally:
+        # An interrupt of the calling thread, or a helper that failed to
+        # start, also stops the helpers that did.
+        stopped = True
+        for helper in helpers:
+            if helper.ident is not None:
+                helper.join()
+    if errors:
+        raise errors[min(errors)]
 
 
 def _members(stacks: np.ndarray) -> np.ndarray:
@@ -512,12 +552,13 @@ def run_study(
     stratified resamples. Replicate ``i`` draws everything from
     ``replicate_rng(seed, i)``. The points and resamples of a chunk of
     replicates are fitted as one stack, chunks spread over ``workers``
-    threads (default: the usable CPUs); the result is bit-identical for any
-    ``workers``. ``pipeline`` (default: the case's :class:`Pipeline`) needs
-    what a :class:`Pipeline` has: ``name``, ``param_names``, ``truth``,
-    ``valid`` (the resamples it accepts, redrawn otherwise) and ``fit``. A
-    replicate fails when its point is undefined or fewer than 90% of its
-    resamples are kept; more than 5% failed replicates abort the study.
+    threads, the calling thread among them (default: the usable CPUs); the
+    result is bit-identical for any ``workers``. ``pipeline`` (default: the
+    case's :class:`Pipeline`) needs what a :class:`Pipeline` has: ``name``,
+    ``param_names``, ``truth``, ``valid`` (the resamples it accepts, redrawn
+    otherwise) and ``fit``. A replicate fails when its point is undefined or
+    fewer than 90% of its resamples are kept; more than 5% failed replicates
+    abort the study.
     """
     _check_study(replicates, bootstrap_replicates, seed)
     threads = _thread_count(workers)
@@ -600,7 +641,7 @@ def overid_size_study(
         # Only the points are fitted; each resample's residual is its
         # deviation from its replicate's point fit.
         theta = pipe.fit(stacks[:, 0])[0]
-        outcome = frequency_stack(pipe.layout, _members(stacks)).outcome
+        outcome = frequency_stack(pipe.layout, _members(stacks), ("outcome",)).outcome
         outcome = outcome.reshape(stacks.shape[:2] + outcome.shape[1:])
         design, freqs = outcome[..., 0, :], outcome[..., 1, :]
         residuals = freqs[..., 1] - (design @ theta[:, None, :, None])[..., 0]

@@ -685,6 +685,17 @@ class TestSimulate:
         assert report["results"]["config"]["case"] == "c1"
         assert report["results"]["config"]["n_g"] == 90
 
+    def test_byte_order_mark_config_gives_the_same_report(self, capsys, tmp_path):
+        text = json.dumps({
+            "case": "c1", "n_g": 90, "replicates": 5,
+            "bootstrap_replicates": 8, "seed": 21,
+        })
+        (tmp_path / "plain.json").write_bytes(text.encode())
+        (tmp_path / "marked.json").write_bytes(b"\xef\xbb\xbf" + text.encode())
+        _, plain = run_json(capsys, "simulate", "--config", str(tmp_path / "plain.json"))
+        _, marked = run_json(capsys, "simulate", "--config", str(tmp_path / "marked.json"))
+        assert marked == plain
+
     def test_config_bootstrap_replicates_without_boot_flag(self, capsys, tmp_path):
         cfg = tmp_path / "study.json"
         cfg.write_text(json.dumps({

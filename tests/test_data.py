@@ -1,4 +1,5 @@
 import io
+import itertools
 import re
 import tempfile
 from pathlib import Path
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from jointpo.data import (
     _BLOCK_HINT,
+    STATE_SPACES,
     ColumnSchema,
     MultiTrialDataset,
     TrialCellCounts,
@@ -759,3 +761,39 @@ class TestFrequencyStack:
                 np.testing.assert_array_equal(a, b, err_msg=name)
         assert got.empty.tolist() == [False, True, True, False, target, False, False, False]
         assert np.isnan(got.outcome[1, 0, 1]).all()
+
+    @pytest.mark.parametrize(
+        "spaces",
+        [spaces for r in range(4) for spaces in itertools.combinations(STATE_SPACES, r)],
+    )
+    @pytest.mark.parametrize("target", (False, True))
+    @pytest.mark.parametrize("surrogate", (False, True))
+    def test_requested_spaces_equal_the_full_stack(self, surrogate, target, spaces):
+        # The c1 layout (no surrogate) and the c3 layout (a binary surrogate
+        # and outcome), with and without a target, one member with an empty
+        # arm: a requested space is the full stack's array to the bit, the
+        # others are None.
+        m = 4
+        dataset = _layout(m, 2, surrogate, target)
+        cells = 8 if surrogate else 4
+        tensor = np.random.default_rng(5).integers(0, 4, size=(6, m + target, cells))
+        tensor[2, 1, : cells // 2] = 0  # an empty control arm
+        if target:
+            tensor[:, m, cells // 2 :] = 0
+        full = frequency_stack(dataset, tensor)
+        got = frequency_stack(dataset, tensor, spaces)
+        assert got.empty[2] and got.empty.tolist() == full.empty.tolist()
+        np.testing.assert_array_equal(got.sizes, full.sizes)
+        for name in STATE_SPACES:
+            want = full.space(name) if name in spaces else None
+            if want is None:
+                assert got.space(name) is None, name
+            else:
+                assert got.space(name).dtype == want.dtype, name
+                assert got.space(name).shape == want.shape, name
+                assert got.space(name).tobytes() == want.tobytes(), name
+
+    def test_unknown_space_rejected(self):
+        dataset = _layout(3, 2, True, False)
+        with pytest.raises(ValidationError, match="unknown state spaces: joint"):
+            frequency_stack(dataset, np.ones((1, 3, 8), dtype=int), ("outcome", "joint"))

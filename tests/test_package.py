@@ -83,6 +83,20 @@ def test_c1_study_loads_no_principal():
     assert "jointpo.simulate" in loaded and "jointpo.principal" not in loaded
 
 
+def test_study_loads_no_concurrent_futures():
+    # The calling thread and plain threads run the chunks; no executor, and
+    # none of the logging, queue and traceback modules it brings.
+    script = (
+        "import sys\n"
+        "from jointpo.simulate import DgpSpec, run_study\n"
+        "r = run_study(DgpSpec(case='c1', n_g=200, m=4), 30, 5, 1, workers=2)\n"
+        "assert r.replicates == 30\n"
+        "sys.exit('concurrent.futures' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_run_study_resolves_in_a_fresh_interpreter():
     loaded = _loaded_submodules(
         "import jointpo\n"

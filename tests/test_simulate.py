@@ -1,13 +1,14 @@
-import concurrent.futures
 import dataclasses
 import os
 import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 import jointpo.inference
+import jointpo.simulate
 from helpers import _reference_draws, reference_overid_size_study, reference_run_study
 from jointpo.data import summarize
 from jointpo.errors import InferenceError, ValidationError
@@ -316,20 +317,97 @@ class TestChunkedStudy:
 
     def test_pool_has_no_more_threads_than_chunks(self, monkeypatch):
         sizes = []
+        started = []
 
-        class Recording(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers)
+        class Recording(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        def study(*args, **kwargs):
+            # The threads doing chunk work: the helpers and the calling thread.
+            started.clear()
+            run_study(*args, **kwargs)
+            sizes.append(1 + len(started))
+
+        monkeypatch.setattr(threading, "Thread", Recording)
         spec = DgpSpec(case="c1", n_g=120)
         # 49152 // ((1 + 9) * 40 cells) = 122 replicates a chunk: 300
         # replicates are 3 chunks.
-        run_study(spec, 300, 9, 5, workers=8)
-        run_study(spec, 300, 9, 5, workers=2)
-        run_study(spec, 100, 9, 5, workers=8)
+        study(spec, 300, 9, 5, workers=8)
+        study(spec, 300, 9, 5, workers=2)
+        study(spec, 100, 9, 5, workers=8)
         assert sizes == [3, 2, 1]
+
+    @pytest.mark.parametrize("run", (run_study, overid_size_study))
+    def test_one_worker_fits_on_the_calling_thread(self, monkeypatch, run):
+        # With one worker no thread starts and the caller fits every chunk:
+        # a budget of 1000 cells holds 2 replicates of 400, so 12 replicates
+        # are 6 chunks, each fitted once.
+        monkeypatch.setattr(jointpo.inference, "_CHUNK", 1000)
+
+        def no_start(thread):
+            raise AssertionError(f"a study started {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+        fitted_on = []
+
+        class RecordingPipeline(Pipeline):
+            def fit(self, counts):
+                fitted_on.append(threading.get_ident())
+                return super().fit(counts)
+
+        spec = DgpSpec(case="c1", n_g=120)
+        if run is run_study:
+            run_study(spec, 12, 9, 5, pipeline=RecordingPipeline(dgp_population(spec)), workers=1)
+        else:
+            # The size study builds its own Pipeline.
+            monkeypatch.setattr(jointpo.simulate, "Pipeline", RecordingPipeline)
+            overid_size_study(spec, 12, 9, 5, workers=1)
+        assert fitted_on == [threading.get_ident()] * 6
+
+    @pytest.mark.parametrize("workers", (1, 2, 3, 8))
+    def test_failed_chunk_raises_its_own_exception(self, monkeypatch, workers):
+        # 40-cell replicates with B = 9 hold 400 count cells: a budget of
+        # 1200 makes 12 replicates 4 chunks of 3. Chunks 2 and 4 raise, so
+        # chunk 2's exception is the one raised, whatever the threads' order.
+        monkeypatch.setattr(jointpo.inference, "_CHUNK", 1200)
+        spec = DgpSpec(case="c1", n_g=120)
+        pop = dgp_population(spec)
+        first_of = {}
+        for i in range(12):
+            counts = replicate_rng(5, i).multinomial(spec.n_g, pop.cell_probs)
+            first_of[counts.tobytes()] = i
+
+        class FailingPipeline(_TruthPipeline):
+            def fit(self, counts):
+                chunk = 1 + first_of[counts[0].tobytes()] // 3
+                if chunk in (2, 4):
+                    raise RuntimeError(f"chunk {chunk} failed")
+                return super().fit(counts)
+
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="^chunk 2 failed$"):
+            run_study(spec, 12, 9, 5, pipeline=FailingPipeline(pop.truth), workers=workers)
+        assert set(threading.enumerate()) == before
+
+    def test_helper_that_fails_to_start_stops_the_others(self, monkeypatch):
+        # The second helper cannot start: its error is raised, and only after
+        # the first helper has been joined.
+        monkeypatch.setattr(jointpo.inference, "_CHUNK", 1200)
+        started = []
+        start = threading.Thread.start
+
+        def start_once(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start_once)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            run_study(DgpSpec(case="c1", n_g=120), 12, 9, 5, workers=3)
+        assert len(started) == 1 and not started[0].is_alive()
 
     def test_workers_below_one_rejected(self):
         spec = DgpSpec(case="c1", n_g=120)
