@@ -144,7 +144,10 @@ def _parse_columns(text: str | None) -> ColumnSchema:
         if "=" not in part:
             raise ValidationError(f"bad --columns entry {part!r}; use name=column")
         key, value = part.split("=", 1)
-        mapping[key.strip()] = value.strip()
+        key = key.strip()
+        if key in mapping:
+            raise ValidationError(f"--columns names {key!r} twice")
+        mapping[key] = value.strip()
     allowed = {"trial", "arm", "s", "y", "count", "target"}
     unknown = set(mapping) - allowed
     if unknown:

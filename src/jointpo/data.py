@@ -16,8 +16,11 @@ appearance.
 
 Parsing validates each distinct raw line (or multi-line record) once, at
 its first appearance, and only counts its repeats in blocks, so its Python
-work grows with the number of distinct lines rather than of rows, and an
-error names the first line holding the offending row.
+work grows with the number of distinct lines rather than of rows. New
+records are validated a column at a time, in chunks; only a chunk that
+fails a column check is rescanned row by row, to locate the error, so an
+error names the first line holding the offending row. The tallied counts
+are folded into one array with NumPy.
 
 The package exports its names lazily, and this module imports only
 ``errors`` from it: ``jointpo.parse_dataset`` and ``jointpo.parse_unit_rows``
@@ -34,7 +37,8 @@ import csv
 import io
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, compress
+from operator import mul
 from pathlib import Path
 from typing import NamedTuple, TextIO
 
@@ -299,37 +303,41 @@ def _parse_int(text: str, what: str, line: int) -> int:
 
 
 def _rows_to_dataset(
-    parsed: dict[str, tuple[str, int, int, int, int]],
-    tally: dict[str, int],
-    has_surrogate: bool,
-    max_y: int,
-    schema: ColumnSchema,
+    records: _Records, tally: dict[str, int], schema: ColumnSchema
 ) -> MultiTrialDataset:
-    """Fold each distinct record's ``(trial, arm, s, y, count)`` (``s`` is
-    0 without a surrogate) times the number of times it appeared into one
-    count block per trial, whose sum must fit int64."""
-    k = max_y + 1
+    """Fold each distinct record's cell, its count times the number of times
+    it appeared, into one count block per trial, whose sum must fit int64.
+
+    The sum is first taken over Python integers; only when it passes
+    ``2**63 - 1`` are the trials summed apart, to name the one that does.
+    Below that bound every product and every cell fits int64.
+    """
+    k = max(records.outcomes) + 1
     if k < 2:
         raise ValidationError("the outcome must have at least two categories")
+    has_surrogate = bool(records.surrogate_seen)
     shape = (2, 2, k) if has_surrogate else (2, k)
     states = 2 if has_surrogate else 1
-    width = 2 * states * k
-    index: dict[str, int] = {}
-    totals: dict[int, int] = {}
-    units: dict[str, int] = {}
-    for key, (trial, arm, s, y, count) in parsed.items():
-        g = index.setdefault(trial, len(index))
-        cell = g * width + (states * arm + s) * k + y
-        n = count * tally[key]
-        totals[cell] = totals.get(cell, 0) + n
-        units[trial] = units.get(trial, 0) + n
-    for trial, n in units.items():
-        if n > _MAX_COUNT:
-            raise ValidationError(
-                f"trial {trial!r}: its counts sum to {n}, beyond 2**63 - 1"
-            )
+    labels = records.trials
+    times = list(map(tally.__getitem__, records.keys))
+    units = times if records.counts is None else list(map(mul, records.counts, times))
+    if sum(units) > _MAX_COUNT:
+        sums: dict[str, int] = {}
+        for trial, n in zip(labels, units):
+            sums[trial] = sums.get(trial, 0) + n
+        for trial, n in sums.items():
+            if n > _MAX_COUNT:
+                raise ValidationError(
+                    f"trial {trial!r}: its counts sum to {n}, beyond 2**63 - 1"
+                )
+    index = {trial: g for g, trial in enumerate(dict.fromkeys(labels))}
     block = np.zeros((len(index),) + shape, dtype=np.int64)
-    block.reshape(-1)[list(totals)] = list(totals.values())
+    g = np.fromiter(map(index.__getitem__, labels), np.int64, len(labels))
+    arm = np.array(records.arms, dtype=np.int64)
+    s = np.array(records.surrogates, dtype=np.int64)
+    y = np.array(records.outcomes, dtype=np.int64)
+    cell = ((g * 2 + arm) * states + s) * k + y
+    np.add.at(block.reshape(-1), cell, np.array(units, dtype=np.int64))
     block.flags.writeable = False
     trials: list[TrialCellCounts] = []
     target: TrialCellCounts | None = None
@@ -347,6 +355,14 @@ def _rows_to_dataset(
 #: is tallied in one ``Counter`` call, and its lines are small strings.
 _BLOCK_HINT = 1 << 16
 
+#: New records checked together, column by column. It bounds the rows that
+#: ``csv`` holds at once, one list and its strings per record.
+_CHECK_ROWS = 512
+
+
+def _is_blank(row: list[str]) -> bool:
+    return not row or (len(row) == 1 and not row[0].strip())
+
 
 def _check_row(
     row: list[str],
@@ -354,15 +370,15 @@ def _check_row(
     schema: ColumnSchema,
     with_count: bool,
     surrogate_seen: bool | None,
-) -> tuple[str, int, int, int, int, bool] | None:
-    """A row's ``(trial, arm, s, y, count, has_surrogate)``, or None for a
-    blank row; raises the first check the row fails, naming ``line``.
+) -> bool | None:
+    """A row's surrogate presence, or None for a blank row; raises the
+    first check the row fails, naming ``line``.
 
     ``surrogate_seen`` is the surrogate presence that the first data row
     fixed (None before it). The checks read nothing else and change
     nothing, so running them again on a row raises the same error.
     """
-    if not row or (len(row) == 1 and not row[0].strip()):
+    if _is_blank(row):
         return None
     width = 5 if with_count else 4
     if len(row) != width:
@@ -378,8 +394,6 @@ def _check_row(
         s = _parse_int(row[2], "surrogate", line)
         if s not in (0, 1):
             raise ParseError(f"surrogate must be 0, 1 or NA, got {s}", line)
-    else:
-        s = 0
     if surrogate_seen is not None and surrogate_seen != has_s:
         raise SchemaError(
             f"line {line}: surrogate column mixes values and "
@@ -397,7 +411,129 @@ def _check_row(
         raise ValidationError(
             f"line {line}: count {count} for trial {trial!r} exceeds 2**63 - 1"
         )
-    return trial, arm, s, y, count, has_s
+    return has_s
+
+
+def _int_values(texts) -> dict[str, int] | None:
+    """Each distinct field of a column with its integer, or None if one of
+    them breaks :func:`_parse_int`'s rule."""
+    distinct = set(texts)
+    stripped = list(map(str.strip, distinct))
+    joined = "".join(stripped)
+    if not joined.isascii() or "_" in joined:
+        return None
+    try:
+        return dict(zip(distinct, map(int, stripped)))
+    except ValueError:
+        return None
+
+
+class _Records:
+    """The distinct records admitted so far, one list per column.
+
+    ``keys`` holds each record's raw text, its key in the tally of
+    repeats; ``counts`` is None for unit rows, whose records count one
+    unit each. ``surrogate_seen`` is the surrogate presence the first data
+    row fixed, None before it.
+    """
+
+    def __init__(self, schema: ColumnSchema, with_count: bool):
+        self.schema = schema
+        self.with_count = with_count
+        self.width = 5 if with_count else 4
+        self.surrogate_seen: bool | None = None
+        self.keys: list[str] = []
+        self.trials: list[str] = []
+        self.arms: list[int] = []
+        self.surrogates: list[int] = []
+        self.outcomes: list[int] = []
+        self.counts: list[int] | None = [] if with_count else None
+
+    def admit(self, keys: list[str], rows: list[list[str]], locate) -> None:
+        """Check new records ``rows``, keyed by ``keys``, column by column,
+        and add them; blank rows are skipped.
+
+        If a column check fails, :meth:`_raise_first_error` rescans the rows
+        to raise the error a row-by-row scan meets first; ``locate(key)``
+        gives the line number of the record keyed ``key``.
+        """
+        full_keys, full = keys, rows
+        if set(map(len, rows)) - {self.width}:
+            # Only blank rows, which are skipped, may have another width.
+            kept = [len(row) == self.width for row in rows]
+            if not all(k or _is_blank(row) for k, row in zip(kept, rows)):
+                self._raise_first_error(keys, rows, locate)
+            full_keys, full = list(compress(keys, kept)), list(compress(rows, kept))
+        if not full:
+            return
+        columns = self._columns(full)
+        if columns is None:
+            self._raise_first_error(keys, rows, locate)
+        self.surrogate_seen, trials, arms, surrogates, outcomes, counts = columns
+        self.keys += full_keys
+        self.trials += trials
+        self.arms += arms
+        self.surrogates += surrogates
+        self.outcomes += outcomes
+        if counts is not None:
+            self.counts += counts
+
+    def _columns(self, rows: list[list[str]]):
+        """``(has_surrogate, trials, arms, surrogates, outcomes, counts)``
+        of ``rows``, each of ``width`` fields, or None if any row fails a
+        check of :func:`_check_row`."""
+        trial, arm, s, y, *count = zip(*rows)
+        trials = list(map(str.strip, trial))
+        if "" in trials:
+            return None
+        arms = _int_values(arm)
+        if arms is None or not set(arms.values()) <= {0, 1}:
+            return None
+        presence = {text.strip() != self.schema.na_token for text in set(s)}
+        if len(presence) > 1:
+            return None
+        has_s = presence.pop()
+        if self.surrogate_seen not in (None, has_s):
+            return None
+        surrogates = _int_values(s) if has_s else {}
+        if surrogates is None or not set(surrogates.values()) <= {0, 1}:
+            return None
+        outcomes = _int_values(y)
+        if outcomes is None or min(outcomes.values()) < 0:
+            return None
+        counts = None
+        if count:
+            values = _int_values(count[0])
+            if values is None:
+                return None
+            if min(values.values()) < 0 or max(values.values()) > _MAX_COUNT:
+                return None
+            counts = list(map(values.__getitem__, count[0]))
+        return (
+            has_s,
+            trials,
+            list(map(arms.__getitem__, arm)),
+            list(map(surrogates.__getitem__, s)) if has_s else [0] * len(s),
+            list(map(outcomes.__getitem__, y)),
+            counts,
+        )
+
+    def _raise_first_error(self, keys: list[str], rows: list[list[str]], locate):
+        """Run :func:`_check_row` on each of ``rows`` in turn, from the
+        surrogate presence before them, and raise the first error, naming
+        the line ``locate`` gives for its key."""
+        seen = self.surrogate_seen
+        for key, row in zip(keys, rows):
+            try:
+                has_s = _check_row(row, 0, self.schema, self.with_count, seen)
+            except ValidationError:
+                # The line number is looked up only here; checking again
+                # names it in the same error.
+                _check_row(row, locate(key), self.schema, self.with_count, seen)
+                raise
+            if has_s is not None:
+                seen = has_s
+        raise RuntimeError("the column checks rejected rows that _check_row accepts")
 
 
 def _csv_records(lines, offset: int = 0):
@@ -444,21 +580,26 @@ def _quoted_records(stream: TextIO, block: list[str], offset: int):
 def _parse_rows(
     source, schema: ColumnSchema, with_count: bool
 ) -> MultiTrialDataset:
-    """Validate each distinct record at its first line, tally the repeats.
+    """Validate each distinct record once, by column; tally the repeats.
 
     The stream is read in blocks of lines. In the default dialect a line
     without a quote character is exactly one record, and identical lines
     are identical rows, so a block without one is tallied by raw line in
-    one ``Counter`` call, and only the first appearance of a line goes
-    through ``csv`` and the checks. A block with one goes record by record,
-    a multi-line record keyed by its joined lines. Different spellings of
-    one row (CRLF against LF, say) are checked apart and fold into one cell.
+    one ``Counter`` call, and only the lines not seen before go through
+    ``csv``. A block with one goes record by record, a multi-line record
+    keyed by its joined lines. Different spellings of one row (CRLF against
+    LF, say) are checked apart and fold into one cell.
 
-    Every check depends only on the row and on the surrogate presence the
-    first data row fixes, so the first line that fails is the first
-    appearance of its record: a repeat needs no second check, and errors
-    name the same line as a row-by-row scan would (a multi-line record's
-    last line, as ``csv`` counts it).
+    A block's new records are checked a column at a time, up to
+    ``_CHECK_ROWS`` records at once, with the rules of :func:`_check_row`.
+    Only records that fail a column check are rescanned row by row, to
+    raise the first failing row's error at its line. Every check
+    depends only on the row and on the surrogate presence the first data
+    row fixes, so the first line that fails is the first appearance of its
+    record: a repeat needs no second check, and errors name the same line
+    as a row-by-row scan would (a multi-line record's last line, as ``csv``
+    counts it). A record ``csv`` cannot read is reported after the block's
+    records before it are checked.
     """
     stream, owned = _open_source(source)
     try:
@@ -472,53 +613,56 @@ def _parse_rows(
                 f"expected header {','.join(expected)!r}, got {','.join(header)!r}"
             )
         tally: dict[str, int] = {}
-        parsed: dict[str, tuple[str, int, int, int, int]] = {}
-        surrogate_seen: bool | None = None
-        max_y = -1
-
-        def admit(key: str, row: list[str], line: int) -> None:
-            nonlocal surrogate_seen, max_y
-            checked = _check_row(row, line, schema, with_count, surrogate_seen)
-            if checked is not None:
-                *cell, surrogate_seen = checked
-                max_y = max(max_y, cell[3])
-                parsed[key] = tuple(cell)
-
+        records = _Records(schema, with_count)
         # ``offset`` counts the lines before the current block.
         while block := stream.readlines(_BLOCK_HINT):
             counts = Counter(block)
-            if any('"' in raw for raw in counts):
-                for key, line, row in _quoted_records(stream, block, offset):
-                    seen = tally.get(key)
-                    tally[key] = (seen or 0) + 1
-                    if seen is None:
-                        admit(key, row, line)
-            else:
-                fresh = []
-                for raw, n in counts.items():
-                    seen = tally.get(raw)
-                    if seen is None:
-                        fresh.append(raw)
-                    tally[raw] = (seen or 0) + n
-                rows = csv.reader(fresh)
+            if '"' in "".join(counts):
+                first_lines: dict[str, int] = {}
+                keys, rows = [], []
                 try:
-                    for raw, row in zip(fresh, rows):
-                        try:
-                            admit(raw, row, 0)
-                        except ValidationError:
-                            # The line number is looked up only here;
-                            # checking again names it in the same error.
-                            admit(raw, row, offset + block.index(raw) + 1)
-                            raise
-                except csv.Error as exc:
-                    # Each of these lines is one record: the reader failed
-                    # on line ``rows.line_num`` of ``fresh``.
-                    raw = fresh[rows.line_num - 1]
-                    raise ParseError(str(exc), offset + block.index(raw) + 1) from None
+                    for key, line, row in _quoted_records(stream, block, offset):
+                        seen = tally.get(key)
+                        tally[key] = (seen or 0) + 1
+                        if seen is None:
+                            first_lines[key] = line
+                            keys.append(key)
+                            rows.append(row)
+                            if len(rows) == _CHECK_ROWS:
+                                records.admit(keys, rows, first_lines.__getitem__)
+                                keys, rows = [], []
+                except ParseError:
+                    # The records before the one csv cannot read come first.
+                    records.admit(keys, rows, first_lines.__getitem__)
+                    raise
+                records.admit(keys, rows, first_lines.__getitem__)
+            else:
+                repeats = counts.keys() & tally.keys()
+                fresh = [raw for raw in counts if raw not in repeats]
+                for raw in repeats:
+                    counts[raw] += tally[raw]
+                tally.update(counts)
+
+                def locate(raw: str) -> int:
+                    return offset + block.index(raw) + 1
+
+                for start in range(0, len(fresh), _CHECK_ROWS):
+                    lines = fresh[start : start + _CHECK_ROWS]
+                    reader = csv.reader(lines)
+                    try:
+                        rows = list(reader)
+                    except csv.Error as exc:
+                        # Each of these lines is one record: the reader
+                        # failed on ``lines[bad]``.
+                        bad = reader.line_num - 1
+                        before = lines[:bad]
+                        records.admit(before, list(csv.reader(before)), locate)
+                        raise ParseError(str(exc), locate(lines[bad])) from None
+                    records.admit(lines, rows, locate)
             offset += len(block)
-        if not parsed:
+        if not records.keys:
             raise ParseError("no data rows in input", offset)
-        return _rows_to_dataset(parsed, tally, bool(surrogate_seen), max_y, schema)
+        return _rows_to_dataset(records, tally, schema)
     finally:
         if owned:
             stream.close()

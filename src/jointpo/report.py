@@ -68,31 +68,66 @@ def _holds_scalar_array(value) -> bool:
     return any(map(_holds_scalar_array, value))
 
 
-def _write(value, indent: str, out: list) -> None:
+def _float_array(rows: list, ndim: int, indent: str) -> str:
+    """The text of ``rows``, an array's ``tolist()`` of ``ndim`` levels of
+    floats with no empty level."""
+    inner = indent + "  "
+    if ndim == 1:
+        items = map(float.__repr__, rows)
+    elif ndim == 2:
+        # The rows are written inline: a call per row costs a third more.
+        sep = ",\n" + inner + "  "
+        items = [
+            f"[\n{inner}  {sep.join(map(float.__repr__, row))}\n{inner}]" for row in rows
+        ]
+    else:
+        items = [_float_array(row, ndim - 1, inner) for row in rows]
+    return f"[\n{inner}" + (",\n" + inner).join(items) + f"\n{indent}]"
+
+
+def _write(value, indent: str, out: list, orders: dict) -> None:
     # Appends the text of ``value`` to ``out``: each list of scalars is one
     # piece, and a dict entry with a scalar value is one piece with its key.
+    # ``orders`` maps the key tuple of each dict of str keys met so far to
+    # its keys in sorted order, each with its quoted text.
     if isinstance(value, dict):
         if not value:
             out.append("{}")
             return
         inner = indent + "  "
-        # Keys are compared after str(), so the last of colliding keys wins;
-        # the values it replaces must still have a plain-Python copy.
-        items = {str(k): v for k, v in value.items()}
-        if len(items) < len(value) and any(map(_holds_scalar_array, value.values())):
-            raise TypeError("a zero-dimensional array is not a JSON array")
-        sep = "{\n" + inner
-        for k in sorted(items):
-            v = items[k]
-            if isinstance(v, _CONTAINERS):
-                out.append(f"{sep}{_quote(k)}: ")
-                _write(v, inner, out)
+        keys = tuple(value)
+        order = orders.get(keys)
+        if order is None:
+            if all(type(k) is str for k in keys):
+                order = orders[keys] = [(k, f"{_quote(k)}: ") for k in sorted(keys)]
             else:
-                out.append(f"{sep}{_quote(k)}: {_scalar(v)}")
+                # Keys are compared after str(), so the last of colliding
+                # keys wins; the values it replaces must still have a
+                # plain-Python copy.
+                items = {str(k): v for k, v in value.items()}
+                collide = len(items) < len(value)
+                if collide and any(map(_holds_scalar_array, value.values())):
+                    raise TypeError("a zero-dimensional array is not a JSON array")
+                value = items
+                order = [(k, f"{_quote(k)}: ") for k in sorted(items)]
+        sep = "{\n" + inner
+        for k, label in order:
+            v = value[k]
+            if isinstance(v, _CONTAINERS):
+                out.append(sep + label)
+                _write(v, inner, out, orders)
+            else:
+                out.append(f"{sep}{label}{_scalar(v)}")
             sep = ",\n" + inner
         out.append("\n" + indent + "}")
         return
     if isinstance(value, np.ndarray):
+        if value.dtype.char == "d" and value.size and value.ndim:
+            text = _float_array(value.tolist(), value.ndim, indent)
+            # A finite float's repr holds no "n"; "nan" and "inf" do.
+            if "n" not in text:
+                out.append(text)
+                return
         value = value.tolist()
         if not isinstance(value, list):
             raise TypeError("a zero-dimensional array is not a JSON array")
@@ -110,7 +145,7 @@ def _write(value, indent: str, out: list) -> None:
             for i, v in enumerate(value):
                 if i:
                     out.append(sep)
-                _write(v, inner, out)
+                _write(v, inner, out, orders)
             out.append("\n" + indent + "]")
             return
         else:
@@ -127,7 +162,7 @@ def canonical_json(payload: dict) -> str:
     does.
     """
     out: list[str] = []
-    _write(payload, "", out)
+    _write(payload, "", out, {})
     out.append("\n")
     return "".join(out)
 

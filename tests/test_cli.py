@@ -967,6 +967,16 @@ class TestSchemaAndErrors:
         assert error["type"] == "ValidationError" and error["exit_code"] == 2
         assert error["message"].startswith(message)
 
+    @pytest.mark.parametrize("columns", ["trial=x,trial=trial", "y=y, y =y"])
+    def test_repeated_columns_key_exits_2(self, capsys, toy_csv, columns):
+        code, out, err = run_cli(
+            capsys, "estimate", "--input", str(toy_csv), "--columns", columns, "--boot", "0"
+        )
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValidationError"
+        assert error["message"] == f"--columns names {columns.split('=')[0].strip()!r} twice"
+
     @pytest.mark.parametrize(
         "argv, error_type",
         [

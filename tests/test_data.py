@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jointpo import data
 from jointpo.data import (
     _BLOCK_HINT,
     STATE_SPACES,
@@ -468,6 +469,103 @@ class TestBlockParserMatchesReference:
         line = 1 + len(good.splitlines()) + 1 + 1
         assert mine[0] is kind
         assert mine[1].startswith(f"line {line}: ")
+
+
+def _count_table(trials: int = 4000) -> list[str]:
+    """The lines, header first, of an all-distinct count table of
+    ``trials`` trials without a surrogate, more than two blocks long."""
+    return ["trial,arm,s,y,count\n"] + [
+        f"{g},{a},NA,{y},{g + 2 * a + y}\n"
+        for g in range(1, trials + 1)
+        for a in (0, 1)
+        for y in (0, 1)
+    ]
+
+
+def _third_block_line(lines: list[str]) -> int:
+    """The 0-based index in ``lines`` of a line deep inside the third block."""
+    blocks = _raw_blocks("".join(lines))
+    assert len(blocks) > 3
+    return 1 + len(blocks[0]) + len(blocks[1]) + len(blocks[2]) // 2
+
+
+class TestColumnChecks:
+    """Blocks are checked a column at a time; rows are checked one by one
+    only to name the line of an error."""
+
+    def test_valid_table_runs_no_row_checks(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return check_row(*args)
+
+        check_row = data._check_row
+        monkeypatch.setattr(data, "_check_row", counted)
+        text = "".join(_count_table())
+        assert len(_raw_blocks(text)) > 2
+        mine, reference = _both_outcomes(text, with_count=True)
+        assert mine == reference and len(mine[0]) == 4000
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (",1,NA,0,", ",1,NA,0, 7 \n"),
+            (",1,NA,0,", ",1,NA,0,+3\n"),
+            (",1,NA,0,", ",-0,NA,0,0007\n"),
+            (",1,NA,0,", ",1, NA ,0007,5\n"),
+            ("", "A B,1,NA,0,4\n"),
+            ("", '"quoted, label",0,NA,1,4\n'),
+            (",1,NA,0,", ",1,NA,0,6\r\n"),
+        ],
+        ids=["padded", "signed", "minus-zero", "zero-led", "inner-space", "quoted", "crlf"],
+    )
+    def test_odd_spellings_deep_in_the_third_block(self, old, new):
+        lines = _count_table()
+        at = _third_block_line(lines)
+        # ``old`` ends the trial label kept from the line; an empty one
+        # replaces the whole line.
+        lines[at] = lines[at].split(",")[0] + new if old else new
+        mine, reference = _both_outcomes("".join(lines), with_count=True)
+        assert mine == reference
+        assert len(mine[0]) == 4000 + (not old)
+
+    @pytest.mark.parametrize("bad, kind, message", TestUnitRowErrors.BAD_ROWS)
+    def test_bad_row_deep_in_the_third_block(self, bad, kind, message):
+        lines = _count_table()
+        at = _third_block_line(lines)
+        lines[at] = bad + ",5\n"
+        mine, reference = _both_outcomes("".join(lines), with_count=True)
+        assert mine == reference
+        message = message.replace("4 fields, got 3", "5 fields, got 4")
+        assert mine[0] is kind
+        assert mine[1].startswith(f"line {at + 1}: {message}")
+
+    def test_repeats_in_a_later_block_overflow_a_trial(self):
+        lines = _count_table()
+        huge = f"7,0,NA,0,{2**62}\n"
+        lines[1 + 4 * (7 - 1)] = huge
+        lines.insert(_third_block_line(lines), huge)
+        blocks = _raw_blocks("".join(lines))
+        assert huge in blocks[0] and huge in blocks[2]
+        # Trial 7's other three cells hold 8, 9 and 10.
+        total = 2 * 2**62 + 8 + 9 + 10
+        with pytest.raises(ValidationError) as err:
+            _parse("".join(lines))
+        assert str(err.value) == f"trial '7': its counts sum to {total}, beyond 2**63 - 1"
+
+    @pytest.mark.parametrize("flipped", ["one line", "every later line"])
+    def test_surrogate_flip_at_a_block_edge(self, flipped):
+        lines = _count_table()
+        at = 1 + len(_raw_blocks("".join(lines))[0])
+        last = at + 1 if flipped == "one line" else len(lines)
+        lines[at:last] = [line.replace(",NA,", ",1,") for line in lines[at:last]]
+        assert len(_raw_blocks("".join(lines))[0]) == at - 1
+        mine, reference = _both_outcomes("".join(lines), with_count=True)
+        assert mine == reference
+        assert mine[0] is SchemaError
+        assert mine[1].startswith(f"line {at + 1}: surrogate column mixes values")
 
 
 class TestLoneCarriageReturn:

@@ -67,6 +67,26 @@ class TestCanonicalJson:
         assert canonical_json(payload) == reference_canonical_json(payload)
         assert "null" in canonical_json(payload) and canonical_json(payload).isascii()
 
+    def test_same_keyed_dicts_of_float_arrays(self):
+        # A report's per-trial list: dicts of one key tuple holding 1-D and
+        # 2-D float64 arrays, some with NaN or an infinity.
+        rng = np.random.default_rng(3)
+        rows = []
+        for i in range(6):
+            joint = rng.random((3, 3))
+            rows.append({"trial": str(i), "joint": joint, "marginal": joint.sum(axis=0), "ok": i})
+        rows[1]["joint"][0, 1] = np.nan
+        rows[2]["joint"][2, 2] = np.inf
+        rows[3]["marginal"][0] = -np.inf
+        rows[4]["joint"] = rows[4]["joint"].T
+        rows[5]["marginal"] = rows[5]["marginal"].astype(">f8")
+        rows[5]["joint"][1] = -0.0
+        payload = {
+            "per_trial": rows,
+            "odd": [np.ones((0, 3)), np.ones((2, 0)), np.ones((2, 1, 2)), np.ones(2, np.float32)],
+        }
+        assert canonical_json(payload) == reference_canonical_json(payload)
+
     @pytest.mark.parametrize("bad", [object(), 1 + 2j, {1, 2}, np.array([1 + 1j])])
     def test_unsupported_objects_raise_type_error(self, bad):
         for payload in ({"x": bad}, [1.0, bad], bad):
