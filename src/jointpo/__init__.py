@@ -15,6 +15,12 @@ Names are exported lazily (PEP 562): ``import jointpo`` loads no submodule,
 and the first access to an exported name imports only the submodule that
 defines it, so ``jointpo.parse_unit_rows`` loads ``data`` and ``errors``
 alone.
+
+The submodules use the same pattern for what only library callers need:
+each name a command does not run lives in a module that loads at its first
+use, and the module that used to define it forwards the name there (see
+:func:`_relocated`), so ``from jointpo.inference import plugin_variance``
+still works while ``estimate`` never compiles it.
 """
 
 from importlib import import_module
@@ -125,3 +131,27 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
+
+
+def _relocated(owner: str, moved: dict[str, str]):
+    """The PEP 562 ``__getattr__`` of module ``owner`` whose names in
+    ``moved`` live in the submodule each maps to, imported at first use."""
+
+    def __getattr__(name: str):
+        module = moved.get(name)
+        if module is None:
+            raise AttributeError(f"module {owner!r} has no attribute {name!r}")
+        return getattr(import_module(f"{__name__}.{module}"), name)
+
+    return __getattr__
+
+
+def _deferred(module: str, name: str):
+    """A stand-in for ``jointpo.<module>.<name>`` that imports the module at
+    its first call and forwards every call to that function."""
+
+    def call(*args, **kwargs):
+        return getattr(import_module(f"{__name__}.{module}"), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call

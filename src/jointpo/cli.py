@@ -17,26 +17,29 @@ Exit codes: 0 success, 2 validation, 3 identification, 4 inference
 failure. Errors are mirrored as a JSON object on stderr.
 
 Each command's statistic exists only in batch form, a
-:class:`~jointpo.inference.BatchEstimator` from one of the ``*_estimator``
-functions below. Its member 0, a fit of the observed counts, is the
-report's point (``parameters.point`` and the estimands); the bootstrap fits
-the resamples as one stack. The rest of the report, and every warning, comes
-from the same kernels on the observed frequencies
-(:func:`~jointpo.data.observed_frequencies`): :func:`~jointpo.transition.fit_system`
-of a :func:`~jointpo.transition.design_system` (the one fit of a system,
-which the library also calls ``solve_transitions``) and the ``*_report``
-functions of :mod:`jointpo.principal`. ``psace --plot-data`` bootstraps a
-single statistic, the psace table followed by the surrogate and outcome
-joint harm cells.
+:class:`~jointpo.inference.BatchEstimator` from the command's
+``*_estimator`` function, built on :func:`_batch_fit` and
+:func:`_stack_transitions` here. Its member 0, a fit of the observed counts,
+is the report's point (``parameters.point`` and the estimands); the
+bootstrap fits the resamples as one stack. The rest of the report, and
+every warning, comes from the same kernels on the observed frequencies
+(:func:`~jointpo.data.observed_frequencies`):
+:func:`~jointpo.transition.fit_system` of a
+:func:`~jointpo.transition.design_system` and the ``*_report`` functions of
+:mod:`jointpo.principal`.
 
-A command loads only the modules it uses: importing this module, and
-``estimate``, ``test``, ``target`` and ``--version``, load ``data``,
-``errors``, ``special``, ``transition``, ``inference`` and ``report``;
-``psace`` also loads ``principal``, ``simulate`` also loads ``simulate``,
-and a ``c4`` study ``principal``. The names the benchmark's tracer wraps in
-this module stay bound although no command calls most of them, those of
-``principal`` and ``simulate`` as stand-ins that import their module at the
-first call.
+A command loads only the modules it uses. This module holds the parser,
+:func:`main` and the helpers that several commands share; each command's
+body, statistic and ``--plot-data`` writer live in
+``jointpo.commands.<command>``, which :func:`main` imports for that command
+alone. Importing this module, and ``--version``, load ``data``, ``errors``,
+``special``, ``transition``, ``inference`` and ``report``; each command adds
+its own module, ``test`` also ``overid``, ``psace`` also ``principal``,
+``simulate`` also ``simulate`` (and a ``c4`` study ``principal``). No
+command loads ``summaries``, the library's per-dataset object path. The
+names the benchmark's tracer wraps in this module stay bound although no
+command calls most of them, those of other modules as stand-ins that
+import their module at the first call.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ import sys
 import time
 import warnings
 from contextlib import nullcontext
-from importlib import import_module
 from pathlib import Path
 
 # No BLAS call jointpo makes is large enough to split across threads, yet
@@ -60,8 +62,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import __version__
-from .data import ColumnSchema, frequency_stack, observed_frequencies, parse_dataset
+from . import __version__, _deferred
+from .data import ColumnSchema, frequency_stack, parse_dataset
 from .errors import (
     IdentificationError,
     InferenceError,
@@ -69,58 +71,31 @@ from .errors import (
     JointpoWarning,
     ValidationError,
 )
-from .inference import (
-    BatchEstimator,
-    BatchFit,
-    BootstrapConfig,
-    bootstrap,
-    check_seed,
-    overid_result,
-)
-from .report import (
-    canonical_json,
-    file_digest,
-    format_study_table,
-    replicates_to_csv,
-    study_to_dict,
-    text_digest,
-)
+from .inference import BatchFit, BootstrapConfig, bootstrap, check_seed
+from .report import canonical_json, file_digest
 from .transition import (
-    binary_transition_params,
-    design_system,
-    estimand_vectors,
     fit_system,
     fit_transitions,
     flag_negative_joints,
     joint_tables,
-    monotone_mask,
     project_rows,
 )
 
 # Unused here, but perfbench/tracing.py times them through this module's names.
-from .data import summarize  # noqa: F401
-from .inference import overid_test  # noqa: F401
-from .transition import build_system, check_rank, derived_estimands  # noqa: F401
-from .transition import joint_from_transitions, solve_transitions  # noqa: F401
+from .transition import check_rank, solve_transitions  # noqa: F401
 
-
-def _deferred(module: str, name: str):
-    """A stand-in for ``jointpo.<module>.<name>`` that imports the module at
-    its first call and forwards every call to that function."""
-
-    def call(*args, **kwargs):
-        return getattr(import_module(f"{__package__}.{module}"), name)(*args, **kwargs)
-
-    call.__name__ = call.__qualname__ = name
-    return call
-
-
-# perfbench/tracing.py wraps these names too; only ``simulate`` calls one.
+# perfbench/tracing.py wraps these names too; only ``simulate`` calls two.
+summarize = _deferred("summaries", "summarize")
+build_system = _deferred("summaries", "build_system")
+joint_from_transitions = _deferred("summaries", "joint_from_transitions")
+derived_estimands = _deferred("summaries", "derived_estimands")
+overid_test = _deferred("summaries", "overid_test")
 method1_estimate = _deferred("principal", "method1_estimate")
 method4_estimate = _deferred("principal", "method4_estimate")
 monotone_variant_estimate = _deferred("principal", "monotone_variant_estimate")
 principal_scores = _deferred("principal", "principal_scores")
 run_study = _deferred("simulate", "run_study")
+replicates_to_csv = _deferred("simulate", "replicates_to_csv")
 
 _EXIT_FOR = (
     (ValidationError, 2),
@@ -145,6 +120,10 @@ def _parse_columns(text: str | None) -> ColumnSchema:
             raise ValidationError(f"bad --columns entry {part!r}; use name=column")
         key, value = part.split("=", 1)
         key = key.strip()
+        if not key:
+            raise ValidationError(
+                f"--columns entry {part!r} has an empty name; use name=column"
+            )
         if key in mapping:
             raise ValidationError(f"--columns names {key!r} twice")
         mapping[key] = value.strip()
@@ -281,419 +260,6 @@ def _stack_transitions(freqs, m: int, space: str, mask, project: bool = False):
     return (project_rows(probs, mask) if project else probs), ~identified
 
 
-def estimate_estimator(dataset, space: str, mask, *, project=False) -> BatchEstimator:
-    """Transition parameters, then per-trial THR, TBR, persuasion rate and
-    PN when the space has two states."""
-    m = dataset.m
-    two_state = mask.shape[0] == 2
-
-    def fit_live(freqs):
-        probs, forced = _stack_transitions(freqs, m, space, mask, project)
-        values = [probs[:, mask]]
-        if two_state:
-            joints = joint_tables(probs[:, None], freqs.space(space)[:, :m, 0])
-            values.append(estimand_vectors(joints).reshape(len(joints), -1))
-        ok = ~np.isnan(probs).any(axis=(1, 2))
-        return np.concatenate(values, axis=1), ok, forced
-
-    width = int(mask.sum()) + (4 * m if two_state else 0)
-    return BatchEstimator(_batch_fit(dataset, width, fit_live))
-
-
-def overid_estimator(dataset, space: str, theta: np.ndarray) -> BatchEstimator:
-    """Both transition parameters, then each trial's deviation from the
-    point fit ``theta``: these estimate the raw per-trial noise scale that
-    the chi-square reference normalizes by."""
-    m = dataset.m
-    mask = np.ones((2, 2), dtype=bool)
-
-    def fit_live(freqs):
-        probs, forced = _stack_transitions(freqs, m, space, mask)
-        arms = freqs.space(space)[:, :m]
-        residuals = arms[:, :, 1, 1] - arms[:, :, 0] @ theta
-        return np.concatenate([probs[:, :, 1], residuals], axis=1), True, forced
-
-    return BatchEstimator(_batch_fit(dataset, 2 + m, fit_live))
-
-
-def target_estimator(dataset, space: str, k: int, *, project=False) -> BatchEstimator:
-    """Transition parameters, the target trial's joint table and, with two
-    states, its THR, TBR, persuasion rate and PN."""
-    m = dataset.m
-    mask = np.ones((k, k), dtype=bool)
-
-    def fit_live(freqs):
-        probs, forced = _stack_transitions(freqs, m, space, mask, project)
-        joint = joint_tables(probs, freqs.space(space)[:, m, 0])
-        n = len(joint)
-        values = [probs.reshape(n, -1), joint.reshape(n, -1)]
-        if k == 2:
-            values.append(estimand_vectors(joint))
-        return np.concatenate(values, axis=1), True, forced
-
-    width = 2 * k * k + (4 if k == 2 else 0)
-    return BatchEstimator(_batch_fit(dataset, width, fit_live))
-
-
-def psace_estimator(
-    dataset, method: int, *, clip_scores=False, project=False
-) -> BatchEstimator:
-    """The per-trial stratum effect table of a psace method, flattened."""
-    from .principal import (
-        PSACE_ORDERINGS,
-        fourway_tables,
-        method1_effects,
-        method1_stack,
-        psace_tables,
-    )
-
-    m = dataset.m
-
-    def fit_live(freqs):
-        n = len(freqs.empty)
-        if method == 1:
-            treated, control, status = method1_stack(freqs, m, clip_scores=clip_scores)
-            return method1_effects(treated, control, m).reshape(n, -1), status == 0, False
-        mono_s, mono_y = PSACE_ORDERINGS[method]
-        mask = monotone_mask("composite", mono_s, mono_y)
-        probs, forced = _stack_transitions(freqs, m, "composite", mask, project)
-        fourway = fourway_tables(probs, freqs.composite[:, :m, 0])
-        effects, _, _ = psace_tables(fourway, mono_s)
-        # Method 3 reports what the masked system identifies; the others
-        # need every column.
-        ok = method == 3 or ~np.isnan(probs).any(axis=(1, 2))
-        return effects.reshape(n, -1), ok, forced
-
-    return BatchEstimator(_batch_fit(dataset, 4 * m, fit_live))
-
-
-def joint_cell_estimator(dataset, space: str) -> BatchEstimator:
-    """Each trial's joint harm cell P(state0=1, state1=0)."""
-    m = dataset.m
-    mask = np.ones((2, 2), dtype=bool)
-
-    def fit_live(freqs):
-        probs, forced = _stack_transitions(freqs, m, space, mask)
-        return probs[:, None, 1, 0] * freqs.space(space)[:, :m, 0, 1], True, forced
-
-    return BatchEstimator(_batch_fit(dataset, m, fit_live))
-
-
-def _concat_fits(fits) -> BatchFit:
-    """Statistics side by side: a member is ok where every part is, forced
-    where any part is."""
-    return BatchFit(
-        np.concatenate([f.values for f in fits], axis=1),
-        np.logical_and.reduce([f.ok for f in fits]),
-        np.logical_or.reduce([f.forced for f in fits]),
-    )
-
-
-#: State spaces of the joint harm cells that ``psace --plot-data`` writes.
-_CELL_SPACES = ("surrogate", "outcome")
-
-
-def cmd_estimate(args) -> dict:
-    dataset, info = _load(args)
-    ids = dataset.trial_ids
-    system = design_system(
-        observed_frequencies(dataset), ids, args.space, mono_s=args.mono_s, mono_y=args.mono_y
-    )
-    trans, joints, negative = _joint_report(system, force=args.force, project=args.project)
-    two_state = trans.k == 2
-
-    names = list(trans.parameter_labels())
-    if two_state:
-        for tid in ids:
-            names += [f"{label}[{tid}]" for label in ("THR", "TBR", "persuasion", "PN")]
-    estimator = estimate_estimator(
-        dataset, args.space, system.support_mask, project=args.project
-    )
-    point, variance = _point_and_variance(args, dataset, estimator, names)
-    estimands = point[int(system.support_mask.sum()):].reshape(-1, 4)
-
-    per_trial = [
-        {
-            "trial": tid,
-            "control_marginal": system.design[g],
-            "treated_marginal": system.response[g],
-            "joint": joints[g],
-            "negative_mass": bool(negative[g]),
-            "estimands": _estimands_dict(estimands[g]) if two_state else None,
-        }
-        for g, tid in enumerate(ids)
-    ]
-
-    flags = ("space", "mono_s", "mono_y", "project", "force", "boot", "ci", "ci_method")
-    results = {
-        "space": args.space,
-        "parameters": _params_dict(names, point, variance, args.ci),
-        "per_trial": per_trial,
-    }
-    return _report(args, info, flags, results, trans)
-
-
-def cmd_test(args) -> dict:
-    if args.ci_method != "normal":
-        raise ValidationError(
-            f"test reports normal intervals only; --ci-method {args.ci_method} is not supported"
-        )
-    dataset, info = _load(args)
-    ids = dataset.trial_ids
-    system = design_system(observed_frequencies(dataset), ids, args.space)
-    if system.k != 2:
-        raise ValidationError("the overidentification test needs a two-state space")
-    if system.m == system.k:
-        raise IdentificationError(
-            f"just-identified system (m = k = {system.k}); the "
-            "overidentification test has no degrees of freedom"
-        )
-    trans = fit_system(system)
-    theta = binary_transition_params(trans)
-
-    estimator = overid_estimator(dataset, args.space, theta)
-    names = ["theta[0]", "theta[1]"] + [f"residual[{tid}]" for tid in ids]
-    variance = _bootstrap(args, dataset, estimator, names)
-    result = overid_result(ids, variance.point[2:], variance.se[2:])
-
-    if args.plot_data:
-        _write_test_plot_data(Path(args.plot_data), system, theta)
-
-    results = {
-        "space": args.space,
-        "m": system.m,
-        "k": system.k,
-        "j_statistic": result.statistic,
-        "df": result.df,
-        "p_value": result.p_value,
-        "per_trial": [
-            {"trial": tid, "residual": r, "sigma": s}
-            for tid, r, s in result.per_trial_residuals
-        ],
-        "theta": {
-            "names": ["P(state1=1|state0=0)", "P(state1=1|state0=1)"],
-            "point": theta,
-            "se": variance.se[:2],
-            "ci_lower": variance.ci_lower[:2],
-            "ci_upper": variance.ci_upper[:2],
-            "ci_level": args.ci,
-        },
-        "full_parameter_labels": trans.parameter_labels(),
-        "full_parameter_values": trans.parameter_values(),
-    }
-    return _report(args, info, ("space", "boot", "ci"), results, trans)
-
-
-#: The psace flags that some methods ignore, by the methods that use them.
-_PSACE_FLAG_METHODS = {"force": (2, 3, 4), "project": (2, 3, 4), "clip_scores": (1, 2)}
-
-
-def cmd_psace(args) -> dict:
-    from .principal import PSACE_ORDERINGS, STRATA, composite_report, method1_report, scores_report
-
-    method = args.method
-    for flag, methods in _PSACE_FLAG_METHODS.items():
-        if getattr(args, flag) and method not in methods:
-            raise ValidationError(
-                f"psace --method {method} does not use --{flag.replace('_', '-')}; "
-                f"only methods {', '.join(map(str, methods))} do"
-            )
-    dataset, info = _load(args)
-    freqs = observed_frequencies(dataset)
-    if freqs.surrogate is None:
-        raise ValidationError("principal stratification needs surrogate data")
-    ids = dataset.trial_ids
-
-    scores = stratum_probs = fourway = None
-    if method == 1:
-        scores, stratum_probs, table = method1_report(freqs, ids, clip_scores=args.clip_scores)
-    else:
-        fourway, table = composite_report(
-            freqs, ids, method, *PSACE_ORDERINGS[method], force=args.force, project=args.project
-        )
-        if method == 2:
-            scores = scores_report(freqs, ids, clip_negative=args.clip_scores)
-
-    # With --plot-data the statistic is the psace table followed by each
-    # space's joint harm cells, bootstrapped once; the observed cells, and
-    # their warnings, come from forced fits of the two spaces.
-    estimator = psace_estimator(
-        dataset, method, clip_scores=args.clip_scores, project=args.project
-    )
-    names = [f"PSACE[{s}]@{tid}" for tid in ids for s in STRATA]
-    if args.plot_data:
-        systems = [design_system(freqs, ids, sp) for sp in _CELL_SPACES]
-        cells = [_joint_report(system, force=True)[1][:, 1, 0] for system in systems]
-        parts = [estimator] + [joint_cell_estimator(dataset, sp) for sp in _CELL_SPACES]
-        estimator = BatchEstimator(lambda t: _concat_fits([p.fit(t) for p in parts]))
-        names += [f"joint_cell[{sp}]@{tid}" for sp in _CELL_SPACES for tid in ids]
-
-    variance = _bootstrap(args, dataset, estimator, names) if args.boot > 0 else None
-    if args.plot_data:
-        _write_psace_plot_data(Path(args.plot_data), table, cells, variance)
-
-    size = table.estimates.size
-    spread = dict.fromkeys(("se", "ci_lower", "ci_upper"))
-    if variance is not None:
-        # An undefined effect has no interval, whatever its replicates gave.
-        for key in spread:
-            values = getattr(variance, key)[:size].reshape(table.estimates.shape)
-            spread[key] = np.where(table.defined, values, np.nan)
-
-    results = {
-        "method": method,
-        "strata": list(STRATA),
-        "trials": list(ids),
-        "mask_used": list(table.mask_used),
-        "psace": {
-            "estimates": table.estimates,
-            "defined": table.defined,
-            **spread,
-            "ci_level": args.ci,
-        },
-        "principal_scores": None
-        if scores is None
-        else {
-            "trials": list(scores.trial_ids),
-            "strata": list(STRATA),
-            "table": scores.table,
-            "clipped": scores.clipped,
-            "violations": list(scores.violations),
-        },
-        "stratum_outcome_probs": None
-        if stratum_probs is None
-        else {
-            "treated": stratum_probs.treated_prob,
-            "control": stratum_probs.control_prob,
-            "out_of_range": stratum_probs.out_of_range,
-        },
-        "fourway": None
-        if fourway is None
-        else {
-            "probs": fourway.probs,
-            "cell_status": fourway.cell_status.tolist(),
-            "negative_mass": fourway.negative_mass,
-        },
-    }
-    flags = ("method", "clip_scores", "project", "force", "boot", "ci", "ci_method")
-    return _report(args, info, flags, results)
-
-
-def cmd_target(args) -> dict:
-    dataset, info = _load(args)
-    if dataset.target is None:
-        raise ValidationError(
-            "no control-only target trial in the dataset (label it with "
-            "the target trial id, default '0')"
-        )
-    freqs = observed_frequencies(dataset)
-    system = design_system(freqs, dataset.trial_ids, args.space)
-    trans = fit_system(system, project_simplex=args.project, force=args.force)
-    marginal = freqs.space(args.space)[0, dataset.m, 0]
-    joint = joint_tables(trans.probs, marginal)
-    negative = bool(flag_negative_joints(joint, [dataset.target.trial_id]))
-    two_state = trans.k == 2
-
-    names = list(trans.parameter_labels()) + [
-        f"target_joint[{a},{b}]"
-        for a in range(trans.k)
-        for b in range(trans.k)
-    ]
-    if two_state:
-        names += ["target_THR", "target_TBR", "target_persuasion", "target_PN"]
-    estimator = target_estimator(dataset, args.space, trans.k, project=args.project)
-    point, variance = _point_and_variance(args, dataset, estimator, names)
-
-    results = {
-        "space": args.space,
-        "target_trial": dataset.target.trial_id,
-        "target_marginal": marginal,
-        "joint": joint,
-        "negative_mass": negative,
-        "estimands": _estimands_dict(point[-4:]) if two_state else None,
-        "parameters": _params_dict(names, point, variance, args.ci),
-    }
-    flags = ("space", "project", "force", "boot", "ci", "ci_method")
-    return _report(args, info, flags, results, trans)
-
-
-#: ``simulate --config`` keys whose values must be JSON integers.
-_CONFIG_INTEGERS = ("n_g", "m", "replicates", "bootstrap_replicates", "seed")
-
-
-def _read_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        try:
-            values = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"--config is not valid JSON: {exc}") from None
-    if not isinstance(values, dict):
-        raise ValidationError("--config must contain a JSON object")
-    accepted = ("case",) + _CONFIG_INTEGERS
-    unknown = set(values) - set(accepted)
-    if unknown:
-        raise ValidationError(
-            f"unknown --config keys: {', '.join(sorted(unknown))}; "
-            f"accepted keys: {', '.join(accepted)}"
-        )
-    for key, value in values.items():
-        if key in _CONFIG_INTEGERS and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ValidationError(
-                f"config {key!r} must be an integer, got {json.dumps(value)}"
-            )
-    return values
-
-
-def cmd_simulate(args) -> dict:
-    from .simulate import DgpSpec
-
-    config_values = _read_config(args.config) if args.config else {}
-
-    def pick(flag, key, default=None):
-        if flag is not None:
-            return flag
-        return config_values.get(key, default)
-
-    case = pick(args.case, "case")
-    if case is None:
-        raise ValidationError("--case (or a config file with 'case') is required")
-    n_g = pick(args.ng, "n_g")
-    if n_g is None:
-        raise ValidationError("--ng (or config 'n_g') is required")
-    reps = pick(args.reps, "replicates")
-    if reps is None:
-        raise ValidationError("--reps (or config 'replicates') is required")
-    boot = pick(args.boot, "bootstrap_replicates", 100)
-    seed = pick(args.seed, "seed")
-    _require_seed(seed)
-    m = pick(args.m, "m", 10)
-    spec = DgpSpec(case=str(case).lower(), n_g=n_g, m=m)
-    result = run_study(spec, reps, boot, seed, workers=args.workers)
-    if args.table:
-        sys.stderr.write(format_study_table(result))
-    if args.replicates_csv:
-        Path(args.replicates_csv).write_text(
-            replicates_to_csv(result), encoding="utf-8"
-        )
-    payload = study_to_dict(result)
-    flags = {
-        "case": spec.case,
-        "n_g": spec.n_g,
-        "m": spec.m,
-        "replicates": reps,
-        "bootstrap_replicates": boot,
-    }
-    digest_source = json.dumps(flags, sort_keys=True) + f"|seed={seed}"
-    return {
-        "command": "simulate",
-        "input": {"path": None, "sha256": text_digest(digest_source)},
-        "seed": seed,
-        "flags": flags,
-        "diagnostics": {"rank": None},
-        "results": payload,
-    }
-
-
 def _write_tsv(path: Path, header: list[str], rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -701,84 +267,6 @@ def _write_tsv(path: Path, header: list[str], rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow(row)
-
-
-def _write_test_plot_data(directory: Path, system, theta) -> None:
-    rows = []
-    ate_rows = []
-    for tid, control, treated in zip(system.trial_ids, system.design, system.response):
-        fitted = float(control @ theta)
-        rows.append(
-            [
-                tid,
-                repr(float(control[0])),
-                repr(float(control[1])),
-                repr(float(treated[1])),
-                repr(fitted),
-                repr(float(treated[1]) - fitted),
-            ]
-        )
-        ate_rows.append([tid, repr(float(treated[1]) - float(control[1]))])
-    _write_tsv(
-        directory / "linearity.tsv",
-        [
-            "trial",
-            "control_state0",
-            "control_state1",
-            "treated_state1",
-            "fitted_treated_state1",
-            "residual",
-        ],
-        rows,
-    )
-    _write_tsv(directory / "ate.tsv", ["trial", "ate"], ate_rows)
-
-
-def _write_psace_plot_data(directory: Path, table, cells, variance) -> None:
-    """Write ``psace_intervals.tsv`` and ``joint_cells.tsv``.
-
-    ``cells`` holds each space's per-trial joint harm cell
-    P(state0=1, state1=0), in :data:`_CELL_SPACES` order, and ``variance``
-    (None without a bootstrap) runs over the psace table, then those cells.
-    """
-    from .principal import STRATA
-
-    def bounds(index, defined=True):
-        if variance is None or not defined:
-            return ["", ""]
-        return [repr(float(variance.ci_lower[index])), repr(float(variance.ci_upper[index]))]
-
-    rows = []
-    for i, tid in enumerate(table.trial_ids):
-        for j, stratum in enumerate(STRATA):
-            defined = bool(table.defined[i, j])
-            rows.append(
-                [
-                    table.method,
-                    stratum,
-                    tid,
-                    repr(float(table.estimates[i, j])) if defined else "",
-                    *bounds(i * len(STRATA) + j, defined),
-                    int(defined),
-                ]
-            )
-    _write_tsv(
-        directory / "psace_intervals.tsv",
-        ["method", "stratum", "trial", "estimate", "lower", "upper", "defined"],
-        rows,
-    )
-
-    cell_rows = []
-    index = table.estimates.size
-    for space, values in zip(_CELL_SPACES, cells):
-        for tid, value in zip(table.trial_ids, values):
-            cell_rows.append([space, "10", tid, repr(float(value)), *bounds(index)])
-            index += 1
-    _write_tsv(
-        directory / "joint_cells.tsv",
-        ["space", "cell", "trial", "estimate", "lower", "upper"],
-        cell_rows,
-    )
 
 
 def _add_common(parser, *, needs_input=True):
@@ -834,13 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mono-y", dest="mono_y", action="store_true")
     p.add_argument("--project", action="store_true", help="project rows onto the simplex")
     p.add_argument("--force", action="store_true", help="solve despite rank failure")
-    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("test", help="overidentification test of transportability")
     _add_common(p)
     p.add_argument("--space", choices=("outcome", "surrogate"), default="outcome")
     p.add_argument("--plot-data", dest="plot_data", default=None, help="TSV output dir")
-    p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("psace", help="principal stratification effects")
     _add_common(p)
@@ -856,14 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--force", action="store_true", help="solve despite rank failure (methods 2-4)")
     p.add_argument("--plot-data", dest="plot_data", default=None)
-    p.set_defaults(func=cmd_psace)
 
     p = sub.add_parser("target", help="transport to a control-only population")
     _add_common(p)
     p.add_argument("--space", choices=("outcome", "surrogate"), default="outcome")
     p.add_argument("--project", action="store_true")
     p.add_argument("--force", action="store_true")
-    p.set_defaults(func=cmd_target)
 
     p = sub.add_parser("simulate", help="Monte Carlo study")
     _add_common(p, needs_input=False)
@@ -874,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON key-value study config")
     p.add_argument("--replicates-csv", dest="replicates_csv", default=None)
     p.add_argument("--table", action="store_true", help="print a metrics table to stderr")
-    p.set_defaults(func=cmd_simulate)
     return parser
 
 
@@ -894,12 +377,17 @@ def _write_report(text: str, output: str | None) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # An import statement's path, unlike ``importlib.import_module``'s, shows
+    # in ``python -X importtime``.
+    name = f"{__package__}.commands.{args.command}"
+    __import__(name)
+    command = sys.modules[name]
     started = time.perf_counter()
     try:
         _check_flags(args)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", JointpoWarning)
-            report = args.func(args)
+            report = command.run(args)
         collected = [
             {"category": type(w.message).__name__, "message": str(w.message)}
             for w in caught
@@ -933,4 +421,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # The command modules import this module's helpers: under
+    # ``python -m jointpo.cli`` they find this copy instead of compiling a second.
+    sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
     raise SystemExit(main())

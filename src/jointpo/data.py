@@ -36,7 +36,6 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass, replace
 from itertools import chain, compress
 from operator import mul
 from pathlib import Path
@@ -44,6 +43,7 @@ from typing import NamedTuple, TextIO
 
 import numpy as np
 
+from . import _relocated
 from .errors import (
     EstimationError,
     ParseError,
@@ -83,8 +83,45 @@ class ColumnSchema(NamedTuple):
 DEFAULT_SCHEMA = ColumnSchema()
 
 
-@dataclass(frozen=True)
-class TrialCellCounts:
+class _Frozen:
+    """Base of the checked, immutable records: a subclass lists its fields in
+    ``_fields`` (and ``__slots__``), sets them once in its constructor with
+    :meth:`_set`, and compares, hashes and prints by them."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        # Copies and pickles go through the checked constructor.
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class TrialCellCounts(_Frozen):
     """Cell counts of one trial.
 
     ``counts`` has shape ``(2, k)`` without a surrogate or ``(2, 2, k)``
@@ -92,41 +129,33 @@ class TrialCellCounts:
     the middle axis is the surrogate value.
     """
 
-    trial_id: str
-    counts: np.ndarray
-    is_target: bool = False
+    __slots__ = _fields = ("trial_id", "counts", "is_target")
 
-    def __post_init__(self):
-        arr = np.asarray(self.counts)
+    def __init__(self, trial_id: str, counts: np.ndarray, is_target: bool = False):
+        arr = np.asarray(counts)
         if not np.issubdtype(arr.dtype, np.integer):
             if not np.all(arr == np.floor(arr)):
-                raise ValidationError(
-                    f"trial {self.trial_id!r}: cell counts must be integers"
-                )
+                raise ValidationError(f"trial {trial_id!r}: cell counts must be integers")
             arr = arr.astype(np.int64)
         else:
             arr = arr.astype(np.int64, copy=True)
         if arr.ndim not in (2, 3) or arr.shape[0] != 2:
             raise ValidationError(
-                f"trial {self.trial_id!r}: counts must have shape (2, k) or (2, 2, k)"
+                f"trial {trial_id!r}: counts must have shape (2, k) or (2, 2, k)"
             )
         if arr.ndim == 3 and arr.shape[1] != 2:
-            raise ValidationError(
-                f"trial {self.trial_id!r}: the surrogate axis must be binary"
-            )
+            raise ValidationError(f"trial {trial_id!r}: the surrogate axis must be binary")
         if (arr < 0).any():
-            raise ValidationError(f"trial {self.trial_id!r}: negative cell count")
-        if self.is_target and arr[1].sum() > 0:
-            raise ValidationError(
-                f"target trial {self.trial_id!r} must contain control rows only"
-            )
+            raise ValidationError(f"trial {trial_id!r}: negative cell count")
+        if is_target and arr[1].sum() > 0:
+            raise ValidationError(f"target trial {trial_id!r} must contain control rows only")
         arr.flags.writeable = False
-        object.__setattr__(self, "counts", arr)
+        self._set(trial_id=trial_id, counts=arr, is_target=is_target)
 
     @classmethod
     def _parsed(cls, trial_id: str, counts: np.ndarray) -> "TrialCellCounts":
         """An experimental trial over a parser-built block row: a read-only,
-        nonnegative int64 array of a valid shape, which ``__post_init__``
+        nonnegative int64 array of a valid shape, which the constructor
         would only copy and re-check."""
         cell = object.__new__(cls)
         object.__setattr__(cell, "trial_id", trial_id)
@@ -152,36 +181,41 @@ class TrialCellCounts:
         return int(self.counts.sum())
 
 
-@dataclass(frozen=True)
-class MultiTrialDataset:
+class MultiTrialDataset(_Frozen):
     """An ordered collection of experimental trials plus an optional
     control-only target trial."""
 
-    trials: tuple[TrialCellCounts, ...]
-    target: TrialCellCounts | None = None
+    __slots__ = ("trials", "target", "_block")
+    _fields = ("trials", "target")
 
-    def __post_init__(self):
-        if not self.trials:
+    def __init__(
+        self, trials: tuple[TrialCellCounts, ...], target: TrialCellCounts | None = None
+    ):
+        if not trials:
             raise ValidationError("a dataset needs at least one experimental trial")
-        labels = [t.trial_id for t in self.trials]
-        if self.target is not None:
-            labels.append(self.target.trial_id)
+        everything = list(trials) + ([target] if target is not None else [])
+        labels = [t.trial_id for t in everything]
         if len(set(labels)) != len(labels):
             raise ValidationError("trial labels must be unique")
-        everything = list(self.trials) + ([self.target] if self.target else [])
         k = everything[0].outcome_cardinality
         surr = everything[0].has_surrogate
         for t in everything:
             if t.outcome_cardinality != k:
-                raise ValidationError(
-                    "outcome cardinality must be identical across trials"
-                )
+                raise ValidationError("outcome cardinality must be identical across trials")
             if t.has_surrogate != surr:
-                raise SchemaError(
-                    "surrogate presence must be uniform across the dataset"
-                )
-        if self.target is not None and not self.target.is_target:
+                raise SchemaError("surrogate presence must be uniform across the dataset")
+        if target is not None and not target.is_target:
             raise ValidationError("the target trial must be flagged as such")
+        self._set(trials=trials, target=target, _block=None)
+
+    @classmethod
+    def _parsed(cls, trials, target, block: np.ndarray) -> "MultiTrialDataset":
+        """A dataset of parser-built trials, every one a view of a row of the
+        read-only ``(n_trials, cells)`` ``block`` (the target's row last):
+        one shape and unique labels by construction, so nothing to re-check."""
+        dataset = object.__new__(cls)
+        dataset._set(trials=trials, target=target, _block=block)
+        return dataset
 
     @property
     def m(self) -> int:
@@ -206,76 +240,29 @@ class MultiTrialDataset:
         return self.trials + (self.target,)
 
     def counts_tensor(self) -> np.ndarray:
-        """All trials' cells as an ``(n_trials, cells)`` integer matrix.
+        """All trials' cells as a read-only ``(n_trials, cells)`` integer
+        matrix, built once per dataset (a parsed dataset has it already).
 
         The target trial, when present, is the last row. Cell order is
         row-major over ``(arm[, surrogate], outcome)``.
         """
-        return np.stack([t.counts.reshape(-1) for t in self.all_trials])
+        block = self._block
+        if block is None:
+            block = np.stack([t.counts.reshape(-1) for t in self.all_trials])
+            block.flags.writeable = False
+            object.__setattr__(self, "_block", block)
+        return block
 
     def with_counts(self, tensor: np.ndarray) -> "MultiTrialDataset":
         """Rebuild the dataset with replacement counts from :meth:`counts_tensor` layout."""
         shape = self.trials[0].counts.shape
         new = [
-            replace(t, counts=row.reshape(shape))
+            TrialCellCounts(t.trial_id, row.reshape(shape), t.is_target)
             for t, row in zip(self.all_trials, np.asarray(tensor))
         ]
         if self.target is not None:
             return MultiTrialDataset(trials=tuple(new[:-1]), target=new[-1])
         return MultiTrialDataset(trials=tuple(new))
-
-
-class TrialSummary(NamedTuple):
-    """Per-trial conditional frequency vectors.
-
-    Each vector is the exact ratio ``cell count / arm total``. The
-    treated-side vectors are ``None`` for the control-only target trial.
-    Composite vectors follow :data:`COMPOSITE_STATES` ordering.
-    """
-
-    trial_id: str
-    is_target: bool
-    arm_sizes: tuple[int, int]
-    control_outcome: np.ndarray
-    treated_outcome: np.ndarray | None
-    control_surrogate: np.ndarray | None = None
-    treated_surrogate: np.ndarray | None = None
-    control_composite: np.ndarray | None = None
-    treated_composite: np.ndarray | None = None
-
-
-class Summaries(NamedTuple):
-    """Sufficient statistics of a dataset: one :class:`TrialSummary` per
-    experimental trial, plus the target trial's control-side summary."""
-
-    trials: tuple[TrialSummary, ...]
-    target: TrialSummary | None
-    outcome_cardinality: int
-    has_surrogate: bool
-
-    @property
-    def m(self) -> int:
-        return len(self.trials)
-
-    @property
-    def trial_ids(self) -> tuple[str, ...]:
-        return tuple(t.trial_id for t in self.trials)
-
-    def arm_sizes(self) -> np.ndarray:
-        return np.array([t.arm_sizes for t in self.trials], dtype=np.int64)
-
-    def frequencies(self) -> FrequencyStack:
-        """The experimental trials' vectors as a :class:`FrequencyStack` of
-        one member, the form the estimators take."""
-
-        def arms(space: str):
-            if space != "outcome" and not self.has_surrogate:
-                return None
-            sides = (f"control_{space}", f"treated_{space}")
-            return np.array([[getattr(t, side) for side in sides] for t in self.trials])[None]
-
-        empty = np.zeros(1, dtype=bool)
-        return FrequencyStack(self.arm_sizes()[None], empty, *map(arms, STATE_SPACES))
 
 
 def _open_source(source) -> tuple[TextIO, bool]:
@@ -330,7 +317,12 @@ def _rows_to_dataset(
                 raise ValidationError(
                     f"trial {trial!r}: its counts sum to {n}, beyond 2**63 - 1"
                 )
-    index = {trial: g for g, trial in enumerate(dict.fromkeys(labels))}
+    order = dict.fromkeys(labels)
+    if schema.target_label in order:
+        # The target trial's row goes last, as in ``counts_tensor``.
+        del order[schema.target_label]
+        order[schema.target_label] = None
+    index = {trial: g for g, trial in enumerate(order)}
     block = np.zeros((len(index),) + shape, dtype=np.int64)
     g = np.fromiter(map(index.__getitem__, labels), np.int64, len(labels))
     arm = np.array(records.arms, dtype=np.int64)
@@ -339,16 +331,14 @@ def _rows_to_dataset(
     cell = ((g * 2 + arm) * states + s) * k + y
     np.add.at(block.reshape(-1), cell, np.array(units, dtype=np.int64))
     block.flags.writeable = False
-    trials: list[TrialCellCounts] = []
-    target: TrialCellCounts | None = None
-    for trial_id, counts in zip(index, block):
-        if trial_id == schema.target_label:
-            target = TrialCellCounts(trial_id=trial_id, counts=counts, is_target=True)
-        else:
-            trials.append(TrialCellCounts._parsed(trial_id, counts))
+    ids = list(index)
+    target = None
+    if ids[-1] == schema.target_label:
+        target = TrialCellCounts(ids.pop(), block[-1], is_target=True)
+    trials = tuple(map(TrialCellCounts._parsed, ids, block))
     if not trials:
         raise ValidationError("no experimental trials found in input")
-    return MultiTrialDataset(trials=tuple(trials), target=target)
+    return MultiTrialDataset._parsed(trials, target, block.reshape(len(block), -1))
 
 
 #: Characters per block that the parser reads with ``readlines``: a block
@@ -807,25 +797,7 @@ def observed_frequencies(dataset: MultiTrialDataset) -> FrequencyStack:
     return freqs
 
 
-def summarize(dataset: MultiTrialDataset) -> Summaries:
-    """Compute per-trial conditional frequencies, those of
-    :func:`observed_frequencies`, which raises on an empty arm. For the
-    target trial only control-side vectors are produced.
-    """
-    freqs = observed_frequencies(dataset)
-    out = []
-    for g, trial in enumerate(dataset.all_trials):
-        vectors = {}
-        for space in STATE_SPACES:
-            arms = freqs.space(space)
-            if arms is not None:
-                vectors[f"control_{space}"] = arms[0, g, 0]
-                vectors[f"treated_{space}"] = None if trial.is_target else arms[0, g, 1]
-        sizes = tuple(int(n) for n in freqs.sizes[0, g])
-        out.append(TrialSummary(trial.trial_id, trial.is_target, sizes, **vectors))
-    return Summaries(
-        trials=tuple(out[: dataset.m]),
-        target=out[dataset.m] if dataset.target is not None else None,
-        outcome_cardinality=dataset.outcome_cardinality,
-        has_surrogate=dataset.has_surrogate,
-    )
+# Library-only names, defined where only their users load them.
+__getattr__ = _relocated(
+    __name__, dict.fromkeys(("Summaries", "TrialSummary", "summarize"), "summaries")
+)

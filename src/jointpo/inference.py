@@ -1,4 +1,4 @@
-"""Uncertainty quantification and the overidentification test.
+"""Bootstrap uncertainty quantification.
 
 Bootstrap resampling is stratified: within every trial the cell counts
 are redrawn as a multinomial over that trial's cells with the original
@@ -20,32 +20,23 @@ however replicates are grouped. The bootstrap runs in one thread.
 here and in the studies, so a chunk's memory does not grow with the table:
 a bootstrap chunk holds ``_CHUNK // counts.size`` replicates (at least one).
 
-The overidentification test's statistic exists once, in batch form:
-:func:`_j_statistics` serves :func:`overid_test` (one dataset, the ``test``
-command) and :func:`jointpo.simulate.overid_size_study` (a chunk of study
-replicates), so the size study measures the test that ships.
+The overidentification test lives in :mod:`jointpo.overid`, and
+:func:`plugin_variance` with the other library-only functions of a
+dataset's summaries in :mod:`jointpo.summaries`; this module forwards
+their names there.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .data import MultiTrialDataset, Summaries
-from .errors import (
-    EstimationError,
-    ForcedSolveWarning,
-    IdentificationError,
-    InferenceError,
-    JointpoError,
-    JointpoWarning,
-    ValidationError,
-)
-from .special import chi2_sf, normal_quantile
-from .transition import build_system, least_squares
+from . import _relocated
+from .data import MultiTrialDataset, _Frozen
+from .errors import EstimationError, InferenceError, ValidationError
+from .special import normal_quantile
 
 _MAX_REDRAWS = 100
 _MAX_FAILURE_FRACTION = 0.10
@@ -53,11 +44,6 @@ _MAX_FAILURE_FRACTION = 0.10
 #: counts): a bootstrap chunk holds ``_CHUNK // counts.size`` replicates and a
 #: Monte Carlo study chunk ``_CHUNK // ((1 + B) * cells)``, at least one.
 _CHUNK = 49152
-#: Residuals below this magnitude count as an exact fit (a just-identified
-#: solve is exact up to rounding, so its test statistic must vanish), and a
-#: residual standard error below it as zero (a trial whose residual is the same
-#: in every resample has no noise scale, whatever rounding leaves of its spread).
-_EXACT_FIT_TOL = 1e-12
 
 
 def replicate_rng(seed: int, index: int) -> np.random.Generator:
@@ -80,24 +66,27 @@ def check_seed(seed: int) -> None:
         raise ValidationError(f"seed must be a non-negative integer, got {seed}")
 
 
-@dataclass(frozen=True)
-class BootstrapConfig:
+class BootstrapConfig(_Frozen):
     """Settings for stratified multinomial bootstrap inference."""
 
-    replicates: int = 500
-    seed: int = 0
-    ci_level: float = 0.95
-    ci_method: str = "normal"
+    __slots__ = _fields = ("replicates", "seed", "ci_level", "ci_method")
 
-    def __post_init__(self):
-        check_seed(self.seed)
-        check_integer("replicates", self.replicates)
-        if self.replicates < 2:
+    def __init__(
+        self,
+        replicates: int = 500,
+        seed: int = 0,
+        ci_level: float = 0.95,
+        ci_method: str = "normal",
+    ):
+        check_seed(seed)
+        check_integer("replicates", replicates)
+        if replicates < 2:
             raise ValidationError("bootstrap needs at least 2 replicates")
-        if not 0.0 < self.ci_level < 1.0:
+        if not 0.0 < ci_level < 1.0:
             raise ValidationError("ci_level must lie in (0, 1)")
-        if self.ci_method not in ("normal", "percentile"):
+        if ci_method not in ("normal", "percentile"):
             raise ValidationError("ci_method must be 'normal' or 'percentile'")
+        self._set(replicates=replicates, seed=seed, ci_level=ci_level, ci_method=ci_method)
 
 
 class VarianceEstimate(NamedTuple):
@@ -198,41 +187,6 @@ def resample_dataset(
     return dataset.with_counts(out[0])
 
 
-def _per_dataset(
-    dataset: MultiTrialDataset,
-    estimator: Callable[[MultiTrialDataset], np.ndarray],
-    shape: tuple[int, ...],
-) -> Callable[[np.ndarray], BatchFit]:
-    """Batch adapter of a dataset-to-vector estimator: one rebuilt dataset
-    per member. An estimator error, or a result of another shape than
-    ``shape``, makes the member undefined; a :class:`ForcedSolveWarning`
-    marks it forced. Other package warnings are ignored, as for any
-    resample."""
-
-    def fit(tensor: np.ndarray) -> BatchFit:
-        values = np.full((len(tensor), int(np.prod(shape))), np.nan)
-        ok = np.zeros(len(tensor), dtype=bool)
-        forced = np.zeros(len(tensor), dtype=bool)
-        for b, counts in enumerate(tensor):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("ignore", JointpoWarning)
-                warnings.simplefilter("always", ForcedSolveWarning)
-                try:
-                    value = np.asarray(estimator(dataset.with_counts(counts)), dtype=float)
-                except (JointpoError, np.linalg.LinAlgError):
-                    value = None
-            for w in caught:
-                if not issubclass(w.category, JointpoWarning):
-                    warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-            if value is not None and value.shape == shape:
-                values[b] = value.reshape(-1)
-                ok[b] = True
-                forced[b] = any(issubclass(w.category, ForcedSolveWarning) for w in caught)
-        return BatchFit(values, ok, forced)
-
-    return fit
-
-
 def _normal_ci(
     point: np.ndarray, se: np.ndarray, level: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -271,6 +225,8 @@ def bootstrap(
             raise EstimationError("the statistic is undefined on the observed counts")
         point = observed.values[0]
     else:
+        from .summaries import _per_dataset
+
         point = np.asarray(estimator(dataset), dtype=float)
         fit = _per_dataset(dataset, estimator, point.shape)
 
@@ -325,167 +281,10 @@ def bootstrap(
     )
 
 
-def _two_state_margins(summaries: Summaries, space: str) -> tuple[np.ndarray, np.ndarray]:
-    """The control frequencies ``(m, 2)`` and treated success rates ``(m,)``
-    of :func:`~jointpo.transition.build_system`'s two-state system."""
-    system = build_system(summaries, space)
-    if system.k != 2:
-        raise ValidationError("this operation is defined for two-state systems only")
-    return system.design, system.response[:, 1]
-
-
-def plugin_variance(
-    summaries: Summaries,
-    theta: np.ndarray,
-    n: int | None = None,
-    *,
-    space: str = "outcome",
-    ci_level: float = 0.95,
-) -> VarianceEstimate:
-    """Closed-form asymptotic standard errors for the two-state
-    transition estimator.
-
-    The asymptotic variance has sandwich form ``C^-1 V C^-1`` with
-    ``C`` the average outer product of the control frequency vectors.
-    ``V`` aggregates, per trial, the sampling variance of the treated
-    frequency and of the theta-weighted control frequencies; both pieces
-    expand in closed form from the multinomial cell probabilities, with
-    trial weights taken as ``n_g / n``.
-
-    With ``H`` the pseudo-inverse of the control design ``M`` (``C = M^T M
-    / m``), the sandwich is ``H diag(v) H^T`` for the per-trial variances
-    ``v``; ``H`` comes from :func:`~jointpo.transition.least_squares`, so the
-    rank decision is the estimator's and the Gram matrix is never formed.
-    """
-    theta = np.asarray(theta, dtype=float)
-    M, y = _two_state_margins(summaries, space)
-    sizes = summaries.arm_sizes().astype(float)
-    if n is None:
-        n = int(sizes.sum())
-    p_arm = sizes / float(n)  # (m, 2) empirical P(G=g, A=a)
-    if (p_arm <= 0).any():
-        raise ValidationError("every trial needs units in both arms")
-
-    # Per-trial variance of the linearized residual:
-    #   treated-frequency noise plus control-side noise of theta(Y).
-    var_treated = y * (1.0 - y) / p_arm[:, 1]
-    theta_mean = M @ theta
-    theta_sq = M @ (theta**2)
-    var_control = (theta_sq - theta_mean**2) / p_arm[:, 0]
-    v = var_treated + var_control
-
-    if (v == 0).all():
-        # Fully deterministic cells: no sampling noise regardless of the
-        # design's conditioning.
-        se = np.zeros_like(theta)
-    else:
-        pinv, identified = least_squares(M, np.eye(len(M)))
-        if not identified:
-            raise IdentificationError(
-                "plug-in variance is undefined: singular design"
-            )
-        se = np.sqrt(np.clip(pinv**2 @ v, 0.0, None) / n)
-    lower, upper = _normal_ci(theta, se, ci_level)
-    return VarianceEstimate(
-        point=theta,
-        se=se,
-        ci_lower=lower,
-        ci_upper=upper,
-        source="plugin",
-    )
-
-
-class OveridTestResult(NamedTuple):
-    """Result of the overidentification test of transportability.
-
-    ``statistic`` is the sigma-normalized sum of squared per-trial
-    residuals; under the null it is asymptotically chi-square with
-    ``m - k`` degrees of freedom. ``p_value`` is None when the system is
-    just identified (df = 0).
-    """
-
-    statistic: float
-    df: int
-    p_value: float | None
-    per_trial_residuals: tuple[tuple[str, float, float], ...]
-
-    def recompute_statistic(self) -> float:
-        return float(
-            sum((r / s) ** 2 for _, r, s in self.per_trial_residuals)
-        )
-
-
-def _j_statistics(residuals: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The J statistic ``sum((r / sigma) ** 2)`` over the trials (last axis) of
-    ``(..., m)`` residuals and their standard errors, and the residuals it
-    used: those below :data:`_EXACT_FIT_TOL` count as an exact fit (zero). A
-    member with a standard error below it has no residual scale and gets NaN.
-    """
-    effective = np.where(np.abs(residuals) < _EXACT_FIT_TOL, 0.0, residuals)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        stat = ((effective / sigma) ** 2).sum(axis=-1)
-    return np.where((sigma < _EXACT_FIT_TOL).any(axis=-1), np.nan, stat), effective
-
-
-def transition_residuals(
-    summaries: Summaries, theta: np.ndarray, *, space: str = "outcome"
-) -> np.ndarray:
-    """Per-trial residuals of the treated frequency against its fitted
-    mixture of control frequencies."""
-    M, y = _two_state_margins(summaries, space)
-    return y - M @ np.asarray(theta, dtype=float)
-
-
-def overid_test(
-    summaries: Summaries,
-    theta: np.ndarray,
-    sigma_g: np.ndarray,
-    *,
-    space: str = "outcome",
-) -> OveridTestResult:
-    """Chi-square test of the trial-invariance of transition probabilities.
-
-    ``sigma_g`` are per-trial standard errors of the residual noise,
-    normally the standard deviations, across the same bootstrap
-    replicates that produced ``theta``, of the replicate frequencies'
-    deviation from the point fit (the raw noise scale; the reference
-    distribution's m - k degrees of freedom already account for the
-    fitted parameters). A ``sigma_g`` below :data:`_EXACT_FIT_TOL` raises
-    :class:`InferenceError`. Requires more trials than states for a p-value;
-    with m == k the statistic is reported (it vanishes up to rounding)
-    and the p-value is marked inapplicable.
-    """
-    residuals = transition_residuals(summaries, theta, space=space)
-    return overid_result(summaries.trial_ids, residuals, sigma_g)
-
-
-def overid_result(
-    trial_ids: Sequence[str], residuals: np.ndarray, sigma_g: np.ndarray
-) -> OveridTestResult:
-    """:func:`overid_test` of the trials' residuals from the fitted two-state
-    transition and their noise scales ``sigma_g``."""
-    sigma = np.asarray(sigma_g, dtype=float)
-    if sigma.shape != residuals.shape:
-        raise ValidationError("sigma_g must provide one value per trial")
-    df = residuals.size - 2
-    if df == 0:
-        # Just identified: the fit is exact by construction, so no residual
-        # scale exists. Record unit sigmas to keep the statistic reproducible
-        # from the residual list.
-        sigma = np.ones_like(residuals)
-    elif (sigma < _EXACT_FIT_TOL).any():
-        bad = [tid for tid, s in zip(trial_ids, sigma) if s < _EXACT_FIT_TOL]
-        raise InferenceError(
-            f"zero residual standard error for trial(s) {', '.join(bad)}; "
-            "the test statistic is undefined"
-        )
-    stat, effective = _j_statistics(residuals, sigma)
-    per_trial = tuple(
-        (tid, float(r), float(s)) for tid, r, s in zip(trial_ids, effective, sigma)
-    )
-    return OveridTestResult(
-        statistic=float(stat),
-        df=df,
-        p_value=chi2_sf(float(stat), df) if df else None,
-        per_trial_residuals=per_trial,
-    )
+__getattr__ = _relocated(
+    __name__,
+    {
+        **dict.fromkeys(("plugin_variance", "transition_residuals", "overid_test"), "summaries"),
+        **dict.fromkeys(("OveridTestResult", "overid_result"), "overid"),
+    },
+)

@@ -16,11 +16,12 @@ post-treatment variable. Two estimation families are provided:
 from __future__ import annotations
 
 import warnings
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .data import FrequencyStack, Summaries
+from . import _deferred
+from .data import FrequencyStack
 from .errors import (
     EstimationError,
     IdentificationError,
@@ -31,8 +32,14 @@ from .errors import (
 )
 from .transition import design_system, fit_system, joint_tables, least_squares
 
-# Unused here, but perfbench/tracing.py times them through this module's names.
-from .transition import build_system, solve_transitions  # noqa: F401
+if TYPE_CHECKING:
+    from .summaries import Summaries
+
+# Unused here, but perfbench/tracing.py times them through this module's names;
+# ``build_system`` is a stand-in that loads the library-only module at its first call.
+from .transition import solve_transitions  # noqa: F401
+
+build_system = _deferred("summaries", "build_system")
 
 STRATA = ("00", "01", "10", "11")
 

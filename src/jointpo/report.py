@@ -1,5 +1,4 @@
-"""Report serialization: canonical JSON, content digests and study
-persistence.
+"""Report serialization: canonical JSON and content digests.
 
 Reports serialize with sorted keys, two-space indentation and ASCII
 escapes, so identical analyses produce byte-identical documents.
@@ -13,22 +12,22 @@ Digests are SHA-256 from the interpreter's built-in module
 (``_sha2``, or ``_sha256`` before Python 3.12), as ``random`` takes its
 SHA-512, so writing a report loads no OpenSSL; ``hashlib`` is the
 fallback.
+
+A study's JSON summary, replicate CSV and text table live in
+:mod:`jointpo.simulate`, beside the study they write; this module forwards
+their names there.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .simulate import StudyResult
+from . import _relocated
 
 try:
     from _sha2 import sha256 as _sha256
@@ -190,87 +189,10 @@ def load_report_schema() -> dict:
         return json.load(fh)
 
 
-def study_to_dict(result: StudyResult) -> dict:
-    """JSON-ready summary of a study (metrics and configuration echo)."""
-    metrics = result.metrics
-    return {
-        "config": {
-            "case": result.spec.case,
-            "m": result.spec.m,
-            "n_g": result.spec.n_g,
-            "treatment_prob": result.spec.treatment_prob,
-            "replicates": result.replicates,
-            "bootstrap_replicates": result.bootstrap_replicates,
-            "seed": result.seed,
-            "pipeline": result.pipeline,
-        },
-        "n_failed": result.n_failed,
-        "parameters": [
-            {
-                "name": name,
-                "truth": float(result.truth[j]),
-                "bias": float(metrics["bias"][j]),
-                "sd": float(metrics["sd"][j]),
-                "ese": float(metrics["ese"][j]),
-                "cp95": float(metrics["cp95"][j]),
-            }
-            for j, name in enumerate(result.param_names)
-        ],
-    }
-
-
-def replicates_to_csv(result: StudyResult) -> str:
-    """Long-format replicate matrix (estimate and bootstrap se per cell).
-
-    Floats are written with ``repr`` so a read-back reproduces them
-    bit-for-bit.
-    """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["replicate", "parameter", "estimate", "se"])
-    for i in range(result.estimates.shape[0]):
-        for j, name in enumerate(result.param_names):
-            writer.writerow(
-                [i, name, repr(float(result.estimates[i, j])), repr(float(result.ses[i, j]))]
-            )
-    return out.getvalue()
-
-
-def read_replicates_csv(text: str) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """Parse :func:`replicates_to_csv` output back into matrices."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != ["replicate", "parameter", "estimate", "se"]:
-        raise ValueError("unexpected replicate CSV header")
-    cells: dict[tuple[int, str], tuple[float, float]] = {}
-    names: list[str] = []
-    max_rep = -1
-    for rep, name, est, se in reader:
-        i = int(rep)
-        max_rep = max(max_rep, i)
-        if name not in names:
-            names.append(name)
-        cells[(i, name)] = (float(est), float(se))
-    estimates = np.empty((max_rep + 1, len(names)))
-    ses = np.empty_like(estimates)
-    for (i, name), (est, se) in cells.items():
-        j = names.index(name)
-        estimates[i, j] = est
-        ses[i, j] = se
-    return tuple(names), estimates, ses
-
-
-def format_study_table(result: StudyResult) -> str:
-    """Fixed-width text table of a study's Bias/SD/ESE/CP95 metrics."""
-    lines = [
-        f"case {result.spec.case}  n_g={result.spec.n_g}  "
-        f"R={result.replicates}  B={result.bootstrap_replicates}",
-        f"{'parameter':<22} {'truth':>8} {'Bias':>8} {'SD':>8} {'ESE':>8} {'CP95':>6}",
-    ]
-    met = result.metrics
-    for j, name in enumerate(result.param_names):
-        lines.append(
-            f"{name:<22} {result.truth[j]:>8.3f} {met['bias'][j]:>8.3f} "
-            f"{met['sd'][j]:>8.3f} {met['ese'][j]:>8.3f} {met['cp95'][j]:>6.3f}"
-        )
-    return "\n".join(lines) + "\n"
+__getattr__ = _relocated(
+    __name__,
+    dict.fromkeys(
+        ("study_to_dict", "replicates_to_csv", "read_replicates_csv", "format_study_table"),
+        "simulate",
+    ),
+)

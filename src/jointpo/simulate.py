@@ -31,11 +31,14 @@ c4). A chunk builds the frequencies of only the state spaces its estimator
 reads. Every kernel works member by member and results land by replicate
 index, so studies are bit-identical for any ``workers`` and chunk size.
 Coverage uses normal intervals ``point +- 1.96 * se`` with the bootstrap
-standard error.
+standard error. A study is written out by :func:`study_to_dict`,
+:func:`replicates_to_csv` and :func:`format_study_table`.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import threading
 from dataclasses import dataclass, field
@@ -54,7 +57,7 @@ from .data import (
 )
 from .errors import InferenceError, ValidationError
 from .inference import replicate_rng
-from .special import chi2_sf, expit
+from .special import expit
 from .transition import fit_transitions
 
 Z95 = 1.96
@@ -615,11 +618,11 @@ def overid_size_study(
 ) -> np.ndarray:
     """P-values of the overidentification test across simulated replicates,
     each computed as ``test`` computes it: the statistic of
-    :func:`~jointpo.inference.overid_test` on the replicate's point fit.
+    :func:`~jointpo.summaries.overid_test` on the replicate's point fit.
 
     Each replicate bootstraps the per-trial residual standard errors: the
     spread, across every kept resample, of each trial's deviation from the
-    point fit. A standard error below ``inference._EXACT_FIT_TOL`` counts
+    point fit. A standard error below ``overid._EXACT_FIT_TOL`` counts
     as zero. Replicates are drawn and fitted in chunks over ``workers``
     threads as in :func:`run_study`, with bit-identical p-values for any
     ``workers``. A replicate gets NaN when its point fit is singular, it has
@@ -627,6 +630,8 @@ def overid_size_study(
     gets NaN when the system is just identified (``m = 2``, no degrees of
     freedom).
     """
+    from .overid import _j_statistics, chi2_sf
+
     _check_study(replicates, bootstrap_replicates, seed)
     threads = _thread_count(workers)
     population = dgp_population(spec)
@@ -649,7 +654,7 @@ def overid_size_study(
         for s, r, k in zip(sigma, residuals, keep):
             if k.sum() > 1:
                 s[:] = r[1:][k].std(axis=0, ddof=1)
-        for i, j in zip(index, inference._j_statistics(residuals[:, 0], sigma)[0]):
+        for i, j in zip(index, _j_statistics(residuals[:, 0], sigma)[0]):
             p_values[i] = chi2_sf(float(j), df)
 
     if df > 0:
@@ -658,3 +663,89 @@ def overid_size_study(
             _arms_positive, finish, threads,
         )
     return p_values
+
+
+def study_to_dict(result: StudyResult) -> dict:
+    """JSON-ready summary of a study (metrics and configuration echo)."""
+    metrics = result.metrics
+    return {
+        "config": {
+            "case": result.spec.case,
+            "m": result.spec.m,
+            "n_g": result.spec.n_g,
+            "treatment_prob": result.spec.treatment_prob,
+            "replicates": result.replicates,
+            "bootstrap_replicates": result.bootstrap_replicates,
+            "seed": result.seed,
+            "pipeline": result.pipeline,
+        },
+        "n_failed": result.n_failed,
+        "parameters": [
+            {
+                "name": name,
+                "truth": float(result.truth[j]),
+                "bias": float(metrics["bias"][j]),
+                "sd": float(metrics["sd"][j]),
+                "ese": float(metrics["ese"][j]),
+                "cp95": float(metrics["cp95"][j]),
+            }
+            for j, name in enumerate(result.param_names)
+        ],
+    }
+
+
+def replicates_to_csv(result: StudyResult) -> str:
+    """Long-format replicate matrix (estimate and bootstrap se per cell).
+
+    Floats are written with ``repr`` so a read-back reproduces them
+    bit-for-bit.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["replicate", "parameter", "estimate", "se"])
+    for i in range(result.estimates.shape[0]):
+        for j, name in enumerate(result.param_names):
+            writer.writerow(
+                [i, name, repr(float(result.estimates[i, j])), repr(float(result.ses[i, j]))]
+            )
+    return out.getvalue()
+
+
+def read_replicates_csv(text: str) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Parse :func:`replicates_to_csv` output back into matrices."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    if header != ["replicate", "parameter", "estimate", "se"]:
+        raise ValueError("unexpected replicate CSV header")
+    cells: dict[tuple[int, str], tuple[float, float]] = {}
+    names: list[str] = []
+    max_rep = -1
+    for rep, name, est, se in reader:
+        i = int(rep)
+        max_rep = max(max_rep, i)
+        if name not in names:
+            names.append(name)
+        cells[(i, name)] = (float(est), float(se))
+    estimates = np.empty((max_rep + 1, len(names)))
+    ses = np.empty_like(estimates)
+    for (i, name), (est, se) in cells.items():
+        j = names.index(name)
+        estimates[i, j] = est
+        ses[i, j] = se
+    return tuple(names), estimates, ses
+
+
+def format_study_table(result: StudyResult) -> str:
+    """Fixed-width text table of a study's Bias/SD/ESE/CP95 metrics."""
+    lines = [
+        f"case {result.spec.case}  n_g={result.spec.n_g}  "
+        f"R={result.replicates}  B={result.bootstrap_replicates}",
+        f"{'parameter':<22} {'truth':>8} {'Bias':>8} {'SD':>8} {'ESE':>8} {'CP95':>6}",
+    ]
+    met = result.metrics
+    for j, name in enumerate(result.param_names):
+        lines.append(
+            f"{name:<22} {result.truth[j]:>8.3f} {met['bias'][j]:>8.3f} "
+            f"{met['sd'][j]:>8.3f} {met['ese'][j]:>8.3f} {met['cp95'][j]:>6.3f}"
+        )
+    return "\n".join(lines) + "\n"

@@ -19,12 +19,12 @@ rows sum to one by construction.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .data import COMPOSITE_STATES, STATE_SPACES, FrequencyStack, Summaries
+from . import _relocated
+from .data import COMPOSITE_STATES, STATE_SPACES, FrequencyStack, _Frozen
 from .errors import (
     ForcedSolveWarning,
     IdentificationError,
@@ -38,8 +38,7 @@ _DEFAULT_RANK_TOL = 1e-8
 COMPOSITE_STATE_LABELS = tuple(f"s={s},y={y}" for s, y in COMPOSITE_STATES)
 
 
-@dataclass(frozen=True)
-class DesignSystem:
+class DesignSystem(_Frozen):
     """Stacked per-trial state frequencies for one state space.
 
     ``design`` rows are control-arm distributions, ``response`` rows are
@@ -47,17 +46,20 @@ class DesignSystem:
     marks allowed transitions (True everywhere when unconstrained).
     """
 
-    design: np.ndarray
-    response: np.ndarray
-    state_labels: tuple[str, ...]
-    support_mask: np.ndarray
-    trial_ids: tuple[str, ...]
+    __slots__ = _fields = ("design", "response", "state_labels", "support_mask", "trial_ids")
 
-    def __post_init__(self):
-        M = np.array(self.design, dtype=float)
-        R = np.array(self.response, dtype=float)
-        mask = np.array(self.support_mask, dtype=bool)
-        k = len(self.state_labels)
+    def __init__(
+        self,
+        design: np.ndarray,
+        response: np.ndarray,
+        state_labels: tuple[str, ...],
+        support_mask: np.ndarray,
+        trial_ids: tuple[str, ...],
+    ):
+        M = np.array(design, dtype=float)
+        R = np.array(response, dtype=float)
+        mask = np.array(support_mask, dtype=bool)
+        k = len(state_labels)
         if M.shape != R.shape or M.ndim != 2 or M.shape[1] != k:
             raise ValidationError("design and response must be (m, k) matrices")
         if mask.shape != (k, k):
@@ -71,9 +73,13 @@ class DesignSystem:
         M.flags.writeable = False
         R.flags.writeable = False
         mask.flags.writeable = False
-        object.__setattr__(self, "design", M)
-        object.__setattr__(self, "response", R)
-        object.__setattr__(self, "support_mask", mask)
+        self._set(
+            design=M,
+            response=R,
+            state_labels=state_labels,
+            support_mask=mask,
+            trial_ids=trial_ids,
+        )
 
     @property
     def m(self) -> int:
@@ -142,20 +148,6 @@ def monotone_mask(space: str, mono_s: bool, mono_y: bool) -> np.ndarray:
             if mono_y and y1 < y0:
                 mask[i, j] = False
     return mask
-
-
-def build_system(
-    summaries: Summaries,
-    state_space: str = "outcome",
-    *,
-    mono_s: bool = False,
-    mono_y: bool = False,
-) -> DesignSystem:
-    """Assemble the stacked linear system of a dataset's summaries for the
-    requested state space: :func:`design_system`."""
-    return design_system(
-        summaries.frequencies(), summaries.trial_ids, state_space, mono_s=mono_s, mono_y=mono_y
-    )
 
 
 def design_system(
@@ -561,15 +553,6 @@ def binary_transition_params(trans: TransitionMatrix) -> np.ndarray:
     return trans.probs[:, 1].copy()
 
 
-class JointTable(NamedTuple):
-    """Joint distribution of the control-arm and treated-arm potential
-    states for one trial: ``table[a, b] = P(state0 = a, state1 = b)``."""
-
-    trial_id: str
-    table: np.ndarray
-    negative_mass: bool
-
-
 def joint_tables(probs: np.ndarray, control_marginals: np.ndarray) -> np.ndarray:
     """Joint tables ``J[..., a, b] = probs[..., a, b] * marginal[..., a]``,
     broadcasting ``(..., k, k)`` transitions against ``(..., k)`` marginals."""
@@ -595,66 +578,6 @@ def flag_negative_joints(tables: np.ndarray, trial_ids) -> np.ndarray:
     return negative
 
 
-def joint_from_transitions(
-    trans: TransitionMatrix, control_marginal: np.ndarray, trial_id: str = ""
-) -> JointTable:
-    """Combine transitions with a control-state marginal into the joint
-    table ``J[a, b] = probs[a, b] * marginal[a]``.
-
-    Row sums of the result reproduce the marginal exactly. Slightly
-    negative cells (possible for unprojected estimates) are flagged,
-    never clipped.
-    """
-    marginal = np.asarray(control_marginal, dtype=float)
-    if marginal.shape != (trans.k,):
-        raise ValidationError(
-            f"control marginal must have length {trans.k}, got {marginal.shape}"
-        )
-    table = joint_tables(trans.probs, marginal)
-    negative = bool(flag_negative_joints(table, [trial_id]))
-    return JointTable(trial_id=trial_id, table=table, negative_mass=negative)
-
-
-class DerivedEstimands(NamedTuple):
-    """Scalar causal quantities derived from a binary joint table.
-
-    ``None`` marks a quantity whose conditioning event has zero mass.
-    """
-
-    treatment_harm_rate: float
-    treatment_benefit_rate: float
-    persuasion_rate: float | None
-    prob_sufficient_causation: float | None
-    prob_necessary_causation: float | None
-
-
-def derived_estimands(
-    joint: JointTable | np.ndarray, favorable_label: int = 1
-) -> DerivedEstimands:
-    """Harm/benefit rates, the persuasion rate and attribution
-    probabilities for a binary outcome.
-
-    ``favorable_label`` names the outcome value counted as favorable.
-    """
-    table = joint.table if isinstance(joint, JointTable) else np.asarray(joint, float)
-    if table.shape != (2, 2):
-        raise ValidationError("derived estimands are defined for binary outcomes only")
-    if favorable_label not in (0, 1):
-        raise ValidationError("favorable_label must be 0 or 1")
-    harm, benefit, persuasion, necessity = (
-        float(v) for v in estimand_vectors(table, favorable_label)
-    )
-    persuasion = None if np.isnan(persuasion) else persuasion
-    necessity = None if np.isnan(necessity) else necessity
-    return DerivedEstimands(
-        treatment_harm_rate=harm,
-        treatment_benefit_rate=benefit,
-        persuasion_rate=persuasion,
-        prob_sufficient_causation=persuasion,
-        prob_necessary_causation=necessity,
-    )
-
-
 def estimand_vectors(tables: np.ndarray, favorable_label: int = 1) -> np.ndarray:
     """Harm rate, benefit rate, persuasion rate (which is also the
     probability of sufficient causation) and probability of necessary
@@ -669,3 +592,19 @@ def estimand_vectors(tables: np.ndarray, favorable_label: int = 1) -> np.ndarray
         persuasion = np.where(unf_row > 0, benefit / unf_row, np.nan)
         necessity = np.where(fav_col > 0, benefit / fav_col, np.nan)
     return np.stack([tables[..., fav, unf], benefit, persuasion, necessity], axis=-1)
+
+
+# Library-only names, defined where only their users load them.
+__getattr__ = _relocated(
+    __name__,
+    dict.fromkeys(
+        (
+            "build_system",
+            "JointTable",
+            "joint_from_transitions",
+            "DerivedEstimands",
+            "derived_estimands",
+        ),
+        "summaries",
+    ),
+)

@@ -301,7 +301,7 @@ def _joint(trans, summary, space: str) -> np.ndarray:
 
 
 def reference_estimate(space: str, *, mono_s=False, mono_y=False, project=False):
-    """``cli.estimate_estimator``: transition parameters, then per-trial THR,
+    """``commands.estimate.estimate_estimator``: transition parameters, then per-trial THR,
     TBR, persuasion rate and PN when the space has two states."""
 
     def statistic(ds):
@@ -318,7 +318,7 @@ def reference_estimate(space: str, *, mono_s=False, mono_y=False, project=False)
 
 
 def reference_overid(space: str, theta: np.ndarray):
-    """``cli.overid_estimator``: both transition parameters, then each
+    """``commands.test.overid_estimator``: both transition parameters, then each
     trial's residual against ``theta``."""
 
     def statistic(ds):
@@ -331,7 +331,7 @@ def reference_overid(space: str, theta: np.ndarray):
 
 
 def reference_target(space: str, *, project=False):
-    """``cli.target_estimator``: transition parameters, the target trial's
+    """``commands.target.target_estimator``: transition parameters, the target trial's
     joint table and, with two states, its THR, TBR, persuasion rate and PN."""
 
     def statistic(ds):
@@ -347,7 +347,7 @@ def reference_target(space: str, *, project=False):
 
 
 def reference_psace(method: int, *, clip_scores=False, project=False):
-    """``cli.psace_estimator``: the per-trial stratum effect table, flattened."""
+    """``commands.psace.psace_estimator``: the per-trial stratum effect table, flattened."""
 
     def statistic(ds):
         s = summarize(ds)
@@ -364,7 +364,7 @@ def reference_psace(method: int, *, clip_scores=False, project=False):
 
 
 def reference_joint_cells(space: str):
-    """``cli.joint_cell_estimator``: each trial's joint harm cell
+    """``commands.psace.joint_cell_estimator``: each trial's joint harm cell
     P(state0=1, state1=0)."""
 
     def statistic(ds):

@@ -16,13 +16,10 @@ import numpy as np
 import pytest
 
 import jointpo.inference
-from jointpo.cli import (
-    estimate_estimator,
-    joint_cell_estimator,
-    overid_estimator,
-    psace_estimator,
-    target_estimator,
-)
+from jointpo.commands.estimate import estimate_estimator
+from jointpo.commands.psace import joint_cell_estimator, psace_estimator
+from jointpo.commands.target import target_estimator
+from jointpo.commands.test import overid_estimator
 from jointpo.data import MultiTrialDataset, TrialCellCounts, summarize
 from jointpo.errors import EstimationError, ForcedSolveWarning, JointpoError, JointpoWarning
 from jointpo.inference import (

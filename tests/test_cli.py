@@ -16,7 +16,8 @@ from jsonschema import validate
 
 import jointpo.cli
 from helpers import reference_estimate, reference_target
-from jointpo.cli import joint_cell_estimator, main
+from jointpo.cli import main
+from jointpo.commands.psace import joint_cell_estimator
 from jointpo.data import (
     MultiTrialDataset,
     TrialCellCounts,
@@ -870,6 +871,7 @@ class TestReportsFromObservedFrequencies:
     ):
         import jointpo.data
         import jointpo.principal
+        import jointpo.summaries
         import jointpo.transition
 
         if name in POINT_TABLES:
@@ -883,7 +885,9 @@ class TestReportsFromObservedFrequencies:
         def refuse(*args, **kwargs):
             raise ObjectPathCalled
 
-        modules = (jointpo.cli, jointpo.data, jointpo.transition, jointpo.principal)
+        modules = (
+            jointpo.cli, jointpo.data, jointpo.transition, jointpo.principal, jointpo.summaries
+        )
         patched = 0
         for module in modules:
             for attr in OBJECT_PATH:
@@ -976,6 +980,16 @@ class TestSchemaAndErrors:
         error = json.loads(err)["error"]
         assert error["type"] == "ValidationError"
         assert error["message"] == f"--columns names {columns.split('=')[0].strip()!r} twice"
+
+    @pytest.mark.parametrize("columns, entry", [("=x", "=x"), ("trial=t, =y", " =y")])
+    def test_empty_columns_key_names_its_entry(self, capsys, toy_csv, columns, entry):
+        code, out, err = run_cli(
+            capsys, "estimate", "--input", str(toy_csv), "--columns", columns, "--boot", "0"
+        )
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValidationError"
+        assert error["message"] == f"--columns entry {entry!r} has an empty name; use name=column"
 
     @pytest.mark.parametrize(
         "argv, error_type",

@@ -137,11 +137,21 @@ def test_star_import_and_dir():
     assert listed == sorted(listed)
 
 
-#: What ``import jointpo.cli`` loads, and with it every command but ``psace``
-#: and ``simulate``.
+#: What ``import jointpo.cli`` loads, and with it ``--version``: the shared
+#: core every command runs on.
 CLI_FLOOR = {
     "jointpo", "jointpo.cli", "jointpo.data", "jointpo.errors", "jointpo.inference",
     "jointpo.report", "jointpo.special", "jointpo.transition",
+}
+
+#: What each command loads beyond the floor (less ``jointpo.cli``, which runs
+#: as ``__main__``): its own module, and for ``test`` and ``psace`` the one
+#: library module only they use.
+COMMAND_EXTRAS = {
+    "estimate": {"jointpo.commands", "jointpo.commands.estimate"},
+    "test": {"jointpo.commands", "jointpo.commands.test", "jointpo.overid"},
+    "target": {"jointpo.commands", "jointpo.commands.target"},
+    "psace": {"jointpo.commands", "jointpo.commands.psace", "jointpo.principal"},
 }
 
 #: The names ``jointpo.cli`` binds to stand-ins that import their module at
@@ -158,6 +168,12 @@ SURROGATE_TABLE = "trial,arm,s,y,count\n" + "".join(
     for a in (0, 1)
     for s in (0, 1)
     for y in (0, 1)
+)
+
+
+#: The same table with a control-only target trial ``0``.
+TARGET_TABLE = SURROGATE_TABLE + "".join(
+    f"0,0,{s},{y},{30 + 4 * s + 9 * y}\n" for s in (0, 1) for y in (0, 1)
 )
 
 
@@ -245,16 +261,51 @@ def test_library_import_leaves_blas_threads_unset():
 def test_version_loads_only_the_shared_floor():
     loaded = _command_imports("--version")
     assert _jointpo_modules(loaded) == CLI_FLOOR - {"jointpo.cli"}
-    assert "statistics" not in loaded
+    assert not {"statistics", "dataclasses"} & loaded
 
 
 def test_estimate_and_psace_load_what_they_use(tmp_path):
     table = tmp_path / "table.csv"
     table.write_text(SURROGATE_TABLE, encoding="utf-8")
+    floor = CLI_FLOOR - {"jointpo.cli"}
     estimate = _command_imports("estimate", "--input", str(table), "--boot", "0")
-    assert _jointpo_modules(estimate) == CLI_FLOOR - {"jointpo.cli"}
+    assert _jointpo_modules(estimate) == floor | COMMAND_EXTRAS["estimate"]
     psace = _command_imports("psace", "--input", str(table), "--method", "1", "--boot", "0")
-    assert _jointpo_modules(psace) == CLI_FLOOR - {"jointpo.cli"} | {"jointpo.principal"}
+    assert _jointpo_modules(psace) == floor | COMMAND_EXTRAS["psace"]
+    assert "dataclasses" not in estimate | psace
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["test", "--boot", "20", "--seed", "1"], ["target", "--boot", "0"]],
+    ids=["test", "target"],
+)
+def test_test_and_target_load_what_they_use(tmp_path, argv):
+    # With the two tests above: no command loads another command's module,
+    # the library's object path or ``dataclasses``.
+    table = tmp_path / "table.csv"
+    table.write_text(TARGET_TABLE, encoding="utf-8")
+    loaded = _command_imports(argv[0], "--input", str(table), *argv[1:])
+    assert _jointpo_modules(loaded) == CLI_FLOOR - {"jointpo.cli"} | COMMAND_EXTRAS[argv[0]]
+    assert "dataclasses" not in loaded
+
+
+def test_relocated_names_resolve_to_one_function():
+    # The names a command never runs live in modules only their users load,
+    # and their old homes forward there.
+    from jointpo.inference import overid_test, plugin_variance
+    from jointpo.special import chi2_sf
+
+    import jointpo.cli
+    import jointpo.overid
+    import jointpo.summaries
+
+    assert overid_test is jointpo.summaries.overid_test is jointpo.overid_test
+    assert plugin_variance is jointpo.summaries.plugin_variance is jointpo.plugin_variance
+    assert chi2_sf is jointpo.overid.chi2_sf is jointpo.chi2_sf
+    assert jointpo.cli.overid_test is not overid_test
+    loaded = _loaded_submodules("from jointpo.special import chi2_sf")
+    assert loaded == ["jointpo.errors", "jointpo.overid", "jointpo.special"]
 
 
 def test_traced_cli_names_are_bound():

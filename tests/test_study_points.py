@@ -4,7 +4,8 @@ equals member 0 of the CLI statistic on the replicate's counts, bit for bit."""
 import numpy as np
 import pytest
 
-from jointpo.cli import estimate_estimator, psace_estimator
+from jointpo.commands.estimate import estimate_estimator
+from jointpo.commands.psace import psace_estimator
 from jointpo.data import frequency_stack
 from jointpo.errors import ValidationError
 from jointpo.inference import replicate_rng
