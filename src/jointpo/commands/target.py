@@ -46,7 +46,7 @@ def target_estimator(dataset, space: str, k: int, *, project=False) -> BatchEsti
 
 def run(args) -> dict:
     dataset, info = _load(args)
-    if dataset.target is None:
+    if dataset.target_id is None:
         raise ValidationError(
             "no control-only target trial in the dataset (label it with "
             "the target trial id, default '0')"
@@ -56,7 +56,7 @@ def run(args) -> dict:
     trans = fit_system(system, project_simplex=args.project, force=args.force)
     marginal = freqs.space(args.space)[0, dataset.m, 0]
     joint = joint_tables(trans.probs, marginal)
-    negative = bool(flag_negative_joints(joint, [dataset.target.trial_id]))
+    negative = bool(flag_negative_joints(joint, [dataset.target_id]))
     two_state = trans.k == 2
 
     names = list(trans.parameter_labels()) + [
@@ -71,7 +71,7 @@ def run(args) -> dict:
 
     results = {
         "space": args.space,
-        "target_trial": dataset.target.trial_id,
+        "target_trial": dataset.target_id,
         "target_marginal": marginal,
         "joint": joint,
         "negative_mass": negative,

@@ -29,6 +29,15 @@ load these two submodules and no other.
 A trial labeled ``0`` (configurable) designates a control-only target
 population: it may contain control rows only and is kept separate from
 the experimental trials.
+
+A :class:`MultiTrialDataset` holds its data once, as a read-only int64
+``(n_trials, cells)`` count block with the target's row last, beside the
+trial labels and the layout (outcome cardinality, surrogate presence).
+The parser, :meth:`~MultiTrialDataset.with_counts`, the resampler and the
+simulator all build datasets through its one checked constructor, which
+checks a whole block at once. The :class:`TrialCellCounts` of its trials
+are built from the block's rows, and checked, only when ``trials``,
+``target`` or ``all_trials`` is read; no command reads them.
 """
 
 from __future__ import annotations
@@ -84,9 +93,10 @@ DEFAULT_SCHEMA = ColumnSchema()
 
 
 class _Frozen:
-    """Base of the checked, immutable records: a subclass lists its fields in
-    ``_fields`` (and ``__slots__``), sets them once in its constructor with
-    :meth:`_set`, and compares, hashes and prints by them."""
+    """Base of the checked, immutable records: a subclass lists its
+    constructor's arguments in ``_fields``, sets its ``__slots__`` once in its
+    constructor with :meth:`_set`, and compares, hashes and prints by its
+    fields. A record holding arrays sets ``__hash__ = None``."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -107,7 +117,10 @@ class _Frozen:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(self._values(), other._values())
+        )
 
     def __hash__(self):
         return hash(self._values())
@@ -121,47 +134,54 @@ class _Frozen:
         return f"{type(self).__name__}({fields})"
 
 
+def _first(flags: np.ndarray) -> int | None:
+    """The first trial (leading index) with a flag set, or None."""
+    hit = flags.reshape(len(flags), -1).any(axis=1)
+    return int(hit.argmax()) if hit.any() else None
+
+
+def _checked_counts(counts: np.ndarray, labels: tuple[str, ...], target: bool) -> np.ndarray:
+    """A read-only int64 copy of ``counts``, the ``(n_trials, 2, k)`` or
+    ``(n_trials, 2, 2, k)`` cells of the trials ``labels`` (with ``target``,
+    the last is the control-only target). Raises the first check that a
+    trial fails, naming the first trial that fails it."""
+    if not np.issubdtype(counts.dtype, np.integer):
+        if (g := _first(~np.isfinite(counts) | (counts != np.floor(counts)))) is not None:
+            raise ValidationError(f"trial {labels[g]!r}: cell counts must be integers")
+    if counts.ndim not in (3, 4) or counts.shape[1] != 2:
+        raise ValidationError(f"trial {labels[0]!r}: counts must have shape (2, k) or (2, 2, k)")
+    if counts.ndim == 4 and counts.shape[2] != 2:
+        raise ValidationError(f"trial {labels[0]!r}: the surrogate axis must be binary")
+    if (g := _first(counts < 0)) is not None:
+        raise ValidationError(f"trial {labels[g]!r}: negative cell count")
+    rows = counts.reshape(len(counts), -1)
+    # With no count negative, bounding a trial's sum bounds each of its
+    # counts. Float sums are exact enough to pick the trials to sum exactly.
+    for g in np.flatnonzero(rows.sum(axis=1, dtype=np.float64) >= 2.0**62):
+        if (n := sum(map(int, rows[g].tolist()))) > _MAX_COUNT:
+            raise ValidationError(f"trial {labels[g]!r}: its counts sum to {n}, beyond 2**63 - 1")
+    block = counts.astype(np.int64)
+    if target and block[-1, 1].any():
+        raise ValidationError(f"target trial {labels[-1]!r} must contain control rows only")
+    block.flags.writeable = False
+    return block
+
+
 class TrialCellCounts(_Frozen):
     """Cell counts of one trial.
 
     ``counts`` has shape ``(2, k)`` without a surrogate or ``(2, 2, k)``
     with one; the leading axis is the treatment arm and, when present,
-    the middle axis is the surrogate value.
+    the middle axis is the surrogate value. The constructor checks them as
+    :class:`MultiTrialDataset` checks a block and keeps a read-only copy.
     """
 
     __slots__ = _fields = ("trial_id", "counts", "is_target")
+    __hash__ = None
 
     def __init__(self, trial_id: str, counts: np.ndarray, is_target: bool = False):
-        arr = np.asarray(counts)
-        if not np.issubdtype(arr.dtype, np.integer):
-            if not np.all(arr == np.floor(arr)):
-                raise ValidationError(f"trial {trial_id!r}: cell counts must be integers")
-            arr = arr.astype(np.int64)
-        else:
-            arr = arr.astype(np.int64, copy=True)
-        if arr.ndim not in (2, 3) or arr.shape[0] != 2:
-            raise ValidationError(
-                f"trial {trial_id!r}: counts must have shape (2, k) or (2, 2, k)"
-            )
-        if arr.ndim == 3 and arr.shape[1] != 2:
-            raise ValidationError(f"trial {trial_id!r}: the surrogate axis must be binary")
-        if (arr < 0).any():
-            raise ValidationError(f"trial {trial_id!r}: negative cell count")
-        if is_target and arr[1].sum() > 0:
-            raise ValidationError(f"target trial {trial_id!r} must contain control rows only")
-        arr.flags.writeable = False
-        self._set(trial_id=trial_id, counts=arr, is_target=is_target)
-
-    @classmethod
-    def _parsed(cls, trial_id: str, counts: np.ndarray) -> "TrialCellCounts":
-        """An experimental trial over a parser-built block row: a read-only,
-        nonnegative int64 array of a valid shape, which the constructor
-        would only copy and re-check."""
-        cell = object.__new__(cls)
-        object.__setattr__(cell, "trial_id", trial_id)
-        object.__setattr__(cell, "counts", counts)
-        object.__setattr__(cell, "is_target", False)
-        return cell
+        block = _checked_counts(np.asarray(counts)[None], (trial_id,), is_target)
+        self._set(trial_id=trial_id, counts=block[0], is_target=is_target)
 
     @property
     def has_surrogate(self) -> bool:
@@ -183,86 +203,99 @@ class TrialCellCounts(_Frozen):
 
 class MultiTrialDataset(_Frozen):
     """An ordered collection of experimental trials plus an optional
-    control-only target trial."""
+    control-only target trial, held as one read-only int64 count block.
 
-    __slots__ = ("trials", "target", "_block")
+    The block has one row per trial, the target's last, and
+    :meth:`counts_tensor` returns it. ``trial_ids`` names the experimental
+    trials and ``target_id`` the target (None without one). ``trials``,
+    ``target`` and ``all_trials`` build :class:`TrialCellCounts` of the
+    block's rows at each access; no command reads them.
+    """
+
+    __slots__ = ("_block", "trial_ids", "target_id", "outcome_cardinality", "has_surrogate")
     _fields = ("trials", "target")
+    __hash__ = None
 
     def __init__(
         self, trials: tuple[TrialCellCounts, ...], target: TrialCellCounts | None = None
     ):
-        if not trials:
-            raise ValidationError("a dataset needs at least one experimental trial")
-        everything = list(trials) + ([target] if target is not None else [])
-        labels = [t.trial_id for t in everything]
-        if len(set(labels)) != len(labels):
-            raise ValidationError("trial labels must be unique")
-        k = everything[0].outcome_cardinality
-        surr = everything[0].has_surrogate
-        for t in everything:
-            if t.outcome_cardinality != k:
-                raise ValidationError("outcome cardinality must be identical across trials")
-            if t.has_surrogate != surr:
-                raise SchemaError("surrogate presence must be uniform across the dataset")
+        everything = (*trials, *(() if target is None else (target,)))
+        if len({t.outcome_cardinality for t in everything}) > 1:
+            raise ValidationError("outcome cardinality must be identical across trials")
+        if len({t.has_surrogate for t in everything}) > 1:
+            raise SchemaError("surrogate presence must be uniform across the dataset")
         if target is not None and not target.is_target:
             raise ValidationError("the target trial must be flagged as such")
-        self._set(trials=trials, target=target, _block=None)
+        ids = tuple(t.trial_id for t in trials)
+        target_id = None if target is None else target.trial_id
+        checked = self._of_block([t.counts for t in everything], ids, target_id)
+        self._set(**{name: getattr(checked, name) for name in self.__slots__})
 
     @classmethod
-    def _parsed(cls, trials, target, block: np.ndarray) -> "MultiTrialDataset":
-        """A dataset of parser-built trials, every one a view of a row of the
-        read-only ``(n_trials, cells)`` ``block`` (the target's row last):
-        one shape and unique labels by construction, so nothing to re-check."""
+    def _of_block(cls, counts, trial_ids: tuple[str, ...], target_id: str | None = None):
+        """The dataset's one checked constructor: the trials ``trial_ids``
+        and, in the last row, the target ``target_id`` over ``counts``, their
+        ``(n_trials, 2, k)`` or ``(n_trials, 2, 2, k)`` cells."""
+        if not trial_ids:
+            raise ValidationError("a dataset needs at least one experimental trial")
+        labels = trial_ids if target_id is None else trial_ids + (target_id,)
+        if len(set(labels)) != len(labels):
+            raise ValidationError("trial labels must be unique")
+        block = _checked_counts(np.asarray(counts), labels, target_id is not None)
         dataset = object.__new__(cls)
-        dataset._set(trials=trials, target=target, _block=block)
+        dataset._set(
+            _block=block.reshape(len(block), -1), trial_ids=trial_ids, target_id=target_id,
+            outcome_cardinality=block.shape[-1], has_surrogate=block.ndim == 4,
+        )
         return dataset
 
     @property
     def m(self) -> int:
-        return len(self.trials)
+        return len(self.trial_ids)
 
     @property
-    def outcome_cardinality(self) -> int:
-        return self.trials[0].outcome_cardinality
+    def _labels(self) -> tuple[str, ...]:
+        """Every trial's label in block order, the target's last."""
+        return self.trial_ids + (() if self.target_id is None else (self.target_id,))
 
     @property
-    def has_surrogate(self) -> bool:
-        return self.trials[0].has_surrogate
-
-    @property
-    def trial_ids(self) -> tuple[str, ...]:
-        return tuple(t.trial_id for t in self.trials)
+    def _trial_shape(self) -> tuple[int, ...]:
+        k = self.outcome_cardinality
+        return (2, 2, k) if self.has_surrogate else (2, k)
 
     @property
     def all_trials(self) -> tuple[TrialCellCounts, ...]:
-        if self.target is None:
-            return self.trials
-        return self.trials + (self.target,)
+        rows = self._block.reshape((-1,) + self._trial_shape)
+        return tuple(
+            TrialCellCounts(label, row, g == self.m)
+            for g, (label, row) in enumerate(zip(self._labels, rows))
+        )
+
+    @property
+    def trials(self) -> tuple[TrialCellCounts, ...]:
+        return self.all_trials[: self.m]
+
+    @property
+    def target(self) -> TrialCellCounts | None:
+        return None if self.target_id is None else self.all_trials[-1]
 
     def counts_tensor(self) -> np.ndarray:
-        """All trials' cells as a read-only ``(n_trials, cells)`` integer
-        matrix, built once per dataset (a parsed dataset has it already).
+        """The dataset's read-only ``(n_trials, cells)`` int64 count block,
+        the same array at every call.
 
         The target trial, when present, is the last row. Cell order is
         row-major over ``(arm[, surrogate], outcome)``.
         """
-        block = self._block
-        if block is None:
-            block = np.stack([t.counts.reshape(-1) for t in self.all_trials])
-            block.flags.writeable = False
-            object.__setattr__(self, "_block", block)
-        return block
+        return self._block
 
     def with_counts(self, tensor: np.ndarray) -> "MultiTrialDataset":
-        """Rebuild the dataset with replacement counts from :meth:`counts_tensor` layout."""
-        shape = self.trials[0].counts.shape
-        new = [
-            TrialCellCounts(t.trial_id, row.reshape(shape), t.is_target)
-            for t, row in zip(self.all_trials, np.asarray(tensor))
-        ]
-        if self.target is not None:
-            return MultiTrialDataset(trials=tuple(new[:-1]), target=new[-1])
-        return MultiTrialDataset(trials=tuple(new))
+        """The dataset with ``tensor``, laid out like :meth:`counts_tensor`,
+        as its count block, checked as the constructor checks counts."""
+        tensor, shape = np.asarray(tensor), self._block.shape
+        if tensor.shape != shape:
+            raise ValidationError(f"counts must be (n_trials, cells) {shape}, got {tensor.shape}")
+        counts = tensor.reshape((len(tensor),) + self._trial_shape)
+        return type(self)._of_block(counts, self.trial_ids, self.target_id)
 
 
 def _open_source(source) -> tuple[TextIO, bool]:
@@ -330,15 +363,13 @@ def _rows_to_dataset(
     y = np.array(records.outcomes, dtype=np.int64)
     cell = ((g * 2 + arm) * states + s) * k + y
     np.add.at(block.reshape(-1), cell, np.array(units, dtype=np.int64))
-    block.flags.writeable = False
-    ids = list(index)
-    target = None
-    if ids[-1] == schema.target_label:
-        target = TrialCellCounts(ids.pop(), block[-1], is_target=True)
-    trials = tuple(map(TrialCellCounts._parsed, ids, block))
-    if not trials:
+    ids = tuple(index)
+    target = ids[-1] if ids[-1] == schema.target_label else None
+    trial_ids = ids if target is None else ids[:-1]
+    if not trial_ids:
+        _checked_counts(block, ids, True)  # a target with treated rows is reported first
         raise ValidationError("no experimental trials found in input")
-    return MultiTrialDataset._parsed(trials, target, block.reshape(len(block), -1))
+    return MultiTrialDataset._of_block(block, trial_ids, target)
 
 
 #: Characters per block that the parser reads with ``readlines``: a block
@@ -689,21 +720,13 @@ def serialize_dataset(
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(schema.header())
-    k = dataset.outcome_cardinality
-    for trial in dataset.all_trials:
-        arms = (0,) if trial.is_target else (0, 1)
-        for arm in arms:
-            if dataset.has_surrogate:
-                for s in (0, 1):
-                    for y in range(k):
-                        writer.writerow(
-                            [trial.trial_id, arm, s, y, int(trial.counts[arm, s, y])]
-                        )
-            else:
-                for y in range(k):
-                    writer.writerow(
-                        [trial.trial_id, arm, schema.na_token, y, int(trial.counts[arm, y])]
-                    )
+    states = (0, 1) if dataset.has_surrogate else (schema.na_token,)
+    outcomes = range(dataset.outcome_cardinality)
+    cells = [(arm, s, y) for arm in (0, 1) for s in states for y in outcomes]
+    for g, (label, row) in enumerate(zip(dataset._labels, dataset.counts_tensor().tolist())):
+        # The target trial's treated cells, the second half, are not written.
+        width = len(cells) if g < dataset.m else len(cells) // 2
+        writer.writerows([label, *cell, n] for cell, n in zip(cells[:width], row))
     return out.getvalue()
 
 
@@ -751,8 +774,9 @@ def frequency_stack(
     """Frequencies of the state ``spaces`` (by default all three) for a
     ``(B, n_trials, cells)`` stack of count tensors laid out like
     ``dataset.counts_tensor()``: the package's one division of counts by arm
-    sizes. A space not in ``spaces`` is None; those built are the same
-    arrays whichever others are asked for."""
+    sizes. ``dataset`` gives only the layout, so a dataset of zero counts
+    serves any stack of its shape. A space not in ``spaces`` is None; those
+    built are the same arrays whichever others are asked for."""
     unknown = set(spaces) - set(STATE_SPACES)
     if unknown:
         raise ValidationError(f"unknown state spaces: {', '.join(sorted(unknown))}")
@@ -775,7 +799,7 @@ def frequency_stack(
                 composite = arms / scale
     m = dataset.m
     empty = (sizes[:, :m] <= 0).any(axis=(1, 2))
-    if dataset.target is not None:
+    if dataset.target_id is not None:
         empty |= sizes[:, m, 0] <= 0
     return FrequencyStack(sizes, empty, outcome, surrogate, composite)
 
@@ -787,13 +811,14 @@ def observed_frequencies(dataset: MultiTrialDataset) -> FrequencyStack:
     has an empty arm (for the target trial, an empty control arm).
     """
     freqs = frequency_stack(dataset, dataset.counts_tensor()[None])
-    for trial, arm_sizes in zip(dataset.all_trials, freqs.sizes[0]):
-        for arm in (0, 1):
-            if arm_sizes[arm] <= 0 and not (arm == 1 and trial.is_target):
-                raise EstimationError(
-                    f"trial {trial.trial_id!r} has no units in arm {arm}; "
-                    "frequencies are undefined"
-                )
+    if freqs.empty[0]:
+        # The first empty arm in block order; the target's treated arm,
+        # always empty, is last.
+        g, arm = np.argwhere(freqs.sizes[0] <= 0)[0]
+        raise EstimationError(
+            f"trial {dataset._labels[g]!r} has no units in arm {arm}; "
+            "frequencies are undefined"
+        )
     return freqs
 
 

@@ -51,7 +51,6 @@ from .data import (
     _MAX_COUNT,
     STATE_SPACES,
     MultiTrialDataset,
-    TrialCellCounts,
     _sum_last,
     frequency_stack,
 )
@@ -250,11 +249,11 @@ def _draw_counts(
     return rng.multinomial(n_g, cell_probs)
 
 
-def _wrap_counts(population: Population, counts: np.ndarray) -> MultiTrialDataset:
-    """The dataset of an ``(m, cells)`` count matrix laid out like ``cell_probs``."""
-    shape = (2, 2, -1) if population.has_surrogate else (2, -1)
-    trials = (TrialCellCounts(str(g + 1), row.reshape(shape)) for g, row in enumerate(counts))
-    return MultiTrialDataset(trials=tuple(trials))
+def _layout(population: Population) -> MultiTrialDataset:
+    """The zero-count dataset of trials ``1..m`` laid out like ``cell_probs``."""
+    m, cells = population.cell_probs.shape
+    shape = (m, 2, 2, cells // 4) if population.has_surrogate else (m, 2, cells // 2)
+    return MultiTrialDataset._of_block(np.zeros(shape, np.int64), tuple(map(str, range(1, m + 1))))
 
 
 def simulate_dataset(spec: DgpSpec, seed: int) -> MultiTrialDataset:
@@ -264,7 +263,7 @@ def simulate_dataset(spec: DgpSpec, seed: int) -> MultiTrialDataset:
     inference.check_seed(seed)
     pop = dgp_population(spec)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return _wrap_counts(pop, _draw_counts(pop.cell_probs, spec.n_g, rng))
+    return _layout(pop).with_counts(_draw_counts(pop.cell_probs, spec.n_g, rng))
 
 
 def _resample_stacks(
@@ -369,7 +368,7 @@ class Pipeline:
         self.param_names = population.param_names
         self.truth = population.truth
         self.valid, self._fit, self._spaces = _ESTIMATORS[self.name]
-        self.layout = _wrap_counts(population, np.zeros(population.cell_probs.shape, int))
+        self.layout = _layout(population)
 
     def fit(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         freqs = frequency_stack(self.layout, counts, self._spaces)

@@ -104,18 +104,19 @@ def summarize(dataset: MultiTrialDataset) -> Summaries:
     """
     freqs = observed_frequencies(dataset)
     out = []
-    for g, trial in enumerate(dataset.all_trials):
+    for g, label in enumerate(dataset._labels):
+        is_target = g == dataset.m
         vectors = {}
         for space in STATE_SPACES:
             arms = freqs.space(space)
             if arms is not None:
                 vectors[f"control_{space}"] = arms[0, g, 0]
-                vectors[f"treated_{space}"] = None if trial.is_target else arms[0, g, 1]
+                vectors[f"treated_{space}"] = None if is_target else arms[0, g, 1]
         sizes = tuple(int(n) for n in freqs.sizes[0, g])
-        out.append(TrialSummary(trial.trial_id, trial.is_target, sizes, **vectors))
+        out.append(TrialSummary(label, is_target, sizes, **vectors))
     return Summaries(
         trials=tuple(out[: dataset.m]),
-        target=out[dataset.m] if dataset.target is not None else None,
+        target=out[dataset.m] if dataset.target_id is not None else None,
         outcome_cardinality=dataset.outcome_cardinality,
         has_surrogate=dataset.has_surrogate,
     )

@@ -47,6 +47,7 @@ class DesignSystem(_Frozen):
     """
 
     __slots__ = _fields = ("design", "response", "state_labels", "support_mask", "trial_ids")
+    __hash__ = None
 
     def __init__(
         self,

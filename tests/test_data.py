@@ -895,3 +895,135 @@ class TestFrequencyStack:
         dataset = _layout(3, 2, True, False)
         with pytest.raises(ValidationError, match="unknown state spaces: joint"):
             frequency_stack(dataset, np.ones((1, 3, 8), dtype=int), ("outcome", "joint"))
+
+
+class TestCountBounds:
+    """Hand-built counts meet the parser's bound: a trial's sum, and so
+    each of its counts, at most 2**63 - 1, with no numpy warning on the way."""
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            (np.array([[2**63, 0], [0, 0]], dtype=np.uint64),
+             "its counts sum to 9223372036854775808, beyond 2**63 - 1"),
+            (np.array([[1e19, 1.0], [1.0, 1.0]]),
+             "its counts sum to 10000000000000000003, beyond 2**63 - 1"),
+            (np.array([[2.0**63, 0.0], [0.0, 0.0]]),
+             "its counts sum to 9223372036854775808, beyond 2**63 - 1"),
+            (np.array([[np.inf, 1.0], [1.0, 1.0]]), "cell counts must be integers"),
+            (np.array([[2**62, 2**62], [1, 1]]),
+             "its counts sum to 9223372036854775810, beyond 2**63 - 1"),
+            (np.array([[2**62, 2**62 - 1], [1, 0]], dtype=np.uint64),
+             "its counts sum to 9223372036854775808, beyond 2**63 - 1"),
+        ],
+        ids=["uint64", "float", "float-2**63", "inf", "control-arm-sum", "uint64-sum"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_trial_cell_counts_rejects(self, counts, message):
+        with pytest.raises(ValidationError, match=f"^trial '7': {re.escape(message)}$"):
+            TrialCellCounts("7", counts)
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_counts_are_accepted(self):
+        for counts in (
+            np.array([[2**63 - 1, 0], [0, 0]], dtype=np.uint64),
+            np.array([[2**62, 2**62 - 1], [0, 0]]),
+            np.array([[2.0**62, 2.0**62 - 1024], [0.0, 0.0]]),
+        ):
+            trial = TrialCellCounts("1", counts)
+            assert trial.n == int(counts.astype(object).sum())
+            assert trial.arm_totals == (trial.n, 0)
+
+    def test_with_counts_names_the_first_trial_beyond_the_bound(self):
+        ds = binary_dataset([(1, 2, 3, 4), (5, 6, 7, 8), (1, 1, 1, 1)])
+        tensor = ds.counts_tensor().copy()
+        tensor[1:, 0] = 2**62
+        tensor[1:, 1] = 2**62
+        with pytest.raises(ValidationError, match="^trial '2': its counts sum to"):
+            ds.with_counts(tensor)
+
+
+class TestWithCounts:
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda t: -t, "trial '1': negative cell count"),
+            (lambda t: t + 0.5, "trial '1': cell counts must be integers"),
+            (lambda t: t[:, :3], r"\(n_trials, cells\) \(2, 4\), got \(2, 3\)"),
+            (lambda t: t[None], r"\(n_trials, cells\) \(2, 4\), got \(1, 2, 4\)"),
+        ],
+        ids=["negative", "non-integer", "narrow", "stacked"],
+    )
+    def test_rejects(self, change, message):
+        ds = binary_dataset([(1, 2, 3, 4), (5, 6, 7, 8)])
+        with pytest.raises(ValidationError, match=message):
+            ds.with_counts(change(ds.counts_tensor()))
+
+    def test_keeps_labels_and_target(self):
+        control = np.array([[4, 6], [0, 0]])
+        ds = MultiTrialDataset(
+            binary_dataset([(1, 2, 3, 4), (5, 6, 7, 8)]).trials,
+            TrialCellCounts("0", control, is_target=True),
+        )
+        doubled = ds.with_counts(ds.counts_tensor() * 2)
+        assert doubled.trial_ids == ("1", "2") and doubled.target_id == "0"
+        np.testing.assert_array_equal(doubled.target.counts, control * 2)
+        treated = ds.counts_tensor().copy()
+        treated[2, 2] = 1
+        with pytest.raises(ValidationError, match="target trial '0' must contain control rows"):
+            ds.with_counts(treated)
+
+
+def _design_system(shift=0.0):
+    from jointpo.transition import DesignSystem
+
+    design = np.array([[0.5, 0.5], [0.2, 0.8]])
+    response = np.array([[0.4, 0.6], [0.3 + shift, 0.7 - shift]])
+    return DesignSystem(design, response, ("0", "1"), np.ones((2, 2), bool), ("1", "2"))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda change: TrialCellCounts("1", [[1, 2], [3, 4 + change]]),
+        lambda change: binary_dataset([(1, 2, 3, 4), (5, 6, 7, 8 + change)]),
+        lambda change: _design_system(0.1 * change),
+    ],
+    ids=["TrialCellCounts", "MultiTrialDataset", "DesignSystem"],
+)
+def test_array_records_compare_by_value_and_are_unhashable(make):
+    import copy
+    import pickle
+
+    record = make(0)
+    assert record == make(0) and not record != make(0)
+    assert record != make(1)
+    assert record == copy.deepcopy(record) == pickle.loads(pickle.dumps(record))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(record)
+
+
+def test_block_paths_build_no_trial_objects(monkeypatch):
+    """Parsing, swapping counts, resampling, simulating and a study chunk
+    work on the count block alone: none builds a TrialCellCounts."""
+    from jointpo.inference import replicate_rng, resample_dataset
+    from jointpo.simulate import DgpSpec, run_study, simulate_dataset
+
+    built = []
+    init = TrialCellCounts.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0] if args else kwargs["trial_id"])
+        init(self, *args, **kwargs)
+
+    text = TOY + "2,0,NA,0,5\n2,0,NA,1,5\n2,1,NA,0,5\n2,1,NA,1,5\n0,0,NA,0,3\n0,0,NA,1,4\n"
+    monkeypatch.setattr(TrialCellCounts, "__init__", counting_init)
+    ds = parse_dataset(io.StringIO(text))
+    ds.with_counts(ds.counts_tensor() * 2)
+    resample_dataset(ds, replicate_rng(1, 0))
+    simulate_dataset(DgpSpec(case="c3", n_g=50, m=3), seed=2)
+    run_study(DgpSpec(case="c1", n_g=100, m=3), 2, 5, 1, workers=1)
+    assert built == []
+    assert ds.trial_ids == ("1", "2") and ds.target_id == "0"
+    assert [t.trial_id for t in ds.all_trials] == ["1", "2", "0"]
+    assert built == ["1", "2", "0"]

@@ -177,22 +177,40 @@ TARGET_TABLE = SURROGATE_TABLE + "".join(
 )
 
 
+#: Runs ``jointpo.cli`` as ``__main__``, as ``python -m`` does, and at exit
+#: prints to stderr the ``sys.modules`` keys that name their module (not
+#: ``jointpo.cli``, under which ``cli`` files its ``__main__`` module).
+_LAUNCHER = (
+    "import atexit, runpy, sys\n"
+    "def held():\n"
+    "    names = [n for n, m in sys.modules.items() if getattr(m, '__name__', n) == n]\n"
+    "    print('sys.modules:', *names, file=sys.stderr)\n"
+    "atexit.register(held)\n"
+    "runpy.run_module('jointpo.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
 def _command_imports(*argv: str) -> set[str]:
-    """Every module a fresh ``python -m jointpo.cli <argv>`` imports, as
-    ``-X importtime`` lists them; the command runs as ``__main__``, so the
-    list names ``jointpo.cli`` only if something imports it."""
+    """Every module a fresh ``jointpo.cli <argv>`` imports: those ``-X
+    importtime`` lists, which an ``import`` statement loads, and those in
+    the finished command's ``sys.modules``, which also holds the modules
+    ``importlib.import_module`` loads. The command runs as ``__main__``, so
+    the set names ``jointpo.cli`` only if something imports it."""
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "jointpo.cli", *argv],
+        [sys.executable, "-X", "importtime", "-c", _LAUNCHER, *argv],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stderr.splitlines()
-    return {
+    imported = {
         line.rsplit("|", 1)[1].strip()
         for line in lines[1:]
         if line.startswith("import time:")
     }
+    held = [line.split()[1:] for line in lines if line.startswith("sys.modules:")]
+    assert len(held) == 1, proc.stderr
+    return imported | set(held[0]) - {"__main__"}
 
 
 def _jointpo_modules(modules: set[str]) -> set[str]:

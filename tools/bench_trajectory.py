@@ -3,8 +3,8 @@ the working tree, in alternating pairs from one session.
 
 Usage (from the repository root):
 
-    python3 tools/bench_trajectory.py --parent HEAD --parent-label pr25 \
-        --label pr26 --seeds 1 2026 --seconds 40 --pairs 10
+    python3 tools/bench_trajectory.py --parent HEAD --parent-label base \
+        --label change --seeds 1 2026 --seconds 40 --pairs 10
 
 For each workload and seed the script runs ``perfbench/run.py --trace 0``
 ``--pairs`` times on each tree, alternating which tree goes first. The
@@ -22,6 +22,10 @@ won. Numbers from different sessions do not compare (the host's speed
 drifts), which is why each file carries its parent's runs. The exit code is
 1 if a run failed, read ``correct: false`` or gave another digest than its
 pair, else 0.
+
+It never overwrites a file: if the two labels are equal, or either file
+already exists in ``--out-dir`` (a committed ``BENCH_*.json`` is evidence),
+it exits 2 naming it before any run. Pick labels that are not yet taken.
 """
 
 from __future__ import annotations
@@ -163,6 +167,14 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10, help="parent/tree pairs per seed")
     parser.add_argument("--out-dir", type=Path, default=ROOT, help="where the files go")
     args = parser.parse_args(argv)
+    if args.parent_label == args.label:
+        print(f"--parent-label and --label are both {args.label!r}", file=sys.stderr)
+        return 2
+    for label in (args.parent_label, args.label):
+        path = args.out_dir / f"BENCH_{label}.json"
+        if path.exists():
+            print(f"{path} exists; choose another label", file=sys.stderr)
+            return 2
 
     started = datetime.now(timezone.utc).isoformat(timespec="seconds")
     parent_runs, runs = [], []
